@@ -7,18 +7,15 @@ verifies the staircase-path combinatorics of the reachable state spaces
 (Dyck counts, Young lattices, Boolean sublattices) by enumeration.
 """
 
-from .fock import (
-    SectorBasis, enumerate_basis, pattern_to_index, index_to_pattern,
-    sector_size,
-)
+from .fock import SectorBasis, enumerate_basis, sector_size
 from .interferometer import (
     TwoModeGate, CircuitSpec, QuantumState, build_reck_slices, reck_input,
     apply_gate, evolve, exact_distribution, support, schwinger_expectation,
     two_mode_block, two_mode_transfer, single_particle_transfer,
 )
 from .parity import (
-    parity_map, coarse_grain, upsilon0, upsilon0_prime,
-    binom_identity_check, verify_surjectivity, CoverageReport,
+    parity_map, coarse_grain, upsilon0, upsilon0_prime, binom_identity_check,
+    verify_surjectivity, CoverageReport,
 )
 from .dyck import (
     DyckSpec, dyck_count, enumerate_dyck_paths, staircase_path,
@@ -27,25 +24,47 @@ from .dyck import (
 from .young import (
     YoungLattice, young_lattice, ferrers_to_pattern, pattern_to_ferrers,
     catalan_basis, catalan_mu, catalan_lattice, vertex_to_pattern,
-    box_bitstring_apply, parity_distinctness_check,
-    count_boolean_sublattices, ordinal_sum_decomposition,
-    export_lattice_text, export_lattice_json,
+    box_bitstring_apply, parity_distinctness_check, count_boolean_sublattices,
+    ordinal_sum_decomposition, export_lattice_text, export_lattice_json,
 )
-from .sampling import sample_patterns, chain_sample_depth1
+from .sampling import sample_patterns, chain_sample_depth1_batch
 from .solver import (
-    SolverConfig, SolverResult, ParityObjective, FunctionObjective,
-    objective_energy, parameter_shift_gradient, finite_difference_gradient,
-    gradient_step, run_variational,
+    SolverConfig, SolverResult, ParityObjective, objective_energy,
+    parameter_shift_gradient, finite_difference_gradient, gradient_step,
+    run_variational,
 )
 from .problems import (
-    QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem,
-    qubo_energy, qubo_to_ising, mobius_energy, mobius_min, brute_force_min,
-    benchmark_qubo6, benchmark_qubo11, portfolio_returns_from_prices,
-    binary_encode_weights, portfolio_energy_penalty,
-    portfolio_energy_normalized, count_unit_sum_allocations,
-    run_portfolio, random_portfolio_cloud, synthetic_portfolio,
-    allocation_risk_return,
+    QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem, qubo_energy,
+    qubo_to_ising, mobius_min, brute_force_min, benchmark_qubo6,
+    benchmark_qubo11, portfolio_returns_from_prices, binary_encode_weights,
+    portfolio_energy_penalty, portfolio_energy_normalized,
+    count_unit_sum_allocations, run_portfolio, random_portfolio_cloud,
+    synthetic_portfolio, allocation_risk_return,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SectorBasis", "enumerate_basis", "sector_size", "TwoModeGate",
+    "CircuitSpec", "QuantumState", "build_reck_slices", "reck_input",
+    "apply_gate", "evolve", "exact_distribution", "support",
+    "schwinger_expectation", "two_mode_block", "two_mode_transfer",
+    "single_particle_transfer", "parity_map", "coarse_grain", "upsilon0",
+    "upsilon0_prime", "binom_identity_check", "verify_surjectivity",
+    "CoverageReport", "DyckSpec", "dyck_count", "enumerate_dyck_paths",
+    "staircase_path", "staircase_to_word", "catalan_dyck_spec",
+    "catalan_number", "YoungLattice", "young_lattice", "ferrers_to_pattern",
+    "pattern_to_ferrers", "catalan_basis", "catalan_mu", "catalan_lattice",
+    "vertex_to_pattern", "box_bitstring_apply", "parity_distinctness_check",
+    "count_boolean_sublattices", "ordinal_sum_decomposition",
+    "export_lattice_text", "export_lattice_json", "sample_patterns",
+    "chain_sample_depth1_batch", "SolverConfig", "SolverResult",
+    "ParityObjective", "objective_energy", "parameter_shift_gradient",
+    "finite_difference_gradient", "gradient_step", "run_variational",
+    "QuboProblem", "IsingProblem", "MobiusProblem", "PortfolioProblem",
+    "qubo_energy", "qubo_to_ising", "mobius_min", "brute_force_min",
+    "benchmark_qubo6", "benchmark_qubo11", "portfolio_returns_from_prices",
+    "binary_encode_weights", "portfolio_energy_penalty",
+    "portfolio_energy_normalized", "count_unit_sum_allocations",
+    "run_portfolio", "random_portfolio_cloud", "synthetic_portfolio",
+    "allocation_risk_return",
+]
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .dyck import DyckSpec, dyck_count, enumerate_dyck_paths, catalan_dyck_spec
 from .interferometer import build_reck_slices, reck_input
 from .parity import (
     upsilon0, upsilon0_prime, verify_surjectivity, binom_identity_check,
+    parity_bits,
 )
 from .problems import (
     QuboProblem, MobiusProblem, PortfolioProblem, brute_force_min,
@@ -50,11 +51,8 @@ def _output_dir(args) -> Path:
     return path
 
 
-_CONFIG_DEFAULTS = {
-    "depth": 1, "samples": 400, "eta": 0.1, "max_iterations": 100,
-    "plateau_tolerance": 1e-4, "plateau_window": 20, "master_seed": 0,
-    "optimize_phases": False, "target_energy": None,
-}
+# the library defaults, except that the CLI samples unless told --exact
+_CONFIG_DEFAULTS = {**SolverConfig().to_dict(), "samples": 400}
 
 
 def _solver_config(args) -> SolverConfig:
@@ -130,11 +128,20 @@ def _load_qubo(path: str) -> np.ndarray:
     return matrix
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """Standard JSON only: a NaN or infinity here is a failed computation."""
+    try:
+        path.write_text(json.dumps(doc, sort_keys=True, default=str,
+                                   allow_nan=False) + "\n")
+    except ValueError as exc:
+        raise RuntimeError(f"refusing to write {path.name}: {exc}")
+
+
 def _write_result(out_dir: Path, stem: str, result, extra: dict) -> Path:
     doc = json.loads(result.to_json())
     doc.update(extra)
     path = out_dir / f"{stem}.json"
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    _write_json(path, doc)
     result.write_curves_csv(out_dir / f"{stem}_curves.csv")
     return path
 
@@ -161,8 +168,6 @@ def cmd_solve_qubo(args) -> int:
 
 
 def cmd_solve_mobius(args) -> int:
-    if args.n % 2 != 0 or args.n < 4:
-        raise UsageError(f"spin count must be even and >= 4, got {args.n}")
     problem = MobiusProblem(args.n, args.ja, args.jb)
     analytic = mobius_min(problem)  # J_a <= 0 surfaces as a usage error
     config = _solver_config(args)
@@ -207,9 +212,13 @@ def cmd_solve_portfolio(args) -> int:
         p = Path(args.moments)
         if not p.exists():
             raise UsageError(f"moments file not found: {args.moments}")
-        doc = json.loads(p.read_text())
-        mu = np.asarray(doc["mu"], dtype=float)
-        sigma = np.asarray(doc["sigma"], dtype=float)
+        try:
+            doc = json.loads(p.read_text())
+            mu = np.asarray(doc["mu"], dtype=float)
+            sigma = np.asarray(doc["sigma"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{args.moments} must be a JSON object with "
+                             f"numeric mu and sigma: {exc!r}")
     else:
         raise UsageError("one of --prices or --moments is required")
     gammas = [float(g) for g in args.gamma.split(",")] if args.gamma else [1.0]
@@ -356,11 +365,9 @@ def _suite_multiplicity(report: list) -> None:
         for n in (m - 1, m):
             for k in range((m + n) % 2, m + 1, 2):
                 u0 = upsilon0(m, n, k)
-                brute = sum(
-                    1 for p in enumerate_basis(m, n)
-                    if all(v % 2 == 0 for v in p[:k])
-                    and all(v % 2 == 1 for v in p[k:])
-                )
+                bits = parity_bits(enumerate_basis(m, n).patterns)
+                brute = int(np.all(bits == [0] * k + [1] * (m - k),
+                                   axis=1).sum())
                 report.append({
                     "name": f"upsilon0({m},{n},{k})",
                     "passed": u0 == brute, "value": u0, "expected": brute,
@@ -428,7 +435,7 @@ def cmd_verify(args) -> int:
     doc = {"suite": args.suite, "checks": report, "all_passed": all_passed}
     out_dir = _output_dir(args)
     path = out_dir / f"verify_{args.suite}.json"
-    path.write_text(json.dumps(doc, sort_keys=True, default=str) + "\n")
+    _write_json(path, doc)
     for item in report:
         mark = "PASS" if item["passed"] else "FAIL"
         print(f"[{mark}] {item['name']}: {item['value']}")
@@ -507,12 +514,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

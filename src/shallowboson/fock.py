@@ -8,6 +8,7 @@ always has index 0 and the ordering is stable across runs and platforms.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -132,26 +133,7 @@ def _enumerate_patterns(num_modes: int, num_photons: int) -> np.ndarray:
     return out
 
 
-_basis_cache: dict[tuple[int, int], SectorBasis] = {}
-
-
+@lru_cache(maxsize=64)
 def enumerate_basis(num_modes: int, num_photons: int) -> SectorBasis:
     """Build the canonical basis of the (M, n) sector (cached, immutable)."""
-    key = (num_modes, num_photons)
-    basis = _basis_cache.get(key)
-    if basis is None:
-        basis = SectorBasis(num_modes, num_photons)
-        if len(_basis_cache) > 64:
-            _basis_cache.clear()
-        _basis_cache[key] = basis
-    return basis
-
-
-def pattern_to_index(basis: SectorBasis, pattern) -> int:
-    """Canonical position of a detection pattern inside its sector."""
-    return basis.index(pattern)
-
-
-def index_to_pattern(basis: SectorBasis, index: int) -> Pattern:
-    """Inverse of :func:`pattern_to_index`."""
-    return basis.pattern(index)
+    return SectorBasis(num_modes, num_photons)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -54,14 +55,9 @@ def _monomial_coeffs(coeff_x: complex, coeff_1: complex, power: int
     return _binom_row(power) * coeff_x**r * coeff_1**(power - r)
 
 
-_block_constants: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=512)
 def _block_setup(m: int):
     """Cached m-dependent tensors of the binomial block expansion."""
-    hit = _block_constants.get(m)
-    if hit is not None:
-        return hit
     idx = np.arange(m + 1)
     # C(p, r) and C(m-p, s), zeroed outside their triangles
     left_binom = np.zeros((m + 1, m + 1))
@@ -76,12 +72,8 @@ def _block_setup(m: int):
     shift = np.clip(shift, 0, m)
     root_fact = np.exp(0.5 * np.array(
         [lgamma(u + 1) + lgamma(m - u + 1) for u in idx]))
-    result = (idx, left_binom, right_binom, left_deg, right_deg,
-              shift, shift_valid, root_fact)
-    if len(_block_constants) > 512:
-        _block_constants.clear()
-    _block_constants[m] = result
-    return result
+    return (idx, left_binom, right_binom, left_deg, right_deg,
+            shift, shift_valid, root_fact)
 
 
 def two_mode_block(m: int, theta: float, psi: float) -> np.ndarray:
@@ -265,24 +257,18 @@ class QuantumState:
 
     def amplitudes(self, tol: float = 0.0) -> dict[Pattern, complex]:
         """Sparse view: pattern -> amplitude for |amplitude| > tol."""
-        out = {}
-        for idx in np.nonzero(np.abs(self.vector) > tol)[0]:
-            out[self.basis.pattern(int(idx))] = complex(self.vector[idx])
-        return out
+        keep = np.abs(self.vector) > tol
+        return dict(zip(map(tuple, self.basis.patterns[keep].tolist()),
+                        self.vector[keep].tolist()))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.vector) ** 2
 
 
-# cache of gate-application index structures, keyed per sector and pair
-_orbit_cache: dict[tuple, tuple] = {}
-
-
-def _gate_orbits(basis: SectorBasis, i: int, j: int):
-    key = (basis.num_modes, basis.num_photons, i, j)
-    hit = _orbit_cache.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=256)
+def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
+    """Gate-application index structures of one sector and mode pair."""
+    basis = enumerate_basis(num_modes, num_photons)
     pats = basis.patterns.astype(np.int64)
     m = pats[:, i] + pats[:, j]
     u = pats[:, i]
@@ -292,14 +278,9 @@ def _gate_orbits(basis: SectorBasis, i: int, j: int):
     rep_rank = basis.rank(reps)
     order = np.lexsort((u, rep_rank, m))
     m_sorted = m[order]
-    m_values = np.unique(m_sorted)
-    bounds = np.searchsorted(m_sorted, m_values), np.searchsorted(
-        m_sorted, m_values, side="right")
-    result = (order, m_values, bounds[0], bounds[1])
-    if len(_orbit_cache) > 256:
-        _orbit_cache.clear()
-    _orbit_cache[key] = result
-    return result
+    m_values, starts, counts = np.unique(m_sorted, return_index=True,
+                                         return_counts=True)
+    return order, m_values, starts, starts + counts
 
 
 def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
@@ -310,7 +291,8 @@ def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
         raise RuntimeError(
             f"input state norm {state.norm():.3e} deviates beyond {_NORM_TOL}"
         )
-    order, m_values, starts, stops = _gate_orbits(state.basis, gate.i, gate.j)
+    order, m_values, starts, stops = _gate_orbits(*state.sector, gate.i,
+                                                  gate.j)
     new_vec = np.empty_like(state.vector)
     for m, s, e in zip(m_values, starts, stops):
         seg = order[s:e]
@@ -344,10 +326,9 @@ def exact_distribution(state: QuantumState, tol: float = 0.0
             f"state norm {state.norm():.3e} deviates beyond {_NORM_TOL}"
         )
     probs = state.probabilities()
-    out = {}
-    for idx in np.nonzero(probs > tol)[0]:
-        out[state.basis.pattern(int(idx))] = float(probs[idx])
-    return out
+    keep = probs > tol
+    return dict(zip(map(tuple, state.basis.patterns[keep].tolist()),
+                    probs[keep].tolist()))
 
 
 def support(state: QuantumState, tol: float = 0.0) -> set[Pattern]:
@@ -357,8 +338,8 @@ def support(state: QuantumState, tol: float = 0.0) -> set[Pattern]:
     evolution (their orbits never receive mass), so strict positivity is
     the right default; raise `tol` to trim near-zero entries instead.
     """
-    probs = state.probabilities()
-    return {state.basis.pattern(int(i)) for i in np.nonzero(probs > tol)[0]}
+    keep = state.probabilities() > tol
+    return set(map(tuple, state.basis.patterns[keep].tolist()))
 
 
 def single_particle_transfer(circuit: CircuitSpec, thetas, psis=None

@@ -6,6 +6,11 @@ probability masses of all patterns sharing a bit string.  Closed-form
 multiplicity counts give the number of full-sector patterns behind each
 canonical bit string, and the coverage verifier checks by enumeration
 that the union of parity images charts the whole 2^M qubit basis.
+
+Distributions are arrays: pattern rows (canonical order for a sector
+basis) with an aligned probability vector.  Bit strings are int64 rows
+coded with the first mode as the most significant bit, and grouped bit
+strings come in ascending code order (lexicographic order of the rows).
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .fock import Pattern
+import numpy as np
+
 from .young import catalan_basis
 
 Bits = tuple[int, ...]
@@ -24,24 +30,58 @@ _MASS_TOL = 1e-9
 
 
 def parity_map(pattern, j: int = 0) -> Bits:
-    """Componentwise parity of the photon counts, flipped when j = 1."""
+    """Componentwise parity of the photon counts, flipped when j = 1.
+
+    The scalar reference for :func:`parity_bits`.
+    """
     if j not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {j}")
     return tuple((int(v) % 2) ^ j for v in pattern)
 
 
-def coarse_grain(dist: dict[Pattern, float], j: int = 0) -> dict[Bits, float]:
-    """Sum pattern probabilities onto their parity bit strings."""
-    total = sum(dist.values())
+def parity_bits(patterns, j: int = 0) -> np.ndarray:
+    """Vectorised parity map: one int64 bit row per pattern row."""
+    if j not in (0, 1):
+        raise ValueError(f"parity variant must be 0 or 1, got {j}")
+    return ((np.asarray(patterns) & 1) ^ j).astype(np.int64)
+
+
+def bits_to_codes(bits) -> np.ndarray:
+    """Integer code of each bit row, first bit most significant."""
+    bits = np.asarray(bits, dtype=np.int64)
+    width = bits.shape[-1]
+    if width > 63:
+        raise ValueError(f"{width}-bit strings do not fit a 64-bit code")
+    return bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
+def codes_to_bits(codes, width: int) -> np.ndarray:
+    """Inverse of :func:`bits_to_codes`: int64 rows of `width` bits."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 1
+
+
+def parity_groups(patterns, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Group index per row and group bit rows, in ascending code order."""
+    bits = parity_bits(patterns, j)
+    codes, index = np.unique(bits_to_codes(bits), return_inverse=True)
+    return index, codes_to_bits(codes, bits.shape[1])
+
+
+def coarse_grain(patterns, probs, j: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum pattern probabilities onto their parity bit strings.
+
+    Returns the bit rows reached, in ascending code order, and their masses.
+    """
+    probs = np.asarray(probs, dtype=float)
+    total = probs.sum()
     if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(
             f"input masses sum to {total!r}, expected 1 within {_MASS_TOL}"
         )
-    out: dict[Bits, float] = {}
-    for pattern, mass in dist.items():
-        bits = parity_map(pattern, j)
-        out[bits] = out.get(bits, 0.0) + mass
-    return out
+    index, bits = parity_groups(patterns, j)
+    return bits, np.bincount(index, weights=probs, minlength=len(bits))
 
 
 def _check_range(num_modes: int, m: int) -> None:
@@ -164,25 +204,23 @@ def verify_surjectivity(num_modes: int, depth: int,
     per_config: dict[tuple[int, int], dict[Bits, int]] = {}
     total: Counter = Counter()
     for n in sectors:
-        patterns = catalan_basis(num_modes, n, depth)
+        patterns = np.array(catalan_basis(num_modes, n, depth), np.uint16)
         for j in variants:
-            counts = Counter(parity_map(p, j) for p in patterns)
-            per_config[(n, j)] = dict(counts)
-            total.update(counts)
+            index, bits = parity_groups(patterns, j)
+            per_config[(n, j)] = dict(zip(map(tuple, bits.tolist()),
+                                          np.bincount(index).tolist()))
+            total.update(per_config[(n, j)])
 
     covered = sorted(total)
-    all_bits = {
-        tuple((code >> (num_modes - 1 - b)) & 1 for b in range(num_modes))
-        for code in range(2 ** num_modes)
-    }
-    missing = sorted(all_bits - set(covered))
+    missing = codes_to_bits(np.setdiff1d(
+        np.arange(2 ** num_modes), bits_to_codes(covered)), num_modes)
     return CoverageReport(
         num_modes=num_modes,
         depth=depth,
         sectors=sectors,
         parities=variants,
         covered=covered,
-        missing=missing,
+        missing=list(map(tuple, missing.tolist())),
         multiplicities=dict(total),
         per_config=per_config,
     )

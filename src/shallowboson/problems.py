@@ -13,15 +13,11 @@ from importlib import resources
 
 import numpy as np
 
+from .parity import codes_to_bits
 from .solver import SolverConfig, SolverResult, run_variational
 
 _BRUTE_FORCE_LIMIT = 26
 _CHUNK = 1 << 18
-
-
-def _bit_rows(codes: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((codes[:, None] >> shifts) & 1).astype(np.int64)
 
 
 class QuboProblem:
@@ -31,6 +27,8 @@ class QuboProblem:
         q = np.asarray(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"Q must be square, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("Q has non-finite entries")
         if np.max(np.abs(q - q.T)) > 1e-12:
             q = (q + q.T) / 2.0
         self.q = q
@@ -124,10 +122,6 @@ class MobiusProblem:
         return -self.j_a * ring - self.j_b * rungs
 
 
-def mobius_energy(problem: MobiusProblem, spins) -> float:
-    return problem.spin_energy(spins)
-
-
 def mobius_min(problem: MobiusProblem) -> float:
     """Closed-form ground energy, valid for positive ring coupling."""
     if problem.j_a <= 0:
@@ -154,7 +148,7 @@ def brute_force_min(problem, k_lowest: int = 3):
     total = 1 << width
     for start in range(0, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = _bit_rows(codes, width)
+        bits = codes_to_bits(codes, width)
         energies = problem.energies(bits)
         take = min(k_lowest, len(energies))
         idx = np.argpartition(energies, take - 1)[:take]
@@ -256,6 +250,8 @@ class PortfolioProblem:
         self.mu = np.asarray(self.mu, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         n = self.mu.shape[0]
+        if not np.all(np.isfinite(np.append(self.mu, self.sigma))):
+            raise ValueError("returns or covariance have non-finite entries")
         if self.sigma.shape != (n, n):
             raise ValueError("covariance shape does not match returns")
         if np.max(np.abs(self.sigma - self.sigma.T)) > 1e-9:

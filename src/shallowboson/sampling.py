@@ -1,18 +1,21 @@
 """Seeded sampling of detection patterns.
 
-Two routes: inverse-CDF categorical draws over an explicit distribution
-in canonical pattern order, and a sequential sampler for depth-1 meshes
-that draws patterns gate by gate without ever building the output
-distribution.  In the depth-1 cascade each gate freezes one output mode,
-and conditioning on its measured count collapses the carried mode to a
-definite Fock state, so a chain of two-mode blocks samples exactly.
+Two routes: inverse-CDF categorical draws over an explicit distribution,
+and a sequential sampler for depth-1 meshes that draws patterns gate by
+gate without ever building the output distribution.  In the depth-1
+cascade each gate freezes one output mode, and conditioning on its
+measured count collapses the carried mode to a definite Fock state, so a
+chain of two-mode blocks samples exactly.
+
+An explicit distribution is a pattern array with an aligned probability
+vector, for a sector `basis.patterns` with `state.probabilities()` in
+canonical order.  Both routes return uint16 pattern rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import Pattern
 from .interferometer import two_mode_block_column
 
 _MASS_TOL = 1e-9
@@ -25,17 +28,20 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def sample_patterns(dist: dict[Pattern, float], n_samples: int,
-                    stream_seed) -> list[Pattern]:
-    """Draw n_samples i.i.d. patterns from an explicit distribution.
+def sample_patterns(patterns, probs, n_samples: int,
+                    stream_seed) -> np.ndarray:
+    """Draw n_samples i.i.d. rows of `patterns`, row k with mass probs[k].
 
-    Inverse-CDF over the canonical (reverse-lexicographic) pattern order;
-    identical seeds give identical multisets.
+    Inverse-CDF over the rows in the order given; identical seeds give
+    identical draws.  Returns uint16 rows of shape (n_samples, M).
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    patterns = sorted(dist, reverse=True)
-    probs = np.array([dist[p] for p in patterns], dtype=float)
+    patterns = np.asarray(patterns, dtype=np.uint16)
+    probs = np.asarray(probs, dtype=float)
+    if patterns.ndim != 2 or probs.shape != (len(patterns),):
+        raise ValueError(f"need one probability per row of a 2-D pattern "
+                         f"array, got {probs.shape} and {patterns.shape}")
     total = probs.sum()
     if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(
@@ -44,17 +50,7 @@ def sample_patterns(dist: dict[Pattern, float], n_samples: int,
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)
     rng = np.random.default_rng(stream_seed)
-    draws = np.searchsorted(cdf, rng.random(n_samples), side="right")
-    return [patterns[int(i)] for i in draws]
-
-
-def chain_sample_depth1(input_pattern, thetas, n_samples: int, stream_seed,
-                        psis=None) -> np.ndarray:
-    """Sample depth-1 output patterns sequentially; shape (n_samples, M)."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    out = chain_sample_depth1_batch(input_pattern, thetas, n_samples,
-                                    stream_seed, psis=psis)
-    return out[0]
+    return patterns[np.searchsorted(cdf, rng.random(n_samples), side="right")]
 
 
 def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,

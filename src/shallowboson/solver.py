@@ -16,25 +16,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve
-from .parity import Bits
+from .parity import Bits, parity_bits, parity_groups
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
                        sample_patterns)
 
 _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
-
-
-class FunctionObjective:
-    """Adapter giving a scalar bit-string energy function a vector API."""
-
-    def __init__(self, num_bits: int, energy_fn):
-        self.num_bits = num_bits
-        self._fn = energy_fn
-
-    def energies(self, bits: np.ndarray) -> np.ndarray:
-        return np.array([self._fn(tuple(int(b) for b in row))
-                         for row in np.atleast_2d(bits)], dtype=float)
 
 
 def objective_energy(bit_dist: dict[Bits, float], energy_fn) -> float:
@@ -122,7 +111,7 @@ class ParityObjective:
     Wraps the mesh of the requested depth with its one-photon-per-mode
     input; exact mode evolves the full state, sampled mode draws N_s
     patterns per evaluation (chain sampling at depth 1, categorical
-    sampling over the exact distribution otherwise).
+    sampling over the canonical-order probability vector otherwise).
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -142,17 +131,10 @@ class ParityObjective:
         self._exact_tables = None
 
     def _exact_setup(self):
-        """Per-sector reduction tables: basis pattern -> bit-string group."""
+        """Per-sector reduction tables: basis row -> bit-string group."""
         if self._exact_tables is None:
-            from .fock import enumerate_basis
             basis = enumerate_basis(self.num_modes, self.num_photons)
-            bits = (basis.patterns & 1).astype(np.int64) ^ self.parity
-            codes = bits @ (1 << np.arange(self.num_modes - 1, -1, -1,
-                                           dtype=np.int64))
-            uniq, inverse = np.unique(codes, return_inverse=True)
-            first = np.zeros(len(uniq), dtype=np.int64)
-            first[inverse[::-1]] = np.arange(len(codes) - 1, -1, -1)
-            uniq_bits = bits[first]
+            inverse, uniq_bits = parity_groups(basis.patterns, self.parity)
             e_uniq = np.asarray(self.problem.energies(uniq_bits), dtype=float)
             self._exact_tables = (inverse, uniq_bits, e_uniq)
         return self._exact_tables
@@ -209,18 +191,13 @@ class ParityObjective:
             pats = chain_sample_depth1_batch(
                 self.circuit.input, thetas, n_s, stream_seed, psis=psis)
         else:
-            root = as_seed_sequence(stream_seed)
-            pats = np.zeros((rows.shape[0], n_s, self.num_modes),
-                            dtype=np.uint16)
-            for r, child in enumerate(root.spawn(rows.shape[0])):
-                thetas, psis = self.split(rows[r])
-                state = evolve(self.circuit, thetas, psis)
-                dist = {p: float(v) for p, v in zip(
-                    state.basis, state.probabilities())}
-                drawn = sample_patterns(dist, n_s, child)
-                pats[r] = np.asarray(drawn, dtype=np.uint16)
-        bits = (pats.astype(np.int64) & 1) ^ self.parity
-        flat = bits.reshape(-1, self.num_modes)
+            children = as_seed_sequence(stream_seed).spawn(len(rows))
+            pats = np.empty((len(rows), n_s, self.num_modes), np.uint16)
+            for r, child in enumerate(children):
+                state = evolve(self.circuit, *self.split(rows[r]))
+                pats[r] = sample_patterns(state.basis.patterns,
+                                          state.probabilities(), n_s, child)
+        flat = parity_bits(pats, self.parity).reshape(-1, self.num_modes)
         e_flat = self.problem.energies(flat)
         e_rows = e_flat.reshape(rows.shape[0], n_s)
         energies = e_rows.mean(axis=1)

@@ -5,6 +5,7 @@ import pytest
 
 from shallowboson.cli import main
 from shallowboson.problems import synthetic_portfolio
+from shallowboson.solver import run_variational
 
 
 def run_cli(capsys, *argv):
@@ -230,3 +231,77 @@ def test_output_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "dyck-counts")
     assert code == 0
     assert (env_dir / "verify_dyck-counts.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "1,nan\nnan,2\n", "1,inf\n0,2\n", "[[1, -Infinity], [0, 2]]"])
+def test_solve_qubo_non_finite_matrix(tmp_path, capsys, text):
+    suffix = ".json" if text.startswith("[") else ".csv"
+    matrix_path = tmp_path / f"q{suffix}"
+    matrix_path.write_text(text)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "solve-qubo", "--matrix",
+                             str(matrix_path), "--samples", "8",
+                             "--iterations", "1", "--output", str(out_dir))
+    assert code == 2 and "non-finite" in err
+    assert out == "" and not out_dir.exists()
+
+
+def _write_moments(tmp_path, doc):
+    path = tmp_path / "moments.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("doc", [
+    {"mu": [0.1, float("nan")], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    {"mu": [0.1, 0.2], "sigma": [[1.0, float("inf")], [0.0, 1.0]]},
+])
+def test_solve_portfolio_non_finite_moments(tmp_path, capsys, doc):
+    moments = _write_moments(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "solve-portfolio", "--moments",
+                           str(moments), "--output", str(out_dir))
+    assert code == 2 and "non-finite" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"mu": [0.1, 0.2]}, {"sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    [[0.1, 0.2], [[1.0, 0.0], [0.0, 1.0]]], "{not json",
+])
+def test_solve_portfolio_malformed_moments(tmp_path, capsys, doc):
+    moments = _write_moments(tmp_path, doc)
+    code, _, err = run_cli(capsys, "solve-portfolio", "--moments",
+                           str(moments), "--output", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_non_finite_result_is_a_computational_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    import shallowboson.cli as cli
+
+    def nan_result(problem, config):
+        result = run_variational(problem, config)
+        result.e_min = float("nan")
+        return result
+
+    monkeypatch.setattr(cli, "run_variational", nan_result)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "solve-mobius", "--n", "4", "--samples",
+                           "8", "--iterations", "1", "--output", str(out_dir))
+    assert code == 1 and err.startswith("error: ")
+    assert not (out_dir / "mobius_result.json").exists()
+
+
+def test_runtime_error_exits_1(tmp_path, capsys, monkeypatch):
+    import shallowboson.cli as cli
+
+    def drifted(problem, config):
+        raise RuntimeError("input state norm 1.1e+00 deviates beyond 1e-09")
+
+    monkeypatch.setattr(cli, "run_variational", drifted)
+    code, _, err = run_cli(capsys, "solve-mobius", "--n", "4",
+                           "--output", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and "norm" in err

@@ -3,10 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from shallowboson.fock import (
-    SectorBasis, enumerate_basis, index_to_pattern, pattern_to_index,
-    sector_size,
-)
+from shallowboson.fock import SectorBasis, enumerate_basis, sector_size
 
 
 def recursive_count(num_modes, num_photons):
@@ -38,33 +35,38 @@ def test_three_modes_two_photons_patterns():
     assert len(basis) == 6
 
 
+def test_basis_is_cached():
+    assert enumerate_basis(5, 4) is enumerate_basis(5, 4)
+    assert enumerate_basis(5, 4) is not enumerate_basis(5, 5)
+
+
 def test_first_canonical_pattern_has_index_zero():
     basis = enumerate_basis(4, 3)
     assert basis.pattern(0) == (3, 0, 0, 0)
-    assert pattern_to_index(basis, (3, 0, 0, 0)) == 0
+    assert basis.index((3, 0, 0, 0)) == 0
 
 
 def test_round_trip_over_full_sector():
     basis = enumerate_basis(4, 3)
     assert len(basis) == 20
     for idx in range(len(basis)):
-        assert pattern_to_index(basis, index_to_pattern(basis, idx)) == idx
+        assert basis.index(basis.pattern(idx)) == idx
 
 
 def test_index_out_of_range_rejected():
     basis = enumerate_basis(4, 3)
     with pytest.raises(ValueError):
-        index_to_pattern(basis, 20)
+        basis.pattern(20)
     with pytest.raises(ValueError):
-        index_to_pattern(basis, -1)
+        basis.pattern(-1)
 
 
 def test_pattern_outside_sector_rejected():
     basis = enumerate_basis(4, 3)
     with pytest.raises(ValueError):
-        pattern_to_index(basis, (1, 1, 1, 1))
+        basis.index((1, 1, 1, 1))
     with pytest.raises(ValueError):
-        pattern_to_index(basis, (3, 0, 0))
+        basis.index((3, 0, 0))
 
 
 def test_zero_modes_rejected():

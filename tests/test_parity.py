@@ -1,13 +1,17 @@
 import json
+from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
 from shallowboson.fock import enumerate_basis
+from shallowboson.interferometer import build_reck_slices, evolve, reck_input
 from shallowboson.parity import (
-    binom_identity_check, coarse_grain, parity_map, upsilon0,
-    upsilon0_prime, verify_surjectivity,
+    binom_identity_check, bits_to_codes, coarse_grain, codes_to_bits,
+    parity_bits, parity_map, upsilon0, upsilon0_prime, verify_surjectivity,
 )
+from shallowboson.young import catalan_basis
 
 
 def brute_multiplicity(num_modes, num_photons, m):
@@ -34,37 +38,84 @@ def test_parity_map_examples():
         parity_map((1, 0), 2)
 
 
+def reference_coarse_grain(dist, j):
+    """Oracle: the dict coarse-graining, parity_map summed in a Counter."""
+    out = Counter()
+    for pattern, mass in dist.items():
+        out[parity_map(pattern, j)] += mass
+    return out
+
+
+def as_dict(bits, masses):
+    return dict(zip(map(tuple, bits.tolist()), masses.tolist()))
+
+
 def test_coarse_grain_point_mass():
-    out = coarse_grain({(3, 0, 1, 0): 1.0}, 0)
-    assert out == {(1, 0, 1, 0): 1.0}
+    bits, masses = coarse_grain([(3, 0, 1, 0)], [1.0], 0)
+    assert as_dict(bits, masses) == {(1, 0, 1, 0): 1.0}
 
 
 def test_coarse_grain_uniform_sector():
-    basis = list(enumerate_basis(4, 4))
+    basis = enumerate_basis(4, 4)
     assert len(basis) == 35
     even_count = brute_multiplicity(4, 4, 4)
-    dist = {p: 1.0 / 35 for p in basis}
-    grained = coarse_grain(dist, 0)
+    grained = as_dict(*coarse_grain(basis.patterns, np.full(35, 1.0 / 35),
+                                    0))
     assert grained[(0, 0, 0, 0)] == pytest.approx(even_count / 35, abs=1e-12)
     assert grained[(0, 0, 0, 0)] == pytest.approx(
         upsilon0(4, 4, 4) / 35, abs=1e-12)
 
 
 def test_coarse_grain_preserves_mass():
-    import numpy as np
     rng = np.random.default_rng(0)
-    basis = list(enumerate_basis(5, 4))
+    basis = enumerate_basis(5, 4)
     weights = rng.random(len(basis))
     weights /= weights.sum()
-    dist = dict(zip(basis, weights))
     for j in (0, 1):
-        assert sum(coarse_grain(dist, j).values()) == pytest.approx(
-            1.0, abs=1e-12)
+        assert coarse_grain(basis.patterns, weights, j)[1].sum() == (
+            pytest.approx(1.0, abs=1e-12))
 
 
 def test_coarse_grain_rejects_unnormalized():
     with pytest.raises(ValueError):
-        coarse_grain({(1, 0): 0.7}, 0)
+        coarse_grain([(1, 0)], [0.7], 0)
+
+
+def test_coarse_grain_matches_counter_oracle():
+    rng = np.random.default_rng(21)
+    for m in range(3, 7):
+        for n in (m, m - 1):
+            circ = build_reck_slices(m, 2, reck_input(m, n))
+            k = len(circ.gates)
+            state = evolve(circ, rng.uniform(0, 2 * np.pi, k),
+                           rng.uniform(0, 2 * np.pi, k))
+            probs = state.probabilities()
+            dist = {p: float(v) for p, v in zip(state.basis, probs)}
+            for j in (0, 1):
+                bits, masses = coarse_grain(state.basis.patterns, probs, j)
+                assert np.all(np.diff(bits_to_codes(bits)) > 0)
+                got = as_dict(bits, masses)
+                want = reference_coarse_grain(dist, j)
+                assert got.keys() == want.keys()
+                assert all(abs(got[b] - want[b]) <= 1e-15 for b in want)
+
+
+def test_parity_bits_match_scalar_map():
+    patterns = enumerate_basis(5, 5).patterns
+    for j in (0, 1):
+        assert [tuple(row) for row in parity_bits(patterns, j).tolist()] == [
+            parity_map(p, j) for p in patterns.tolist()]
+    with pytest.raises(ValueError):
+        parity_bits(patterns, 2)
+
+
+def test_bit_codes_round_trip():
+    codes = np.arange(2 ** 6)
+    bits = codes_to_bits(codes, 6)
+    assert bits[1].tolist() == [0, 0, 0, 0, 0, 1]
+    assert np.array_equal(bits_to_codes(bits), codes)
+    with pytest.raises(ValueError):
+        bits_to_codes(np.zeros((1, 64), dtype=np.int64))
 
 
 def test_multiplicity_examples():
@@ -136,6 +187,21 @@ def test_single_parity_covers_half():
     report = verify_surjectivity(4, 3, {4}, {0})
     assert len(report.covered) == 8
     assert all(sum(b) % 2 == 0 for b in report.covered)
+    assert report.missing == sorted(
+        b for b in map(tuple, codes_to_bits(np.arange(16), 4).tolist())
+        if sum(b) % 2 == 1)
+
+
+def test_coverage_counts_match_counter_oracle():
+    report = verify_surjectivity(5, 2, {4, 5}, {0, 1})
+    total = Counter()
+    for n in (4, 5):
+        for j in (0, 1):
+            want = Counter(parity_map(p, j) for p in catalan_basis(5, n, 2))
+            assert report.per_config[(n, j)] == want
+            total.update(want)
+    assert report.multiplicities == total
+    assert report.covered == sorted(total)
 
 
 def test_empty_configuration_rejected():

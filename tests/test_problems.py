@@ -5,7 +5,7 @@ from shallowboson.problems import (
     IsingProblem, MobiusProblem, PortfolioProblem, QuboProblem,
     allocation_risk_return, benchmark_qubo6, benchmark_qubo11,
     binary_encode_weights, brute_force_min, count_unit_sum_allocations,
-    mobius_energy, mobius_min, portfolio_energy_normalized,
+    mobius_min, portfolio_energy_normalized,
     portfolio_energy_penalty, portfolio_returns_from_prices, qubo_energy,
     qubo_to_ising, random_portfolio_cloud, synthetic_portfolio,
 )
@@ -22,6 +22,8 @@ def test_qubo_energy_basics():
     assert qubo_energy(q, np.ones(6)) == pytest.approx(-7.9240876, abs=1e-6)
     with pytest.raises(ValueError):
         qubo_energy(q, np.ones(5))
+    with pytest.raises(ValueError, match="non-finite"):
+        QuboProblem(np.array([[1.0, np.nan], [np.nan, 2.0]]))
 
 
 def test_appendix_matrices_parse_exactly():
@@ -97,14 +99,14 @@ def test_ising_validation():
 
 def test_mobius_hand_sums():
     problem = MobiusProblem(8, 0.5, -0.2)
-    assert mobius_energy(problem, np.ones(8)) == pytest.approx(-3.2)
-    assert mobius_energy(MobiusProblem(8, 0.0, 0.0), np.ones(8)) == 0.0
+    assert problem.spin_energy(np.ones(8)) == pytest.approx(-3.2)
+    assert MobiusProblem(8, 0.0, 0.0).spin_energy(np.ones(8)) == 0.0
     with pytest.raises(ValueError):
         MobiusProblem(7, 0.5, -0.2)
     with pytest.raises(ValueError):
         MobiusProblem(2, 0.5, -0.2)
     with pytest.raises(ValueError):
-        mobius_energy(problem, np.ones(7))
+        problem.spin_energy(np.ones(7))
 
 
 def test_mobius_closed_form_values():
@@ -121,7 +123,7 @@ def test_mobius_domain_wall_configuration():
     # half-up half-down: two ring domain walls, all rungs anti-aligned
     problem = MobiusProblem(70, 0.5, -0.2)
     spins = np.concatenate([np.ones(35), -np.ones(35)])
-    assert mobius_energy(problem, spins) == pytest.approx(-40.0)
+    assert problem.spin_energy(spins) == pytest.approx(-40.0)
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))
@@ -277,6 +279,10 @@ def test_covariance_validation():
         PortfolioProblem(np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         PortfolioProblem(np.ones(2), np.eye(2), gamma=-1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        PortfolioProblem(np.array([0.1, np.nan]), np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        PortfolioProblem(np.ones(2), np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_synthetic_portfolio_reproducible():

@@ -8,7 +8,7 @@ from shallowboson.interferometer import (
 )
 from shallowboson.problems import QuboProblem, benchmark_qubo6
 from shallowboson.solver import (
-    FunctionObjective, ParityObjective, SolverConfig, finite_difference_gradient,
+    ParityObjective, SolverConfig, finite_difference_gradient,
     gradient_step, objective_energy, parameter_shift_gradient, run_variational,
 )
 
@@ -70,6 +70,24 @@ def test_sampled_converges_to_exact():
         deviations.append(abs(sampled - exact))
     assert deviations[2] < deviations[0]
     assert deviations[2] < 0.05
+
+
+def test_sampled_depth2_batch_matches_rows_alone():
+    problem = _toy_problem(5, seed=4)
+    obj = ParityObjective(problem, 5, 1, depth=2, samples=40,
+                          optimize_phases=True)
+    rows = np.random.default_rng(8).uniform(0, 2 * np.pi,
+                                            (5, obj.num_parameters))
+    energies, best_e, best_b = obj.value_batch(
+        rows, np.random.SeedSequence(21))
+    alone = []
+    for r in range(len(rows)):
+        root = np.random.SeedSequence(21)
+        root.spawn(r)  # row r of the batch draws from child r
+        alone.append(obj.value_batch(rows[r:r + 1], root))
+    assert [e[0] for e, _, _ in alone] == energies.tolist()
+    first_best = min(range(len(rows)), key=lambda r: alone[r][1])
+    assert (best_e, best_b) == alone[first_best][1:]
 
 
 class _QuadraticStub:
@@ -143,9 +161,18 @@ def test_shift_rule_matches_analytic_for_bilinear():
                 assert shift == pytest.approx(analytic, abs=1e-8)
 
 
+class _FirstBitProblem:
+    """Problem whose energy is the first bit of each row."""
+
+    num_bits = 3
+
+    def energies(self, bits):
+        return np.asarray(bits, dtype=float)[:, 0]
+
+
 def test_shift_rule_zero_for_decoupled_parameter():
     # a gate behind the measured support of a disjoint pair cannot move it
-    problem = FunctionObjective(3, lambda b: float(b[0]))
+    problem = _FirstBitProblem()
     obj = ParityObjective(problem, 3, 0, 2, samples=None)
     angles = np.zeros(obj.num_parameters)
     # parameter 0 couples modes (1, 2); bit 0 stays that of mode 0
