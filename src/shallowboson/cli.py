@@ -53,6 +53,14 @@ def _output_dir(args) -> Path:
 
 # the library defaults, except that the CLI samples unless told --exact
 _CONFIG_DEFAULTS = {**SolverConfig().to_dict(), "samples": 400}
+# JSON value types a config file may give each field
+_NUMBER, _NONE = (int, float), type(None)
+_CONFIG_TYPES = {
+    "depth": (int,), "samples": (int, _NONE), "eta": _NUMBER,
+    "max_iterations": (int,), "plateau_tolerance": _NUMBER,
+    "plateau_window": (int,), "master_seed": (int,),
+    "optimize_phases": (bool,), "target_energy": _NUMBER + (_NONE,),
+}
 
 
 def _solver_config(args) -> SolverConfig:
@@ -65,6 +73,8 @@ def _solver_config(args) -> SolverConfig:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"could not parse {args.config}: {exc}")
+        if not isinstance(doc, dict):
+            raise UsageError(f"{args.config} does not hold a JSON object")
         if isinstance(doc.get("config"), dict):
             doc = doc["config"]  # replay straight from a result document
         unknown = set(doc) - set(merged)
@@ -72,6 +82,14 @@ def _solver_config(args) -> SolverConfig:
             raise UsageError(
                 f"unknown config keys in {args.config}: {sorted(unknown)}"
             )
+        for key, value in doc.items():
+            kinds = _CONFIG_TYPES[key]
+            if (not isinstance(value, kinds)
+                    or (isinstance(value, bool) and bool not in kinds)):
+                raise UsageError(
+                    f"config key {key!r} in {args.config} has the wrong "
+                    f"type: {value!r}"
+                )
         merged.update(doc)
     if args.depth is not None:
         merged["depth"] = args.depth

@@ -118,18 +118,25 @@ def _binom_table(max_n: int, max_k: int) -> np.ndarray:
 
 
 def _enumerate_patterns(num_modes: int, num_photons: int) -> np.ndarray:
-    """All weak compositions in reverse-lexicographic order."""
+    """All weak compositions in reverse-lexicographic order, column by column.
+
+    Rows sharing a prefix are contiguous.  A prefix with r photons left
+    continues with r, r-1, ..., 0 in the next mode, and value v spans as
+    many rows as there are compositions of r - v into the modes after it.
+    """
     size = sector_size(num_modes, num_photons)
-    out = np.zeros((size, num_modes), dtype=np.uint16)
-    if num_modes == 1:
-        out[0, 0] = num_photons
-        return out
-    row = 0
-    for first in range(num_photons, -1, -1):
-        tail = _enumerate_patterns(num_modes - 1, num_photons - first)
-        out[row:row + len(tail), 0] = first
-        out[row:row + len(tail), 1:] = tail
-        row += len(tail)
+    binom = _binom_table(num_photons + num_modes, num_modes)
+    out = np.empty((size, num_modes), dtype=np.uint16)
+    left = np.array([num_photons], dtype=np.int64)  # photons left per prefix
+    for d in range(num_modes - 1):
+        after = num_modes - 1 - d  # modes after column d
+        spans = left + 1
+        ends = np.cumsum(spans)
+        first = np.repeat(left, spans)
+        value = first - (np.arange(ends[-1]) - np.repeat(ends - spans, spans))
+        left = first - value
+        out[:, d] = np.repeat(value, binom[left + after - 1, after - 1])
+    out[:, -1] = left
     return out
 
 

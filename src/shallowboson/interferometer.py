@@ -13,6 +13,17 @@ Within a fixed photon total m on the two coupled modes, the gate is an
 (m+1) x (m+1) unitary block obtained by binomial expansion of the
 transformed creation-operator monomials; photon number is conserved, so a
 state never leaves its (M, n) sector.
+
+`evolve_batch` evolves many angle rows of one circuit as a depth-first walk
+over their common gate prefixes: at each gate the live rows are grouped by
+their (theta, psi) value, the smaller groups branch off first, and the
+largest group continues in place while its parent state is dropped.  Every
+row still goes through exactly the `apply_gate` calls `evolve` would make
+for it, but a shared prefix is applied once.  On a parameter-shift stencil
+(rows that each differ from a base vector in one gate) the walk holds at
+most three state vectors at a time, the parent, the branch input and the
+branch output, and its 2G rows over G gates cost G - 1 + G(G + 1) gate
+applications instead of 2G * G.
 """
 
 from __future__ import annotations
@@ -311,11 +322,52 @@ def evolve(circuit: CircuitSpec, thetas, psis=None) -> QuantumState:
         warnings.warn(
             "phase angles on a depth-1 mesh do not affect the output "
             "distribution", stacklevel=2)
+    return next(evolve_batch(circuit, [thetas],
+                             None if psis is None else [psis]))[1]
+
+
+def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
+    """Yield (row, state) once per angle row, sharing common gate prefixes.
+
+    Rows come out in walk order, not row order; rows with equal angles
+    share one state object.  psi_rows=None keeps the circuit's own phases.
+    """
+    num_gates = len(circuit.gates)
+    thetas = np.asarray(theta_rows, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != num_gates:
+        raise ValueError(
+            f"theta rows of shape {thetas.shape} for {num_gates} gates")
+    if psi_rows is None:
+        psis = np.broadcast_to([g.psi for g in circuit.gates], thetas.shape)
+    else:
+        psis = np.asarray(psi_rows, dtype=float)
+        if psis.shape != thetas.shape:
+            raise ValueError(
+                f"psi rows of shape {psis.shape} for theta rows of shape "
+                f"{thetas.shape}")
+    angles = np.stack([thetas, psis], axis=-1).tolist()  # [row][gate] pairs
     basis = enumerate_basis(circuit.num_modes, circuit.num_photons)
-    state = QuantumState.from_pattern(basis, circuit.input)
-    for gate in bound.gates:
-        state = apply_gate(state, gate)
-    return state
+
+    def walk(state, rows, g):
+        while g < num_gates:
+            groups: dict[tuple, list[int]] = {}
+            for r in rows:
+                groups.setdefault(tuple(angles[r][g]), []).append(r)
+            ordered = sorted(groups.items(), key=lambda kv: len(kv[1]))
+            gate = circuit.gates[g]
+            for (theta, psi), branch in ordered[:-1]:
+                yield from walk(
+                    apply_gate(state, TwoModeGate(gate.i, gate.j, theta, psi)),
+                    branch, g + 1)
+            (theta, psi), rows = ordered[-1]
+            state = apply_gate(state, TwoModeGate(gate.i, gate.j, theta, psi))
+            g += 1
+        for r in rows:
+            yield r, state
+
+    if len(thetas):
+        yield from walk(QuantumState.from_pattern(basis, circuit.input),
+                        range(len(thetas)), 0)
 
 
 def exact_distribution(state: QuantumState, tol: float = 0.0

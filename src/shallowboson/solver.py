@@ -4,8 +4,9 @@ A run performs four independent gradient descents, one per combination
 of photon sector (n = M or M-1) and parity variant (j = 0 or 1), each
 with its own seeded angle initialization, and tracks the best bit string
 ever observed across every evaluation.  Objectives are evaluated either
-exactly (full output distribution) or from N_s seeded samples; sampled
-evaluations are rebuilt from scratch for every shifted parameter vector.
+exactly (full output distribution) or from N_s seeded samples; every
+shifted parameter vector draws fresh samples, while the states of one
+batch of vectors share their common gate prefixes (`evolve_batch`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fock import enumerate_basis
-from .interferometer import build_reck_slices, reck_input, evolve
+from .interferometer import build_reck_slices, reck_input, evolve_batch
 from .parity import Bits, parity_bits, parity_groups
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
                        sample_patterns)
@@ -139,64 +140,41 @@ class ParityObjective:
             self._exact_tables = (inverse, uniq_bits, e_uniq)
         return self._exact_tables
 
-    def split(self, angles) -> tuple[np.ndarray, np.ndarray | None]:
-        angles = np.asarray(angles, dtype=float)
-        if angles.shape != (self.num_parameters,):
-            raise ValueError(
-                f"expected {self.num_parameters} parameters, got "
-                f"{angles.shape}"
-            )
-        if self.optimize_phases:
-            return angles[:self.num_gates], angles[self.num_gates:]
-        return angles, None
-
-    def _exact_eval(self, angles):
-        inverse, uniq_bits, e_uniq = self._exact_setup()
-        thetas, psis = self.split(angles)
-        state = evolve(self.circuit, thetas, psis)
-        mass = np.bincount(inverse, weights=state.probabilities(),
-                           minlength=len(e_uniq))
-        energy = float(mass @ e_uniq)
-        observed = mass > _SUPPORT_TOL
-        best_pos = int(np.argmin(np.where(observed, e_uniq, np.inf)))
-        return energy, float(e_uniq[best_pos]), tuple(
-            int(b) for b in uniq_bits[best_pos])
-
     def value(self, angles, stream_seed=None):
         """Objective value plus the best observed (energy, bit string)."""
-        if self.samples is None:
-            return self._exact_eval(angles)
         energies, best_e, best_b = self.value_batch(
             np.atleast_2d(np.asarray(angles, dtype=float)), stream_seed)
         return float(energies[0]), best_e, best_b
 
-    def value_batch(self, angle_rows: np.ndarray, stream_seed):
-        """Sampled objective for a batch of angle vectors.
+    def value_batch(self, angle_rows: np.ndarray, stream_seed=None):
+        """Per-row objectives plus the best observed (energy, bit string).
 
-        Every row draws from an independent child stream of stream_seed;
-        results are identical whether rows are evaluated batched or one
-        at a time.
+        The best is taken over all rows, the first row on ties.  Exact
+        rows are evolved together by `evolve_batch` and reduced from their
+        full distributions; stream_seed is unused.  Sampled rows each draw
+        from an independent child stream of stream_seed, so results are
+        identical whether rows are evaluated batched or one at a time.
         """
-        if self.samples is None:
-            raise ValueError("value_batch requires sampled mode")
         rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
         if rows.shape[1] != self.num_parameters:
             raise ValueError(
                 f"expected rows of {self.num_parameters} parameters"
             )
+        thetas = rows[:, :self.num_gates]
+        psis = rows[:, self.num_gates:] if self.optimize_phases else None
+        if self.samples is None:
+            return self._exact_batch(thetas, psis)
         n_s = self.samples
         if self.depth == 1:
-            thetas = rows[:, :self.num_gates]
-            psis = rows[:, self.num_gates:] if self.optimize_phases else None
             pats = chain_sample_depth1_batch(
                 self.circuit.input, thetas, n_s, stream_seed, psis=psis)
         else:
             children = as_seed_sequence(stream_seed).spawn(len(rows))
             pats = np.empty((len(rows), n_s, self.num_modes), np.uint16)
-            for r, child in enumerate(children):
-                state = evolve(self.circuit, *self.split(rows[r]))
+            for r, state in evolve_batch(self.circuit, thetas, psis):
                 pats[r] = sample_patterns(state.basis.patterns,
-                                          state.probabilities(), n_s, child)
+                                          state.probabilities(), n_s,
+                                          children[r])
         flat = parity_bits(pats, self.parity).reshape(-1, self.num_modes)
         e_flat = self.problem.energies(flat)
         e_rows = e_flat.reshape(rows.shape[0], n_s)
@@ -204,6 +182,21 @@ class ParityObjective:
         best_flat = int(np.argmin(e_flat))
         best_bits = tuple(int(b) for b in flat[best_flat])
         return energies, float(e_flat[best_flat]), best_bits
+
+    def _exact_batch(self, thetas, psis):
+        """Energy and lowest observed bit-string group of every row."""
+        inverse, uniq_bits, e_uniq = self._exact_setup()
+        energies = np.empty(len(thetas))
+        best_pos = np.empty(len(thetas), dtype=np.int64)
+        for r, state in evolve_batch(self.circuit, thetas, psis):
+            mass = np.bincount(inverse, weights=state.probabilities(),
+                               minlength=len(e_uniq))
+            energies[r] = mass @ e_uniq
+            observed = mass > _SUPPORT_TOL
+            best_pos[r] = np.argmin(np.where(observed, e_uniq, np.inf))
+        best = best_pos[int(np.argmin(e_uniq[best_pos]))]
+        return energies, float(e_uniq[best]), tuple(
+            int(b) for b in uniq_bits[best])
 
 
 def gradient_step(angles, gradient, eta: float) -> np.ndarray:
@@ -328,20 +321,12 @@ def run_variational(problem, config: SolverConfig) -> SolverResult:
             for k in range(p):
                 shifted[2 * k, k] += np.pi / 2
                 shifted[2 * k + 1, k] -= np.pi / 2
-            if config.samples is None:
-                e_shift = np.empty(2 * p)
-                for r in range(2 * p):
-                    e_r, seen_e, seen_b = objective.value(shifted[r])
-                    e_shift[r] = e_r
-                    if seen_e < e_min:
-                        e_min, b_min = seen_e, seen_b
-                eval_count += 2 * p
-            else:
-                e_shift, seen_e, seen_b = objective.value_batch(
-                    shifted, next_seed())
-                if seen_e < e_min:
-                    e_min, b_min = seen_e, seen_b
-                eval_count += 2 * p * config.samples
+            e_shift, seen_e, seen_b = objective.value_batch(
+                shifted, next_seed())
+            if seen_e < e_min:
+                e_min, b_min = seen_e, seen_b
+            # evaluations in exact mode, shots in sampled mode
+            eval_count += 2 * p * (config.samples or 1)
             grad = (e_shift[0::2] - e_shift[1::2]) / 2.0
             angles = gradient_step(angles, grad, config.eta)
 

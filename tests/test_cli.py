@@ -99,6 +99,28 @@ def test_solver_config_file_precedence(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2], {"samples": "abc"}, {"depth": "2"}, {"depth": True},
+    {"optimize_phases": 1}, {"eta": None}, {"config": {"samples": 2.5}},
+])
+def test_solver_config_file_malformed(tmp_path, capsys, doc):
+    matrix_path = tmp_path / "q.csv"
+    np.savetxt(matrix_path, np.eye(2), delimiter=",")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "solve-qubo", "--matrix", str(matrix_path),
+        "--config", str(config), "--output", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
+def test_config_types_cover_solver_config():
+    from shallowboson.cli import _CONFIG_TYPES
+    from shallowboson.solver import SolverConfig
+
+    assert set(_CONFIG_TYPES) == set(SolverConfig().to_dict())
+
+
 def test_solve_mobius_small_exact(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, _ = run_cli(

@@ -3,7 +3,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from shallowboson.fock import SectorBasis, enumerate_basis, sector_size
+from shallowboson.fock import (
+    SectorBasis, _enumerate_patterns, enumerate_basis, sector_size,
+)
 
 
 def recursive_count(num_modes, num_photons):
@@ -97,3 +99,28 @@ def test_vectorized_rank_agrees_with_positions():
 def test_oversized_sector_refused():
     with pytest.raises(ValueError):
         SectorBasis(40, 40)
+
+
+def recursive_patterns(num_modes, num_photons):
+    """Oracle: the plain recursion, rebuilding every tail where it is used."""
+    size = sector_size(num_modes, num_photons)
+    out = np.zeros((size, num_modes), dtype=np.uint16)
+    if num_modes == 1:
+        out[0, 0] = num_photons
+        return out
+    row = 0
+    for first in range(num_photons, -1, -1):
+        tail = recursive_patterns(num_modes - 1, num_photons - first)
+        out[row:row + len(tail), 0] = first
+        out[row:row + len(tail), 1:] = tail
+        row += len(tail)
+    return out
+
+
+def test_column_enumeration_matches_recursion():
+    for m in range(1, 9):
+        for n in range(0, 9):
+            got = _enumerate_patterns(m, n)
+            want = recursive_patterns(m, n)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (m, n)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from shallowboson.fock import enumerate_basis
+import shallowboson.interferometer as interferometer
 from shallowboson.interferometer import (
     CircuitSpec, QuantumState, TwoModeGate, apply_gate, build_reck_slices,
-    evolve, exact_distribution, reck_input, schwinger_expectation,
-    single_particle_transfer, support, two_mode_block, two_mode_transfer,
+    evolve, evolve_batch, exact_distribution, reck_input,
+    schwinger_expectation, single_particle_transfer, support, two_mode_block,
+    two_mode_transfer,
 )
 from shallowboson.young import catalan_basis
 
@@ -252,3 +254,64 @@ def test_single_particle_transfer_unitary():
     psis = rng.uniform(0, 2 * np.pi, len(circ.gates))
     v = single_particle_transfer(circ, thetas, psis)
     assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+
+
+def _prefix_sharing_rows(rng, num_rows, num_gates):
+    """Random angle rows whose prefixes (or whole rows) repeat earlier ones."""
+    thetas = rng.uniform(0, 2 * np.pi, (num_rows, num_gates))
+    psis = rng.uniform(0, 2 * np.pi, (num_rows, num_gates))
+    for r in range(1, num_rows):
+        src = rng.integers(r)
+        k = rng.integers(num_gates + 1)
+        thetas[r, :k] = thetas[src, :k]
+        psis[r, :k] = psis[src, :k]
+        if rng.random() < 0.3:  # same theta, different phase at gate k
+            thetas[r, k:k + 1] = thetas[src, k:k + 1]
+    return thetas, psis
+
+
+@pytest.mark.filterwarnings("ignore:phase angles on a depth-1")
+@pytest.mark.parametrize("m,depth", [
+    (m, depth) for m in range(3, 7) for depth in range(1, min(3, m - 1) + 1)])
+@pytest.mark.parametrize("sector", [0, 1])
+def test_evolve_batch_matches_evolve_row_by_row(m, depth, sector):
+    circ = build_reck_slices(m, depth, reck_input(m, m - sector))
+    rng = np.random.default_rng(100 * m + 10 * depth + sector)
+    thetas, psis = _prefix_sharing_rows(rng, 9, len(circ.gates))
+    for phases in (None, psis):
+        seen = []
+        for r, state in evolve_batch(circ, thetas, phases):
+            seen.append(r)
+            alone = evolve(circ, thetas[r],
+                           None if phases is None else phases[r])
+            assert np.array_equal(state.vector, alone.vector)
+        assert sorted(seen) == list(range(len(thetas)))
+
+
+def test_evolve_batch_shares_stencil_prefixes(monkeypatch):
+    circ = build_reck_slices(5, 2, reck_input(5, 4))
+    g = len(circ.gates)
+    base = np.random.default_rng(7).uniform(0, 2 * np.pi, g)
+    stencil = np.repeat(base[None, :], 2 * g, axis=0)
+    for k in range(g):
+        stencil[2 * k, k] += np.pi / 2
+        stencil[2 * k + 1, k] -= np.pi / 2
+    calls = []
+
+    def counting(state, gate):
+        calls.append(gate)
+        return apply_gate(state, gate)
+
+    monkeypatch.setattr(interferometer, "apply_gate", counting)
+    rows = [r for r, _ in evolve_batch(circ, stencil)]
+    assert sorted(rows) == list(range(2 * g))
+    assert len(calls) == (g - 1) + g * (g + 1)  # 2g * g row by row
+
+
+def test_evolve_batch_rejects_mismatched_rows():
+    circ = build_reck_slices(4, 1)
+    with pytest.raises(ValueError):
+        list(evolve_batch(circ, np.zeros((2, 2))))
+    with pytest.raises(ValueError):
+        list(evolve_batch(circ, np.zeros((2, 3)), np.zeros((1, 3))))
+    assert list(evolve_batch(circ, np.zeros((0, 3)))) == []

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import shallowboson.interferometer as interferometer
 from shallowboson.interferometer import (
-    build_reck_slices, reck_input, schwinger_expectation,
+    build_reck_slices, evolve, reck_input, schwinger_expectation,
 )
+from shallowboson.parity import coarse_grain
 from shallowboson.problems import QuboProblem, benchmark_qubo6
 from shallowboson.solver import (
     ParityObjective, SolverConfig, finite_difference_gradient,
@@ -88,6 +90,54 @@ def test_sampled_depth2_batch_matches_rows_alone():
     assert [e[0] for e, _, _ in alone] == energies.tolist()
     first_best = min(range(len(rows)), key=lambda r: alone[r][1])
     assert (best_e, best_b) == alone[first_best][1:]
+
+
+@pytest.mark.parametrize("depth,phases", [(1, False), (2, False), (2, True)])
+def test_exact_batch_matches_rows_alone(depth, phases):
+    problem = _toy_problem(5, seed=6)
+    obj = ParityObjective(problem, 4, 1, depth=depth, samples=None,
+                          optimize_phases=phases)
+    rng = np.random.default_rng(depth)
+    base = rng.uniform(0, 2 * np.pi, obj.num_parameters)
+    rows = np.repeat(base[None, :], 2 * obj.num_parameters, axis=0)
+    for k in range(obj.num_parameters):
+        rows[2 * k, k] += np.pi / 2
+        rows[2 * k + 1, k] -= np.pi / 2
+    # duplicates of stencil rows and unrelated rows ride along
+    rows = np.vstack([rows, rows[:3],
+                      rng.uniform(0, 2 * np.pi, (3, len(base)))])
+    energies, best_e, best_b = obj.value_batch(rows)
+    alone = [obj.value(row) for row in rows]
+    assert energies.tolist() == [e for e, _, _ in alone]
+    first_best = min(range(len(rows)), key=lambda r: alone[r][1])
+    assert (best_e, best_b) == alone[first_best][1:]
+    g = obj.num_gates
+    for row, energy in zip(rows, energies):
+        psis = row[g:] if phases else None
+        state = evolve(obj.circuit, row[:g], psis)
+        bits, masses = coarse_grain(state.basis.patterns,
+                                    state.probabilities(), 1)
+        assert energy == pytest.approx(masses @ problem.energies(bits),
+                                       abs=1e-12)
+
+
+def test_exact_iteration_gate_applications(monkeypatch):
+    calls = []
+    original = interferometer.apply_gate
+
+    def counting(state, gate):
+        calls.append(gate)
+        return original(state, gate)
+
+    monkeypatch.setattr(interferometer, "apply_gate", counting)
+    config = SolverConfig(depth=2, samples=None, eta=0.1, max_iterations=1,
+                          master_seed=3)
+    result = run_variational(_toy_problem(4, seed=2), config)
+    g = 5  # depth-2 mesh on 4 modes
+    # per descent: the base row, then the shift stencil's shared base
+    # prefix (g - 1) and its 2g branches (g(g + 1), 2g * g row by row)
+    assert len(calls) == 4 * (g + (g - 1) + g * (g + 1))
+    assert result.evaluation_count == 4 * 2 * g
 
 
 class _QuadraticStub:
