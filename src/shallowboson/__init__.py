@@ -30,9 +30,8 @@ from .young import (
 )
 from .sampling import sample_patterns, chain_sample_depth1_batch
 from .solver import (
-    SolverConfig, SolverResult, ParityObjective, objective_energy,
-    parameter_shift_gradient, finite_difference_gradient, gradient_step,
-    run_variational,
+    SolverConfig, SolverResult, ParityObjective, parameter_shift_gradient,
+    finite_difference_gradient, gradient_step, run_variational,
 )
 from .problems import (
     QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem, qubo_energy,
@@ -58,7 +57,7 @@ __all__ = [
     "count_boolean_sublattices", "ordinal_sum_decomposition",
     "export_lattice_text", "export_lattice_json", "sample_patterns",
     "chain_sample_depth1_batch", "SolverConfig", "SolverResult",
-    "ParityObjective", "objective_energy", "parameter_shift_gradient",
+    "ParityObjective", "parameter_shift_gradient",
     "finite_difference_gradient", "gradient_step", "run_variational",
     "QuboProblem", "IsingProblem", "MobiusProblem", "PortfolioProblem",
     "qubo_energy", "qubo_to_ising", "mobius_min", "brute_force_min",

@@ -270,11 +270,15 @@ def cmd_solve_portfolio(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        basis = catalan_basis(args.M, args.n, args.depth)
         spec = catalan_dyck_spec(args.M, args.n, args.depth)
+        closed_form = dyck_count(spec)
+        if closed_form > _LATTICE_VERTEX_LIMIT:
+            raise UsageError(
+                f"{closed_form} reachable patterns exceed "
+                f"{_LATTICE_VERTEX_LIMIT}; refusing to enumerate")
+        basis = catalan_basis(args.M, args.n, args.depth)
     except ValueError as exc:
         raise UsageError(str(exc))
-    closed_form = dyck_count(spec)
     print(f"reachable patterns of the first {args.depth} slice(s), "
           f"M={args.M}, n={args.n}:")
     for p in basis:

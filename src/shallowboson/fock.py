@@ -90,20 +90,20 @@ class SectorBasis:
 
     def rank(self, patterns: np.ndarray) -> np.ndarray:
         """Vectorized canonical index of each row of `patterns`."""
-        pats = np.asarray(patterns, dtype=np.int64)
+        pats = np.asarray(patterns)
+        if not np.can_cast(pats.dtype, np.int64):
+            pats = pats.astype(np.int64)
         if pats.ndim == 1:
             pats = pats[None, :]
         m = self.num_modes
-        remaining = self.num_photons - np.concatenate(
-            [np.zeros((pats.shape[0], 1), dtype=np.int64),
-             np.cumsum(pats[:, :-1], axis=1)],
-            axis=1,
-        )
+        # photons left for the columns after the ones ranked so far
+        remaining = np.full(pats.shape[0], self.num_photons, dtype=np.int64)
         ranks = np.zeros(pats.shape[0], dtype=np.int64)
         for d in range(m - 1):
             k = m - 1 - d  # modes to the right of position d
-            top = remaining[:, d] - pats[:, d] - 1 + k
-            valid = top >= k  # remaining - p - 1 >= 0
+            remaining -= pats[:, d]
+            top = remaining - 1 + k
+            valid = top >= k  # photons left after column d >= 1
             ranks += np.where(valid, self._binom[np.clip(top, 0, None), k], 0)
         return ranks
 

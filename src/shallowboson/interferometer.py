@@ -12,7 +12,10 @@ this convention, including the global e^{-i psi/2} factor.
 Within a fixed photon total m on the two coupled modes, the gate is an
 (m+1) x (m+1) unitary block obtained by binomial expansion of the
 transformed creation-operator monomials; photon number is conserved, so a
-state never leaves its (M, n) sector.
+state never leaves its (M, n) sector.  `two_mode_block` is the one
+construction of that block: `apply_gate` multiplies by it, and the
+depth-1 chain sampler reads single columns of it through
+`two_mode_block_column`.
 
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
@@ -32,7 +35,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma
+from math import comb, lgamma
 
 import numpy as np
 
@@ -52,30 +55,14 @@ def two_mode_transfer(theta: float, psi: float) -> np.ndarray:
     )
 
 
-def _binom_row(p: int) -> np.ndarray:
-    row = np.ones(p + 1)
-    for r in range(1, p + 1):
-        row[r] = row[r - 1] * (p - r + 1) / r
-    return row
-
-
-def _monomial_coeffs(coeff_x: complex, coeff_1: complex, power: int
-                     ) -> np.ndarray:
-    """Coefficients of (coeff_x * x + coeff_1)^power by binomial expansion."""
-    r = np.arange(power + 1)
-    return _binom_row(power) * coeff_x**r * coeff_1**(power - r)
-
-
 @lru_cache(maxsize=512)
 def _block_setup(m: int):
     """Cached m-dependent tensors of the binomial block expansion."""
     idx = np.arange(m + 1)
-    # C(p, r) and C(m-p, s), zeroed outside their triangles
-    left_binom = np.zeros((m + 1, m + 1))
-    right_binom = np.zeros((m + 1, m + 1))
-    for p in range(m + 1):
-        left_binom[p, :p + 1] = _binom_row(p)
-        right_binom[p, :m - p + 1] = _binom_row(m - p)
+    # C(p, r) and C(m-p, s), zero outside their triangles
+    left_binom = np.array([[comb(p, r) for r in range(m + 1)]
+                           for p in range(m + 1)], dtype=float)
+    right_binom = left_binom[::-1]
     left_deg = np.clip(idx[:, None] - idx[None, :], 0, None)   # p - r
     right_deg = np.clip(m - idx[:, None] - idx[None, :], 0, None)  # m-p-s
     shift = idx[None, None, :] - idx[None, :, None]            # u - r per (p,r,u)
@@ -114,11 +101,7 @@ def two_mode_block(m: int, theta: float, psi: float) -> np.ndarray:
 def two_mode_block_column(m: int, p: int, theta: float, psi: float
                           ) -> np.ndarray:
     """Column p of the photon-total-m block (input |p, m-p>)."""
-    t_conj = two_mode_transfer(theta, psi).conj()
-    left = _monomial_coeffs(t_conj[0, 0], t_conj[0, 1], p)
-    right = _monomial_coeffs(t_conj[1, 0], t_conj[1, 1], m - p)
-    root_fact = _block_setup(m)[7]
-    return np.convolve(left, right) * root_fact / root_fact[p]
+    return two_mode_block(m, theta, psi)[:, p]
 
 
 @dataclass(frozen=True)
@@ -280,9 +263,9 @@ class QuantumState:
 def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
     """Gate-application index structures of one sector and mode pair."""
     basis = enumerate_basis(num_modes, num_photons)
-    pats = basis.patterns.astype(np.int64)
-    m = pats[:, i] + pats[:, j]
+    pats = basis.patterns  # uint16; only the photon totals are widened
     u = pats[:, i]
+    m = u.astype(np.int64) + pats[:, j]
     reps = pats.copy()
     reps[:, i] = 0
     reps[:, j] = m

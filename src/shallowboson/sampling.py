@@ -5,7 +5,10 @@ and a sequential sampler for depth-1 meshes that draws patterns gate by
 gate without ever building the output distribution.  In the depth-1
 cascade each gate freezes one output mode, and conditioning on its
 measured count collapses the carried mode to a definite Fock state, so a
-chain of two-mode blocks samples exactly.
+chain of two-mode blocks samples exactly.  Per gate, the sampler tabulates
+the outcome CDF of every (angle pair, photon total) that occurs, from
+columns of `two_mode_block`, and each shot's outcome is the number of
+entries of its CDF row that do not exceed its uniform draw.
 
 An explicit distribution is a pattern array with an aligned probability
 vector, for a sector `basis.patterns` with `state.probabilities()` in
@@ -62,6 +65,8 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
     independent seeded stream, so results do not depend on batching.
     Returns uint16 patterns of shape (R, n_samples, M).
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     inp = tuple(int(v) for v in input_pattern)
     m = len(inp)
     theta_rows = np.asarray(theta_rows, dtype=float)
@@ -70,6 +75,8 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
             f"theta batch must have shape (R, {m - 1}), got {theta_rows.shape}"
         )
     rows = theta_rows.shape[0]
+    if rows == 0:
+        return np.zeros((0, n_samples, m), dtype=np.uint16)
     if psis is None:
         psi_rows = np.zeros_like(theta_rows)
     else:
@@ -90,25 +97,23 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
         pair = np.stack([theta_rows[:, gate_idx], psi_rows[:, gate_idx]],
                         axis=1)
         angle_codes, row_code = np.unique(pair, axis=0, return_inverse=True)
-        # one block column per distinct (angles, photon total) pair
+        # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
+        # pair k, padded with +inf
         span = int(totals.max()) + 1
-        flat_key = (row_code[:, None] * span + totals).ravel()
-        order = np.argsort(flat_key, kind="stable")
-        sorted_keys = flat_key[order]
-        uniq_keys, starts = np.unique(sorted_keys, return_index=True)
-        stops = np.append(starts[1:], len(sorted_keys))
-        u_flat = uniforms[:, gate_idx, :].ravel()
-        new_flat = np.empty(rows * n_samples, dtype=np.int64)
-        for key, s, e in zip(uniq_keys, starts, stops):
-            code, t = divmod(int(key), span)
-            col = two_mode_block_column(t, fresh, angle_codes[code, 0],
-                                        angle_codes[code, 1])
-            cdf = np.cumsum(np.abs(col) ** 2)
-            cdf[-1] = max(cdf[-1], 1.0)
-            members = order[s:e]
-            new_flat[members] = np.searchsorted(
-                cdf, u_flat[members], side="right")
-        new_carry = new_flat.reshape(rows, n_samples)
+        cdf = np.full((len(angle_codes), span, span), np.inf)
+        occurring = np.flatnonzero(np.bincount(totals.ravel()))
+        for k, (theta, psi) in enumerate(angle_codes):
+            for t in occurring:
+                col = two_mode_block_column(int(t), fresh, theta, psi)
+                row = np.cumsum(np.abs(col) ** 2)
+                row[-1] = max(row[-1], 1.0)
+                cdf[k, t, :t + 1] = row
+        # the count of row entries <= u is searchsorted(row, u, "right")
+        u = uniforms[:, gate_idx, :]
+        start = (row_code[:, None] * span + totals) * span
+        new_carry = np.zeros_like(carry)
+        for level in range(span):
+            new_carry += cdf.take(start + level) <= u
         out[:, :, mode + 1] = (totals - new_carry).astype(np.uint16)
         carry = new_carry
     out[:, :, 0] = carry.astype(np.uint16)

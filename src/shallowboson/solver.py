@@ -27,14 +27,6 @@ _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
 
 
-def objective_energy(bit_dist: dict[Bits, float], energy_fn) -> float:
-    """Probability-weighted energy sum of a bit-string distribution."""
-    total = sum(bit_dist.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"bit-string masses sum to {total!r}, expected 1")
-    return float(sum(mass * energy_fn(bits) for bits, mass in bit_dist.items()))
-
-
 @dataclass
 class SolverConfig:
     """Knobs of the variational run; samples=None selects exact mode."""

@@ -28,6 +28,12 @@ def test_enumerate_invalid_combination(capsys):
     assert code == 2 and "error" in err
 
 
+def test_enumerate_refuses_oversized(capsys):
+    # 6.9e10 reachable patterns: refused from the closed-form count
+    code, out, err = run_cli(capsys, "enumerate", "20", "20", "19")
+    assert code == 2 and "refusing" in err and out == ""
+
+
 def test_solve_qubo_exact_depth2(tmp_path, capsys, monkeypatch):
     matrix_path = tmp_path / "q.csv"
     from shallowboson.problems import benchmark_qubo6

@@ -1,5 +1,5 @@
 import json
-from math import sqrt
+from math import lgamma, sqrt
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from shallowboson.interferometer import (
     CircuitSpec, QuantumState, TwoModeGate, apply_gate, build_reck_slices,
     evolve, evolve_batch, exact_distribution, reck_input,
     schwinger_expectation, single_particle_transfer, support, two_mode_block,
-    two_mode_transfer,
+    two_mode_block_column, two_mode_transfer,
 )
 from shallowboson.young import catalan_basis
 
@@ -78,6 +78,41 @@ def test_block_unitarity_all_small_sectors():
         block = two_mode_block(m, theta, psi)
         gram = block.conj().T @ block
         assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-10
+
+
+def convolution_block_column(m, p, theta, psi):
+    """Oracle: column p of the block as a convolution of two expansions.
+
+    The input |p, m-p> becomes (a x + b)^p (c x + d)^(m-p) in the
+    conjugated transfer entries; each factor is expanded binomially and
+    the product's coefficients are rescaled by the Fock normalisations.
+    """
+    def expand(coeff_x, coeff_1, power):
+        binom = np.ones(power + 1)
+        for r in range(1, power + 1):
+            binom[r] = binom[r - 1] * (power - r + 1) / r
+        r = np.arange(power + 1)
+        return binom * coeff_x**r * coeff_1**(power - r)
+
+    t_conj = two_mode_transfer(theta, psi).conj()
+    left = expand(t_conj[0, 0], t_conj[0, 1], p)
+    right = expand(t_conj[1, 0], t_conj[1, 1], m - p)
+    root_fact = np.exp(0.5 * np.array(
+        [lgamma(u + 1) + lgamma(m - u + 1) for u in range(m + 1)]))
+    return np.convolve(left, right) * root_fact / root_fact[p]
+
+
+def test_block_matches_convolution_oracle():
+    rng = np.random.default_rng(21)
+    for m in range(0, 13):
+        for _ in range(3):
+            theta, psi = rng.uniform(0, 2 * np.pi, 2)
+            block = two_mode_block(m, theta, psi)
+            for p in range(m + 1):
+                oracle = convolution_block_column(m, p, theta, psi)
+                assert np.max(np.abs(block[:, p] - oracle)) < 1e-12
+                assert np.array_equal(
+                    two_mode_block_column(m, p, theta, psi), block[:, p])
 
 
 def test_transfer_matrix_is_unitary():

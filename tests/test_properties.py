@@ -1,4 +1,4 @@
-"""Property tests: sector indexing and gate-list evolution invariants.
+"""Property tests: sector indexing, gate-list evolution and chain sampling.
 
 The profile is derandomized with a bounded example count, so the suite
 draws the same cases on every run and stays fast.
@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import (
-    CircuitSpec, QuantumState, TwoModeGate, apply_gate, schwinger_expectation,
+    CircuitSpec, QuantumState, TwoModeGate, apply_gate, reck_input,
+    schwinger_expectation,
 )
+from shallowboson.sampling import chain_sample_depth1_batch
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None)
@@ -109,3 +111,37 @@ def test_gate_lists_are_unitary(case):
     unitary = np.stack([c.vector for c in columns], axis=1)
     gram = unitary.conj().T @ unitary
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-10
+
+
+@st.composite
+def chain_batches(draw):
+    """A depth-1 input, a batch of angle rows and one row index in it."""
+    m = draw(st.integers(3, 7))
+    inp = reck_input(m, draw(st.sampled_from([m, m - 1])))
+    # few distinct angle values, so rows share (theta, psi) pairs per gate
+    angle = st.sampled_from([0.0, 0.7, np.pi / 2, 2.9, 4.4])
+    row = st.lists(angle, min_size=m - 1, max_size=m - 1)
+    thetas = draw(st.lists(row, min_size=1, max_size=6))
+    psis = draw(st.lists(row, min_size=len(thetas), max_size=len(thetas)))
+    return inp, np.array(thetas), np.array(psis), draw(
+        st.integers(0, len(thetas) - 1))
+
+
+@PROPERTY
+@given(chain_batches(), st.data())
+def test_chain_draws_of_a_row_ignore_the_rest_of_the_batch(case, data):
+    inp, thetas, psis, r = case
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    full = chain_sample_depth1_batch(inp, thetas, 40, seed, psis)[r]
+    # row r keeps its index, which picks its seeded stream; cut the batch
+    # after it, reorder or replace the rows before it, append other rows
+    order = list(range(r)) + list(range(r + 1, len(thetas)))
+    others = data.draw(st.permutations(order))[:r]
+    rows = others + [r]
+    fresh = data.draw(st.integers(0, 2))
+    new_thetas = np.concatenate(
+        [thetas[rows], np.full((fresh, thetas.shape[1]), 1.3)])
+    new_psis = np.concatenate(
+        [psis[rows], np.full((fresh, psis.shape[1]), 0.4)])
+    again = chain_sample_depth1_batch(inp, new_thetas, 40, seed, new_psis)
+    assert np.array_equal(again[r], full)

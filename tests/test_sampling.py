@@ -6,9 +6,11 @@ from scipy import stats
 
 from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import (
-    build_reck_slices, evolve, exact_distribution, reck_input,
+    build_reck_slices, evolve, exact_distribution, reck_input, two_mode_block,
 )
-from shallowboson.sampling import chain_sample_depth1_batch, sample_patterns
+from shallowboson.sampling import (
+    as_seed_sequence, chain_sample_depth1_batch, sample_patterns,
+)
 
 
 def chain_sample_depth1(input_pattern, thetas, n_samples, stream_seed):
@@ -25,6 +27,55 @@ def reference_sample_patterns(dist, n_samples, stream_seed):
     rng = np.random.default_rng(stream_seed)
     draws = np.searchsorted(cdf, rng.random(n_samples), side="right")
     return [patterns[int(i)] for i in draws]
+
+
+def reference_chain_sample(input_pattern, theta_rows, n_samples,
+                           stream_seed, psis=None):
+    """Oracle: the sort-grouped chain sampler.
+
+    Per gate the shots are sorted by a flat (angle code, photon total) key
+    and each group draws with one searchsorted over its block column.
+    """
+    inp = tuple(int(v) for v in input_pattern)
+    m = len(inp)
+    theta_rows = np.asarray(theta_rows, dtype=float)
+    rows = theta_rows.shape[0]
+    psi_rows = (np.zeros_like(theta_rows) if psis is None
+                else np.asarray(psis, dtype=float))
+    root = as_seed_sequence(stream_seed)
+    uniforms = np.empty((rows, m - 1, n_samples))
+    for r, child in enumerate(root.spawn(rows)):
+        uniforms[r] = np.random.default_rng(child).random((m - 1, n_samples))
+    out = np.zeros((rows, n_samples, m), dtype=np.uint16)
+    carry = np.full((rows, n_samples), inp[m - 1], dtype=np.int64)
+    for gate_idx, mode in enumerate(range(m - 2, -1, -1)):
+        fresh = inp[mode]
+        totals = carry + fresh
+        pair = np.stack([theta_rows[:, gate_idx], psi_rows[:, gate_idx]],
+                        axis=1)
+        angle_codes, row_code = np.unique(pair, axis=0, return_inverse=True)
+        span = int(totals.max()) + 1
+        flat_key = (row_code[:, None] * span + totals).ravel()
+        order = np.argsort(flat_key, kind="stable")
+        sorted_keys = flat_key[order]
+        uniq_keys, starts = np.unique(sorted_keys, return_index=True)
+        stops = np.append(starts[1:], len(sorted_keys))
+        u_flat = uniforms[:, gate_idx, :].ravel()
+        new_flat = np.empty(rows * n_samples, dtype=np.int64)
+        for key, s, e in zip(uniq_keys, starts, stops):
+            code, t = divmod(int(key), span)
+            col = two_mode_block(t, angle_codes[code, 0],
+                                 angle_codes[code, 1])[:, fresh]
+            cdf = np.cumsum(np.abs(col) ** 2)
+            cdf[-1] = max(cdf[-1], 1.0)
+            members = order[s:e]
+            new_flat[members] = np.searchsorted(
+                cdf, u_flat[members], side="right")
+        new_carry = new_flat.reshape(rows, n_samples)
+        out[:, :, mode + 1] = (totals - new_carry).astype(np.uint16)
+        carry = new_carry
+    out[:, :, 0] = carry.astype(np.uint16)
+    return out
 
 
 def random_depth2_states(seed):
@@ -151,3 +202,36 @@ def test_batch_shape_and_determinism():
 def test_batch_row_shape_validated():
     with pytest.raises(ValueError):
         chain_sample_depth1_batch((1, 1, 1), np.zeros((2, 3)), 10, 0)
+
+
+def test_chain_sampler_matches_sort_grouped_oracle():
+    rng = np.random.default_rng(14)
+    for m in range(3, 9):
+        for n in (m, m - 1):
+            inp = reck_input(m, n)
+            base = rng.uniform(0, 2 * np.pi, m - 1)
+            shifted = base.copy()
+            shifted[rng.integers(m - 1)] += np.pi / 2
+            rows = np.stack([base, shifted, base,
+                             rng.uniform(0, 2 * np.pi, m - 1), shifted])
+            psis = rng.uniform(0, 2 * np.pi, rows.shape)
+            psis[2] = psis[0]  # a duplicate (theta, psi) row
+            for seed in (0, 31 + m):
+                for phases in (None, psis):
+                    drawn = chain_sample_depth1_batch(inp, rows, 120, seed,
+                                                      phases)
+                    expected = reference_chain_sample(inp, rows, 120, seed,
+                                                      phases)
+                    assert np.array_equal(drawn, expected)
+
+
+def test_chain_sampler_needs_a_sample():
+    with pytest.raises(ValueError, match="need at least one sample"):
+        chain_sample_depth1_batch((1, 1, 1), np.zeros((2, 2)), 0, 0)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        chain_sample_depth1_batch((1, 1, 1), np.zeros((0, 2)), 0, 0)
+
+
+def test_chain_sampler_empty_batch():
+    out = chain_sample_depth1_batch((1, 1, 0), np.zeros((0, 2)), 5, 0)
+    assert out.shape == (0, 5, 3) and out.dtype == np.uint16

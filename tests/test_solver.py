@@ -11,23 +11,8 @@ from shallowboson.parity import coarse_grain
 from shallowboson.problems import QuboProblem, benchmark_qubo6
 from shallowboson.solver import (
     ParityObjective, SolverConfig, finite_difference_gradient,
-    gradient_step, objective_energy, parameter_shift_gradient, run_variational,
+    gradient_step, parameter_shift_gradient, run_variational,
 )
-
-
-def test_objective_energy_point_mass():
-    assert objective_energy({(1, 0): 1.0}, lambda b: 7.25) == 7.25
-
-
-def test_objective_energy_uniform_average():
-    dist = {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
-    table = {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 2.0, (1, 1): 3.0}
-    assert objective_energy(dist, table.__getitem__) == pytest.approx(1.5)
-
-
-def test_objective_energy_requires_unit_mass():
-    with pytest.raises(ValueError):
-        objective_energy({(0,): 0.5}, lambda b: 1.0)
 
 
 def _toy_problem(m=4, seed=0):
