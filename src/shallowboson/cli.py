@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyck import DyckSpec, dyck_count, enumerate_dyck_paths, catalan_dyck_spec
-from .interferometer import build_reck_slices, reck_input
-from .parity import (
-    upsilon0, upsilon0_prime, verify_surjectivity, binom_identity_check,
-    parity_bits,
-)
+from .dyck import dyck_count, catalan_dyck_spec
 from .problems import (
     QuboProblem, MobiusProblem, PortfolioProblem, brute_force_min,
     mobius_min, portfolio_returns_from_prices, run_portfolio,
@@ -35,6 +30,7 @@ from .young import (
     young_lattice, catalan_basis, catalan_mu,
     count_boolean_sublattices, export_lattice_text, export_lattice_json,
 )
+from .verify import SUITES
 
 _OUTPUT_ENV = "SHALLOWBOSON_OUTPUT"
 _LATTICE_VERTEX_LIMIT = 1_000_000
@@ -281,7 +277,8 @@ def cmd_enumerate(args) -> int:
         raise UsageError(str(exc))
     print(f"reachable patterns of the first {args.depth} slice(s), "
           f"M={args.M}, n={args.n}:")
-    for p in basis:
+    patterns = basis.tolist()
+    for p in patterns:
         print(" ", ",".join(map(str, p)))
     print(f"count = {len(basis)}")
     print(f"path family: k={spec.k}, delta1={spec.delta1}, "
@@ -290,7 +287,7 @@ def cmd_enumerate(args) -> int:
         out_dir = _output_dir(args)
         doc = {
             "M": args.M, "n": args.n, "depth": args.depth,
-            "patterns": [list(p) for p in basis],
+            "patterns": patterns,
             "dyck": {"k": spec.k, "delta1": spec.delta1,
                      "delta2": spec.delta2},
             "count": len(basis), "closed_form": closed_form,
@@ -342,117 +339,13 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _suite_parity(report: list) -> None:
-    for m in range(3, 9):
-        cov = verify_surjectivity(m, 1, {m - 1, m}, {0, 1})
-        report.append({
-            "name": f"depth-1 coverage M={m}",
-            "passed": cov.is_complete,
-            "value": len(cov.covered), "expected": 2**m,
-        })
-    for m in range(3, 8):
-        full = m - 1
-        if m % 2 == 0:
-            a = set(verify_surjectivity(m, full, {m}, {0}).covered)
-            b = set(verify_surjectivity(m, full, {m - 1}, {0}).covered)
-        else:
-            a = set(verify_surjectivity(m, full, {m - 1}, {0}).covered)
-            b = set(verify_surjectivity(m, full, {m - 1}, {1}).covered)
-        report.append({
-            "name": f"full-depth disjoint union M={m}",
-            "passed": not (a & b) and len(a | b) == 2**m,
-            "value": [len(a), len(b)], "expected": f"disjoint, union 2^{m}",
-        })
-
-
-def _suite_dyck(report: list) -> None:
-    anchors = [((7, 2, 1), 28), ((6, 2, 2), 19), ((6, 1, 1), 14),
-               ((6, 3, 3), 20), ((8, 0, 0), 14)]
-    for (k, d1, d2), want in anchors:
-        got = dyck_count(DyckSpec(k, d1, d2))
-        report.append({"name": f"dyck({k},{d1},{d2})", "passed": got == want,
-                       "value": got, "expected": want})
-    for k in range(0, 13, 2):
-        spec = DyckSpec(k, 0, 0)
-        report.append({
-            "name": f"enumeration k={k}",
-            "passed": len(enumerate_dyck_paths(spec)) == dyck_count(spec),
-            "value": dyck_count(spec), "expected": "enumeration count",
-        })
-
-
-def _suite_multiplicity(report: list) -> None:
-    from .fock import enumerate_basis
-    for m in range(2, 7):
-        for n in (m - 1, m):
-            for k in range((m + n) % 2, m + 1, 2):
-                u0 = upsilon0(m, n, k)
-                bits = parity_bits(enumerate_basis(m, n).patterns)
-                brute = int(np.all(bits == [0] * k + [1] * (m - k),
-                                   axis=1).sum())
-                report.append({
-                    "name": f"upsilon0({m},{n},{k})",
-                    "passed": u0 == brute, "value": u0, "expected": brute,
-                })
-                prime = upsilon0_prime(m, n, m - k)
-                report.append({
-                    "name": f"upsilon0'({m},{n},{m - k}) swap",
-                    "passed": prime == u0,
-                    "value": prime, "expected": u0,
-                })
-    report.append({
-        "name": "binomial identity p,q,r <= 8",
-        "passed": all(binom_identity_check(p, q, r)
-                      for p in range(9) for q in range(9)
-                      for r in range(q + 1)),
-        "value": "all", "expected": "all",
-    })
-
-
-def _suite_gradients(report: list) -> None:
-    from .interferometer import schwinger_expectation
-    rng = np.random.default_rng(11)
-    for m in (3, 4):
-        circ = build_reck_slices(m, m - 1, reck_input(m, m))
-        thetas = rng.uniform(0.2, np.pi - 0.2, len(circ.gates))
-        herm = rng.normal(size=(m, m))
-        herm = (herm + herm.T) / 2
-        for idx in range(len(thetas)):
-            plus = thetas.copy(); plus[idx] += np.pi / 2
-            minus = thetas.copy(); minus[idx] -= np.pi / 2
-            shift = (schwinger_expectation(circ, plus, herm)
-                     - schwinger_expectation(circ, minus, herm)) / 2
-            grid = np.linspace(0, 2 * np.pi, 9, endpoint=False)
-            vals = []
-            for g in grid:
-                probe = thetas.copy(); probe[idx] = g
-                vals.append(schwinger_expectation(circ, probe, herm))
-            design = np.column_stack(
-                [np.ones_like(grid), np.cos(grid), np.sin(grid)])
-            coeff, *_ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
-            analytic = (-coeff[1] * np.sin(thetas[idx])
-                        + coeff[2] * np.cos(thetas[idx]))
-            report.append({
-                "name": f"shift vs analytic M={m} theta_{idx}",
-                "passed": abs(shift - analytic) < 1e-8,
-                "value": float(shift), "expected": float(analytic),
-            })
-
-
 def cmd_verify(args) -> int:
-    suites = {
-        "parity-surjectivity": _suite_parity,
-        "dyck-counts": _suite_dyck,
-        "multiplicities": _suite_multiplicity,
-        "gradients": _suite_gradients,
-    }
-    if args.suite not in suites:
+    if args.suite not in SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from "
-            f"{sorted(suites)}"
+            f"{sorted(SUITES)}"
         )
-    report: list[dict] = []
-    suites[args.suite](report)
+    report = SUITES[args.suite]()
     all_passed = all(item["passed"] for item in report)
     doc = {"suite": args.suite, "checks": report, "all_passed": all_passed}
     out_dir = _output_dir(args)

@@ -55,7 +55,6 @@ class SectorBasis:
         self.patterns = _enumerate_patterns(num_modes, num_photons)
         # binom table used by the vectorized ranking formula
         self._binom = _binom_table(num_photons + num_modes, num_modes)
-        self._index_cache: dict[Pattern, int] | None = None
 
     def __len__(self) -> int:
         return self.size
@@ -80,13 +79,7 @@ class SectorBasis:
                 f"pattern {p} has {sum(p)} photons, sector holds "
                 f"{self.num_photons}"
             )
-        if self._index_cache is None:
-            self._index_cache = {}
-        cached = self._index_cache.get(p)
-        if cached is None:
-            cached = int(self.rank(np.asarray([p]))[0])
-            self._index_cache[p] = cached
-        return cached
+        return int(self.rank(np.asarray([p]))[0])
 
     def rank(self, patterns: np.ndarray) -> np.ndarray:
         """Vectorized canonical index of each row of `patterns`."""

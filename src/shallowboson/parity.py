@@ -204,7 +204,7 @@ def verify_surjectivity(num_modes: int, depth: int,
     per_config: dict[tuple[int, int], dict[Bits, int]] = {}
     total: Counter = Counter()
     for n in sectors:
-        patterns = np.array(catalan_basis(num_modes, n, depth), np.uint16)
+        patterns = catalan_basis(num_modes, n, depth)
         for j in variants:
             index, bits = parity_groups(patterns, j)
             per_config[(n, j)] = dict(zip(map(tuple, bits.tolist()),

@@ -25,9 +25,15 @@ _MASS_TOL = 1e-9
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int, None, or SeedSequence into a SeedSequence."""
+    """Coerce an int, None, or SeedSequence into a SeedSequence.
+
+    A SeedSequence is copied with its spawn counter, so spawning from the
+    result never advances the caller's object.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned)
     return np.random.SeedSequence(seed)
 
 

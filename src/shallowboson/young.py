@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .dyck import catalan_dyck_spec
+from .fock import enumerate_basis
 
 Diagram = tuple[int, ...]
 
@@ -118,32 +121,26 @@ def catalan_mu(num_modes: int, num_photons: int, depth: int) -> Diagram:
 
 
 def catalan_basis(num_modes: int, num_photons: int, depth: int
-                  ) -> list[tuple[int, ...]]:
+                  ) -> np.ndarray:
     """Detection patterns reachable by the first `depth` mesh slices.
 
     Input is one photon per mode, padded with a trailing empty mode for
     n = M-1.  A pattern is reachable iff each prefix sum over modes
-    0..d obeys sum >= (d+1) - depth; patterns are returned in canonical
-    (reverse-lexicographic) sector order.  The cardinality equals the
+    0..d obeys sum >= (d+1) - depth; the reachable rows of the (M, n)
+    sector are returned as a uint16 array of shape (count, M) in
+    canonical (reverse-lexicographic) sector order.  The count equals the
     closed-form staircase-path count of catalan_dyck_spec(M, n, depth).
     """
     m, n = num_modes, num_photons
     catalan_dyck_spec(m, n, depth)  # validates
-    out: list[tuple[int, ...]] = []
-
-    def fill(prefix: list[int], used: int):
-        d = len(prefix)
-        if d == m - 1:
-            out.append(tuple(prefix) + (n - used,))
-            return
-        low = max(0, (d + 1) - depth - used)
-        for v in range(n - used, low - 1, -1):
-            prefix.append(v)
-            fill(prefix, used + v)
-            prefix.pop()
-
-    fill([], 0)
-    return out
+    patterns = enumerate_basis(m, n).patterns
+    # running prefix sum, one column at a time: no (rows, M) temporaries
+    keep = np.ones(len(patterns), dtype=bool)
+    prefix = np.zeros(len(patterns), dtype=np.int32)
+    for d in range(m - 1):
+        prefix += patterns[:, d]
+        keep &= prefix >= (d + 1) - depth
+    return patterns[keep]
 
 
 def catalan_lattice(num_modes: int, num_photons: int, depth: int

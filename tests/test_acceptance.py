@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import shallowboson as sb
+from shallowboson import verify
 from shallowboson.solver import (
     ParityObjective, finite_difference_gradient, parameter_shift_gradient,
 )
@@ -22,23 +23,28 @@ def _report(criterion, passed, detail=""):
     assert passed, f"criterion {criterion} failed: {detail}"
 
 
+def _checks_by_name(report):
+    """The suite's check records by name; every one of them must pass."""
+    failed = [c["name"] for c in report if not c["passed"]]
+    assert not failed, f"failed checks: {failed}"
+    by_name = {c["name"]: c for c in report}
+    assert len(by_name) == len(report), "check names repeat"
+    return by_name
+
+
 def test_criterion_01_dyck_counts():
-    anchors = {(7, 2, 1): 28, (6, 2, 2): 19, (6, 1, 1): 14,
-               (6, 3, 3): 20, (8, 0, 0): 14}
-    for (k, d1, d2), expected in anchors.items():
-        got = sb.dyck_count(sb.DyckSpec(k, d1, d2))
+    checks = _checks_by_name(verify.dyck_counts())
+    published = {(7, 2, 1): 28, (6, 2, 2): 19, (6, 1, 1): 14,
+                 (6, 3, 3): 20, (8, 0, 0): 14}
+    for (k, d1, d2), expected in published.items():
+        got = checks[f"dyck({k},{d1},{d2})"]["value"]
         assert got == expected, f"dyck({k},{d1},{d2}) = {got} != {expected}"
-    checked = 0
-    for k in range(0, 17):
-        for d1 in range(0, 7):
-            for d2 in range(0, 7):
-                if (k + d2 - d1) % 2:
-                    continue
-                spec = sb.DyckSpec(k, d1, d2)
-                assert len(sb.enumerate_dyck_paths(spec)) == sb.dyck_count(
-                    spec)
-                checked += 1
-    _report(1, True, f"5 published counts + {checked} enumerations")
+    # k <= 16, delta1, delta2 <= 6 with k + delta2 - delta1 even: 417
+    enumerations = [c for name, c in checks.items()
+                    if name.startswith("enumeration ")]
+    assert len(enumerations) == 417 and len(checks) == 5 + 417
+    assert all(c["value"] == c["expected"] for c in enumerations)
+    _report(1, True, f"5 published counts + {len(enumerations)} enumerations")
 
 
 def test_criterion_02_hilbert_space_dimensions():
@@ -67,7 +73,8 @@ def test_criterion_03_simulator_combinatorics_cross_validation():
                     supports.append(sb.support(sb.evolve(circ, thetas)))
                 assert supports[0] == supports[1] == supports[2], (
                     f"generic supports disagree at {(m, n, depth)}")
-                assert supports[0] == set(sb.catalan_basis(m, n, depth))
+                assert supports[0] == set(
+                    map(tuple, sb.catalan_basis(m, n, depth).tolist()))
                 if previous is not None:
                     assert previous < supports[0], (
                         f"inclusion not strict at {(m, n, depth)}")
@@ -98,67 +105,41 @@ def test_criterion_04_unitarity_and_hom():
 
 
 def test_criterion_05_parity_surjectivity():
+    checks = _checks_by_name(verify.parity_surjectivity())
     for m in range(3, 9):
-        cov = sb.verify_surjectivity(m, 1, {m - 1, m}, {0, 1})
-        assert cov.is_complete, f"depth-1 coverage incomplete at M={m}"
-        assert len(cov.covered) == 2**m
+        assert checks[f"depth-1 coverage M={m}"]["value"] == 2**m
     for m in range(3, 8):
-        full = m - 1
-        if m % 2 == 0:
-            a = set(sb.verify_surjectivity(m, full, {m}, {0}).covered)
-            b = set(sb.verify_surjectivity(m, full, {m - 1}, {0}).covered)
-        else:
-            a = set(sb.verify_surjectivity(m, full, {m - 1}, {0}).covered)
-            b = set(sb.verify_surjectivity(m, full, {m - 1}, {1}).covered)
-        assert not (a & b), f"full-depth images overlap at M={m}"
-        assert len(a | b) == 2**m, f"full-depth union incomplete at M={m}"
+        # disjoint (asserted by the check) with sizes adding up to 2^M
+        split = checks[f"full-depth disjoint union M={m}"]["value"]
+        assert sum(split) == 2**m
+    assert len(checks) == 6 + 5
     _report(5, True, "depth-1 complete for M=3..8, full-depth split for M<=7")
 
 
 def test_criterion_06_multiplicity_formulas():
+    checks = _checks_by_name(verify.multiplicities())
+    closed_forms = 0
     for m in range(2, 8):
         for n in (m - 1, m):
-            total = 0
-            basis = list(sb.enumerate_basis(m, n))
-            for k in range((m + n) % 2, m + 1, 2):
-                value = sb.upsilon0(m, n, k)
-                brute = sum(
-                    1 for p in basis
-                    if all(v % 2 == 0 for v in p[:k])
-                    and all(v % 2 == 1 for v in p[k:]))
-                assert value == brute, f"upsilon0({m},{n},{k})"
-                assert sb.upsilon0_prime(m, n, m - k) == value
-                total += comb(m, k) * value
+            total = checks[f"totals M={m} n={n}"]["value"]
             assert total == comb(n + m - 1, n), f"totals at (M={m}, n={n})"
+            for k in range((m + n) % 2, m + 1, 2):
+                for name in (f"upsilon0({m},{n},{k})",
+                             f"upsilon0'({m},{n},{m - k}) swap"):
+                    assert checks[name]["value"] == checks[name]["expected"]
+                closed_forms += 1
+    # two closed forms per (M, n, k), a total per (M, n), one identity
+    assert len(checks) == 2 * closed_forms + 12 + 1
     _report(6, True, "closed forms match exhaustive counts, totals add up")
 
 
 def test_criterion_07_gradient_checks():
     rng = np.random.default_rng(31)
-    worst = 0.0
-    for m in (3, 4, 5):
-        for depth in range(1, m):
-            circ = sb.build_reck_slices(m, depth, sb.reck_input(m, m))
-            thetas = rng.uniform(0.2, np.pi - 0.2, len(circ.gates))
-            raw = rng.normal(size=(m, m))
-            herm = (raw + raw.T) / 2
-            for idx in range(len(thetas)):
-                plus = thetas.copy(); plus[idx] += np.pi / 2
-                minus = thetas.copy(); minus[idx] -= np.pi / 2
-                shift = (sb.schwinger_expectation(circ, plus, herm)
-                         - sb.schwinger_expectation(circ, minus, herm)) / 2
-                grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-                values = []
-                for g in grid:
-                    probe = thetas.copy(); probe[idx] = g
-                    values.append(sb.schwinger_expectation(circ, probe, herm))
-                design = np.column_stack(
-                    [np.ones_like(grid), np.cos(grid), np.sin(grid)])
-                coeff, *_ = np.linalg.lstsq(design, np.asarray(values),
-                                            rcond=None)
-                analytic = (-coeff[1] * np.sin(thetas[idx])
-                            + coeff[2] * np.cos(thetas[idx]))
-                worst = max(worst, abs(shift - analytic))
+    checks = _checks_by_name(verify.gradients(rng))
+    # every angle of the M = 3, 4, 5 meshes at every depth
+    assert len(checks) == sum(len(sb.build_reck_slices(m, d).gates)
+                              for m in (3, 4, 5) for d in range(1, m))
+    worst = max(abs(c["value"] - c["expected"]) for c in checks.values())
     assert worst < 1e-8, f"bilinear shift-rule deviation {worst:.2e}"
 
     # measured (not assumed) comparison on an exact-mode parity objective

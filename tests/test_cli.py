@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from shallowboson import verify
 from shallowboson.cli import main
 from shallowboson.problems import synthetic_portfolio
 from shallowboson.solver import run_variational
@@ -21,6 +23,54 @@ def test_enumerate_reference_counts(capsys):
     assert code == 0 and "count = 20" in out
     code, out, _ = run_cli(capsys, "enumerate", "4", "3", "2")
     assert code == 0 and "count = 19" in out
+
+
+_ENUMERATE_4_3_1 = """\
+reachable patterns of the first 1 slice(s), M=4, n=3:
+  3,0,0,0
+  2,1,0,0
+  2,0,1,0
+  2,0,0,1
+  1,2,0,0
+  1,1,1,0
+  1,1,0,1
+  1,0,2,0
+  1,0,1,1
+  0,3,0,0
+  0,2,1,0
+  0,2,0,1
+  0,1,2,0
+  0,1,1,1
+count = 14
+path family: k=6, delta1=1, delta2=1; closed form = 14
+"""
+
+# SHA-256 of (stdout, enumeration.json) as written when catalan_basis was a
+# recursive filler returning a list of tuples
+_ENUMERATE_DIGESTS = {
+    ("4", "3", "1"): (
+        "94f961b2cd48d33ce85467e11a3f3314ee7e0917c96dc14a3b85786adb686722",
+        "2e833d62f8edb77ea911320d9d1b758c6b31c08431adbf13fc9979ec931eef25"),
+    ("6", "6", "2"): (
+        "4205f56758551a5b7ef9bf91c381f022251234d8d2fb9a4e56743cdb600d8fea",
+        "8c770f10e7b27e0c9accf2579e9f2715579ccd4d82c9bc4b1a614caf0c0df7ed"),
+    ("7", "6", "3"): (
+        "15835e2641ac6cf2a34673c177b63d5d86385035e091a3fd0e7cab2994a39d81",
+        "6b7d193a1e17b29683d3d57e23b497f9d77956e2278d5677a8712076656efcf7"),
+}
+
+
+def test_enumerate_output_bytes(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "4", "3", "1")
+    assert code == 0 and out == _ENUMERATE_4_3_1
+    for args, digests in _ENUMERATE_DIGESTS.items():
+        out_dir = tmp_path / "_".join(args)
+        code, out, _ = run_cli(capsys, "enumerate", *args,
+                               "--output", str(out_dir))
+        written = (out_dir / "enumeration.json").read_bytes()
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest(),
+                hashlib.sha256(written).hexdigest()) == digests
 
 
 def test_enumerate_invalid_combination(capsys):
@@ -245,6 +295,9 @@ def test_verify_suites_pass(tmp_path, capsys, suite):
     doc = json.loads((tmp_path / f"verify_{suite}.json").read_text())
     assert doc["all_passed"] is True
     assert "[PASS]" in out and "[FAIL]" not in out
+    # the report holds exactly the checks the acceptance criterion asserts
+    assert doc["checks"] == json.loads(json.dumps(verify.SUITES[suite]()))
+    assert out.count("[PASS]") == len(doc["checks"])
 
 
 def test_verify_unknown_suite(capsys, tmp_path):

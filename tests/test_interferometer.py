@@ -187,7 +187,7 @@ def test_support_matches_path_enumeration():
                 circ = build_reck_slices(m, depth, reck_input(m, n))
                 thetas = rng.uniform(0.1, np.pi - 0.1, len(circ.gates))
                 assert support(evolve(circ, thetas)) == set(
-                    catalan_basis(m, n, depth))
+                    map(tuple, catalan_basis(m, n, depth).tolist()))
 
 
 @pytest.mark.filterwarnings("ignore:phase angles on a depth-1")

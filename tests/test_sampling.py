@@ -199,6 +199,24 @@ def test_batch_shape_and_determinism():
     assert np.array_equal(a, b)
 
 
+def test_seed_sequence_object_reused_gives_same_draws():
+    circ = build_reck_slices(5, 1, reck_input(5, 5))
+    rows = np.random.default_rng(14).uniform(0, 2 * np.pi, (3, 4))
+    seed = np.random.SeedSequence(5)
+    a = chain_sample_depth1_batch(circ.input, rows, 30, seed)
+    b = chain_sample_depth1_batch(circ.input, rows, 30, seed)
+    assert np.array_equal(a, b)
+    assert seed.n_children_spawned == 0
+    # a fresh SeedSequence draws what its integer seed draws
+    assert np.array_equal(
+        a, chain_sample_depth1_batch(circ.input, rows, 30, 5))
+    # an advanced one continues where its own spawn() would
+    seed.spawn(2)
+    advanced = chain_sample_depth1_batch(circ.input, rows[2:], 30, seed)
+    assert np.array_equal(advanced[0], a[2])
+    assert seed.n_children_spawned == 2
+
+
 def test_batch_row_shape_validated():
     with pytest.raises(ValueError):
         chain_sample_depth1_batch((1, 1, 1), np.zeros((2, 3)), 10, 0)

@@ -77,6 +77,25 @@ def test_sampled_depth2_batch_matches_rows_alone():
     assert (best_e, best_b) == alone[first_best][1:]
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda obj, x, seed: obj.value(x, seed),
+    lambda obj, x, seed: parameter_shift_gradient(obj, x, 1, seed),
+    lambda obj, x, seed: finite_difference_gradient(
+        obj, x, 1, 1e-3, "central", seed),
+    lambda obj, x, seed: finite_difference_gradient(obj, x, 1, 1e-3,
+                                                    stream_seed=seed),
+], ids=["value", "shift", "central", "forward"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_seed_sequence_object_reused_gives_same_draws(evaluate, depth):
+    obj = ParityObjective(_toy_problem(), 4, 0, depth, samples=30)
+    angles = np.linspace(0.3, 2.0, obj.num_parameters)
+    seed = np.random.SeedSequence(5)
+    first = evaluate(obj, angles, seed)
+    assert evaluate(obj, angles, seed) == first
+    assert seed.n_children_spawned == 0
+    assert evaluate(obj, angles, 5) == first
+
+
 @pytest.mark.parametrize("depth,phases", [(1, False), (2, False), (2, True)])
 def test_exact_batch_matches_rows_alone(depth, phases):
     problem = _toy_problem(5, seed=6)

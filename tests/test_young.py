@@ -1,15 +1,59 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from shallowboson.dyck import catalan_dyck_spec, catalan_number, dyck_count
+from shallowboson.fock import enumerate_basis
 from shallowboson.young import (
     box_bitstring_apply, catalan_basis, catalan_lattice, catalan_mu,
     count_boolean_sublattices, export_lattice_json, export_lattice_text,
     ferrers_to_pattern, ordinal_sum_decomposition, parity_distinctness_check,
     pattern_to_ferrers, vertex_to_pattern, young_lattice,
 )
+
+
+def _pattern_set(patterns):
+    return set(map(tuple, patterns.tolist()))
+
+
+def recursive_catalan_basis(num_modes, num_photons, depth):
+    """Oracle: the prefix-floor filler, a list of tuples in canonical order.
+
+    Each mode d takes every count from the photons left down to the floor
+    (d+1) - depth - used that keeps the prefix sum reachable.
+    """
+    m, n = num_modes, num_photons
+    out = []
+
+    def fill(prefix, used):
+        d = len(prefix)
+        if d == m - 1:
+            out.append(tuple(prefix) + (n - used,))
+            return
+        low = max(0, (d + 1) - depth - used)
+        for v in range(n - used, low - 1, -1):
+            prefix.append(v)
+            fill(prefix, used + v)
+            prefix.pop()
+
+    fill([], 0)
+    return out
+
+
+def test_catalan_basis_equals_recursive_oracle():
+    for m in range(2, 10):
+        for n in (m, m - 1):
+            ranker = enumerate_basis(m, n)
+            for depth in range(1, m):
+                basis = catalan_basis(m, n, depth)
+                want = np.array(recursive_catalan_basis(m, n, depth),
+                                dtype=np.uint16)
+                assert basis.dtype == np.uint16 and basis.shape == want.shape
+                assert np.array_equal(basis, want), (m, n, depth)
+                # canonical sector order: strictly increasing ranks
+                assert np.all(np.diff(ranker.rank(basis)) > 0)
 
 
 def test_first_differences_example():
@@ -66,7 +110,7 @@ def test_reachable_patterns_match_closed_form():
         for n in (m, m - 1):
             for depth in range(1, m):
                 basis = catalan_basis(m, n, depth)
-                assert len(set(basis)) == len(basis)
+                assert len(_pattern_set(basis)) == len(basis)
                 assert len(basis) == dyck_count(catalan_dyck_spec(m, n, depth))
 
 
@@ -75,7 +119,7 @@ def test_reachable_patterns_strictly_nested():
         for n in (m, m - 1):
             previous = None
             for depth in range(1, m):
-                current = set(catalan_basis(m, n, depth))
+                current = _pattern_set(catalan_basis(m, n, depth))
                 if previous is not None:
                     assert previous < current
                 previous = current
@@ -101,7 +145,7 @@ def test_vertex_labels_enumerate_reachable_patterns():
         lattice = catalan_lattice(m, n, depth)
         labels = [vertex_to_pattern(v, n) for v in lattice.vertices]
         assert len(set(labels)) == len(labels)  # injective
-        assert set(labels) == set(catalan_basis(m, n, depth))
+        assert set(labels) == _pattern_set(catalan_basis(m, n, depth))
 
 
 def test_depth1_dimension_is_catalan():
@@ -145,7 +189,7 @@ def test_box_bitstrings_realize_half_the_qubit_basis(m):
     # themselves depth-1 patterns, and their parity images are distinct
     from itertools import product
     top = tuple(range(m)) + (m - 1,)
-    basis = set(catalan_basis(m, m - 1, 1))
+    basis = _pattern_set(catalan_basis(m, m - 1, 1))
     images = set()
     for free in product((0, 1), repeat=m - 1):
         lowered = box_bitstring_apply(top, (0,) + free + (0,))
