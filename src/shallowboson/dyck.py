@@ -56,26 +56,31 @@ def catalan_number(m: int) -> int:
 def enumerate_dyck_paths(spec: DyckSpec) -> list[str]:
     """All U/D words of the family, in lexicographic order (D < U)."""
     paths: list[str] = []
-    k, d2 = spec.k, spec.delta2
-
-    def extend(word: list[str], steps_left: int, height: int):
-        if steps_left == 0:
-            if height == d2:
-                paths.append("".join(word))
-            return
-        # prune: the end height must stay reachable
-        if abs(height - d2) > steps_left:
-            return
-        if height > 0:
-            word.append("D")
-            extend(word, steps_left - 1, height - 1)
-            word.pop()
-        word.append("U")
-        extend(word, steps_left - 1, height + 1)
-        word.pop()
-
-    extend([], k, spec.delta1)
+    _extend_paths(paths, [], spec.k, spec.delta1, spec.delta2)
     return paths
+
+
+def _extend_paths(paths: list[str], word: list[str], steps_left: int,
+                  height: int, d2: int) -> None:
+    """Append every completion of `word` that ends at height d2.
+
+    Not nested in its caller: a recursive closure is a reference cycle,
+    which would keep each returned list alive until a cyclic collection.
+    """
+    if steps_left == 0:
+        if height == d2:
+            paths.append("".join(word))
+        return
+    # prune: the end height must stay reachable
+    if abs(height - d2) > steps_left:
+        return
+    if height > 0:
+        word.append("D")
+        _extend_paths(paths, word, steps_left - 1, height - 1, d2)
+        word.pop()
+    word.append("U")
+    _extend_paths(paths, word, steps_left - 1, height + 1, d2)
+    word.pop()
 
 
 def dyck_heights(word: str, spec: DyckSpec) -> list[int]:

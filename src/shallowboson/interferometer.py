@@ -10,12 +10,15 @@ and everything downstream (Fock blocks, shift-rule gradients) relies on
 this convention, including the global e^{-i psi/2} factor.
 
 Within a fixed photon total m on the two coupled modes, the gate is an
-(m+1) x (m+1) unitary block obtained by binomial expansion of the
-transformed creation-operator monomials; photon number is conserved, so a
-state never leaves its (M, n) sector.  `two_mode_block` is the one
-construction of that block: `apply_gate` multiplies by it, and the
-depth-1 chain sampler reads single columns of it through
-`two_mode_block_column`.
+(m+1) x (m+1) unitary block; photon number is conserved, so a state never
+leaves its (M, n) sector.  The block is built in the Schwinger spin
+representation: the pair |p, m-p> is the spin-m/2 state with
+J_z = p - m/2, and the gate is exp(-i theta J_y) exp(-i psi J_z), the
+phase acting on the input index p.  One J_y eigenbasis is cached per m,
+with its eigenvalues set to the exact -m/2 ... m/2, so the blocks stay
+unitary to rounding at every photon total.  `two_mode_block` builds the
+whole block for `apply_gate`; `two_mode_block_column` builds one input
+column for many angle pairs at once, for the depth-1 chain sampler.
 
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
@@ -35,7 +38,6 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lgamma
 
 import numpy as np
 
@@ -56,52 +58,44 @@ def two_mode_transfer(theta: float, psi: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _block_setup(m: int):
-    """Cached m-dependent tensors of the binomial block expansion."""
-    idx = np.arange(m + 1)
-    # C(p, r) and C(m-p, s), zero outside their triangles
-    left_binom = np.array([[comb(p, r) for r in range(m + 1)]
-                           for p in range(m + 1)], dtype=float)
-    right_binom = left_binom[::-1]
-    left_deg = np.clip(idx[:, None] - idx[None, :], 0, None)   # p - r
-    right_deg = np.clip(m - idx[:, None] - idx[None, :], 0, None)  # m-p-s
-    shift = idx[None, None, :] - idx[None, :, None]            # u - r per (p,r,u)
-    shift_valid = (shift >= 0) & (shift <= m)
-    shift = np.clip(shift, 0, m)
-    root_fact = np.exp(0.5 * np.array(
-        [lgamma(u + 1) + lgamma(m - u + 1) for u in idx]))
-    return (idx, left_binom, right_binom, left_deg, right_deg,
-            shift, shift_valid, root_fact)
+def _spin_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """J_y eigenbasis (lam, V) of the photon-total-m pair, a spin m/2.
+
+    J_y = (J_+ - J_-) / 2i with <p+1| J_+ |p> = sqrt((p+1)(m-p)) for
+    J_+ = a_i^dag a_j.  Its spectrum is exactly -m/2 ... m/2, so lam is set
+    to that; the unit gaps between eigenvalues keep V well conditioned.
+    """
+    p = np.arange(m)
+    step = np.sqrt((p + 1.0) * (m - p)) / 2j
+    _, vecs = np.linalg.eigh(np.diag(step, -1) - np.diag(step, 1))
+    return np.arange(m + 1) - m / 2.0, vecs
 
 
 def two_mode_block(m: int, theta: float, psi: float) -> np.ndarray:
     """Fock-space block of the gate for two-mode photon total m.
 
-    Entry [u, p] is the amplitude <u, m-u| U |p, m-p>, from the binomial
-    expansion of the two transformed creation-operator monomials.
+    Entry [u, p] is the amplitude <u, m-u| U |p, m-p>.  The block is
+    exp(-i theta J_y) diag_p(e^{-i psi (p - m/2)}): the rotation is
+    V e^{-i theta lam} V^dag in the cached J_y eigenbasis, and the phase
+    acts on the input index p.
     """
-    (idx, left_binom, right_binom, left_deg, right_deg,
-     shift, shift_valid, root_fact) = _block_setup(m)
-    t_conj = two_mode_transfer(theta, psi).conj()
-    a, b = t_conj[0, 0], t_conj[0, 1]
-    c, d = t_conj[1, 0], t_conj[1, 1]
-    pow_a = a ** idx
-    pow_b = b ** idx
-    pow_c = c ** idx
-    pow_d = d ** idx
-    left = left_binom * pow_a[None, :] * pow_b[left_deg]     # [p, r]
-    right = right_binom * pow_c[None, :] * pow_d[right_deg]  # [p, s]
-    # B[u, p] = sum_r left[p, r] * right[p, u - r]
-    right_shifted = np.where(
-        shift_valid, right[idx[:, None, None], shift], 0.0)  # [p, r, u]
-    block = np.einsum("pr,pru->up", left, right_shifted)
-    return block * (root_fact[:, None] / root_fact[None, :])
+    lam, vecs = _spin_basis(m)
+    rotation = (vecs * np.exp(-1j * theta * lam)) @ vecs.conj().T
+    return rotation * np.exp(-1j * psi * lam)
 
 
-def two_mode_block_column(m: int, p: int, theta: float, psi: float
-                          ) -> np.ndarray:
-    """Column p of the photon-total-m block (input |p, m-p>)."""
-    return two_mode_block(m, theta, psi)[:, p]
+def two_mode_block_column(m: int, p: int, thetas, psis) -> np.ndarray:
+    """Column p of the photon-total-m block for K angle pairs at once.
+
+    thetas and psis are 1-D arrays of length K; row k of the (K, m+1)
+    result is two_mode_block(m, thetas[k], psis[k])[:, p], the image of
+    the input |p, m-p>.
+    """
+    lam, vecs = _spin_basis(m)
+    thetas = np.asarray(thetas, dtype=float)
+    psis = np.asarray(psis, dtype=float)
+    columns = (np.exp(-1j * thetas[:, None] * lam) * vecs[p].conj()) @ vecs.T
+    return columns * np.exp(-1j * psis * lam[p])[:, None]
 
 
 @dataclass(frozen=True)

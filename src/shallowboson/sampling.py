@@ -6,9 +6,10 @@ gate without ever building the output distribution.  In the depth-1
 cascade each gate freezes one output mode, and conditioning on its
 measured count collapses the carried mode to a definite Fock state, so a
 chain of two-mode blocks samples exactly.  Per gate, the sampler tabulates
-the outcome CDF of every (angle pair, photon total) that occurs, from
-columns of `two_mode_block`, and each shot's outcome is the number of
-entries of its CDF row that do not exceed its uniform draw.
+the outcome CDF of every (angle pair, photon total) that occurs: one
+`two_mode_block_column` call per occurring photon total covers all angle
+pairs at once.  Each shot's outcome is the number of entries of its CDF
+row that do not exceed its uniform draw.
 
 An explicit distribution is a pattern array with an aligned probability
 vector, for a sector `basis.patterns` with `state.probabilities()` in
@@ -108,12 +109,10 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
         span = int(totals.max()) + 1
         cdf = np.full((len(angle_codes), span, span), np.inf)
         occurring = np.flatnonzero(np.bincount(totals.ravel()))
-        for k, (theta, psi) in enumerate(angle_codes):
-            for t in occurring:
-                col = two_mode_block_column(int(t), fresh, theta, psi)
-                row = np.cumsum(np.abs(col) ** 2)
-                row[-1] = max(row[-1], 1.0)
-                cdf[k, t, :t + 1] = row
+        for t in occurring:
+            cols = two_mode_block_column(int(t), fresh, *angle_codes.T)
+            cdf[:, t, :t + 1] = np.cumsum(np.abs(cols) ** 2, axis=1)
+            cdf[:, t, t] = np.maximum(cdf[:, t, t], 1.0)
         # the count of row entries <= u is searchsorted(row, u, "right")
         u = uniforms[:, gate_idx, :]
         start = (row_code[:, None] * span + totals) * span

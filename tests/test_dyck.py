@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from shallowboson.dyck import (
@@ -36,7 +38,20 @@ def test_enumeration_matches_closed_form():
                 if (k + d2 - d1) % 2:
                     continue
                 spec = DyckSpec(k, d1, d2)
-                assert len(enumerate_dyck_paths(spec)) == dyck_count(spec)
+                paths = enumerate_dyck_paths(spec)
+                assert len(paths) == dyck_count(spec)
+                assert paths == sorted(paths)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # the result must be freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_dyck_paths(DyckSpec(8, 0, 0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_catalan_special_case():

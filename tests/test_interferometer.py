@@ -72,12 +72,18 @@ def test_gate_preserves_norm():
 
 
 def test_block_unitarity_all_small_sectors():
+    # m <= 70 covers the largest carry of the 70-mode chain sampler
     rng = np.random.default_rng(2)
-    for m in range(0, 11):
+    for m in range(0, 71):
         theta, psi = rng.uniform(0, 2 * np.pi, 2)
         block = two_mode_block(m, theta, psi)
         gram = block.conj().T @ block
         assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-10
+        thetas, psis = rng.uniform(0, 2 * np.pi, (2, 4))
+        for p in range(m + 1):
+            cols = two_mode_block_column(m, p, thetas, psis)
+            assert cols.shape == (4, m + 1)
+            assert np.max(np.abs(np.linalg.norm(cols, axis=1) - 1)) < 1e-12
 
 
 def convolution_block_column(m, p, theta, psi):
@@ -105,14 +111,16 @@ def convolution_block_column(m, p, theta, psi):
 def test_block_matches_convolution_oracle():
     rng = np.random.default_rng(21)
     for m in range(0, 13):
-        for _ in range(3):
-            theta, psi = rng.uniform(0, 2 * np.pi, 2)
-            block = two_mode_block(m, theta, psi)
-            for p in range(m + 1):
+        thetas, psis = rng.uniform(0, 2 * np.pi, (2, 3))
+        blocks = [two_mode_block(m, theta, psi)
+                  for theta, psi in zip(thetas, psis)]
+        for p in range(m + 1):
+            cols = two_mode_block_column(m, p, thetas, psis)
+            for k, (theta, psi) in enumerate(zip(thetas, psis)):
                 oracle = convolution_block_column(m, p, theta, psi)
-                assert np.max(np.abs(block[:, p] - oracle)) < 1e-12
-                assert np.array_equal(
-                    two_mode_block_column(m, p, theta, psi), block[:, p])
+                assert np.max(np.abs(blocks[k][:, p] - oracle)) < 1e-12
+                assert np.max(np.abs(cols[k] - oracle)) < 1e-12
+                assert np.max(np.abs(cols[k] - blocks[k][:, p])) < 1e-14
 
 
 def test_transfer_matrix_is_unitary():
