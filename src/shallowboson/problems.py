@@ -76,7 +76,7 @@ class IsingProblem:
     def energies(self, bits: np.ndarray) -> np.ndarray:
         s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0
         return (np.einsum("bi,ij,bj->b", s, self._j, s)
-                + s @ self.fields + self.constant)
+                + np.einsum("bi,i->b", s, self.fields) + self.constant)
 
 
 def qubo_to_ising(q: np.ndarray) -> IsingProblem:
@@ -287,12 +287,13 @@ class PortfolioProblem:
     def energies(self, bits: np.ndarray) -> np.ndarray:
         omega = np.atleast_2d(self.decode(bits)).astype(float)
         risk = np.einsum("bi,ij,bj->b", omega, self.sigma, omega)
+        gain = np.einsum("bi,i->b", omega, self.mu)
         if self.approach == "penalty":
-            return (-(omega @ self.mu) + self.gamma * risk
+            return (-gain + self.gamma * risk
                     + self.penalty_weight * (omega.sum(axis=1) - 1.0) ** 2)
         totals = omega.sum(axis=1)
         safe = np.where(totals == 0, 1.0, totals)
-        vals = -(omega @ self.mu) / safe + self.gamma * risk / safe**2
+        vals = -gain / safe + self.gamma * risk / safe**2
         return np.where(totals == 0, self.zero_penalty, vals)
 
 

@@ -1,19 +1,23 @@
-"""Seeded sampling of detection patterns.
+"""Seeded sampling of detection patterns, and the exact depth-1 chain.
 
-Two routes: inverse-CDF categorical draws over an explicit distribution,
-and a sequential sampler for depth-1 meshes that draws patterns gate by
-gate without ever building the output distribution.  In the depth-1
-cascade each gate freezes one output mode, and conditioning on its
-measured count collapses the carried mode to a definite Fock state, so a
-chain of two-mode blocks samples exactly.  Per gate, the sampler tabulates
-the outcome CDF of every (angle pair, photon total) that occurs: one
-`two_mode_block_column` call per occurring photon total covers all angle
-pairs at once.  Each shot's outcome is the number of entries of its CDF
-row that do not exceed its uniform draw.
+Two sampling routes: inverse-CDF categorical draws over an explicit
+distribution, and a sequential sampler for depth-1 meshes that draws
+patterns gate by gate without ever building the output distribution.  In
+the depth-1 cascade each gate freezes one output mode, and conditioning on
+its measured count collapses the carried mode to a definite Fock state, so
+a chain of two-mode blocks samples exactly.  `gate_outcome_table` gives
+the outcome probabilities of one gate for every (angle pair, photon total)
+that occurs, from one `two_mode_block_column` call per photon total.  The
+sampler reads its cumulative sum: each shot's outcome is the number of
+entries of its CDF row that do not exceed its uniform draw.
+
+The same table drives `depth1_parity_masses`, the exact parity-bit
+distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
+carried photon count) that never enumerates a Fock sector.
 
 An explicit distribution is a pattern array with an aligned probability
 vector, for a sector `basis.patterns` with `state.probabilities()` in
-canonical order.  Both routes return uint16 pattern rows.
+canonical order.  Both sampling routes return uint16 pattern rows.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ import numpy as np
 from .interferometer import two_mode_block_column
 
 _MASS_TOL = 1e-9
+# One row of the exact depth-1 pass ends on 2^M (n+1) floats; meshes beyond
+# M = n = 20 (176 MB per array) are refused.
+_MASS_ENTRIES_CAP = 21 << 20
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -63,6 +70,44 @@ def sample_patterns(patterns, probs, n_samples: int,
     return patterns[np.searchsorted(cdf, rng.random(n_samples), side="right")]
 
 
+def gate_outcome_table(fresh: int, totals, thetas, psis):
+    """Outcome probabilities of one depth-1 gate under R rows' angles.
+
+    The gate's first mode brings `fresh` photons and the carried mode the
+    rest of the pair's photon total t.  For the k-th distinct pair among
+    (thetas[r], psis[r]), table[k, t, u] is the probability
+    |<u, t-u| U_k |fresh, t-fresh>|^2 that u photons go on in the carried
+    mode and t - u stay in the frozen one, for every t in `totals`; the
+    entries u > t and the rows of totals not listed are zero.  Returns the
+    (K, T, T) table, T = max(totals) + 1, and each row's pair index k.
+    """
+    pairs, row_code = np.unique(np.stack([thetas, psis], axis=1), axis=0,
+                                return_inverse=True)
+    span = int(max(totals)) + 1
+    table = np.zeros((len(pairs), span, span))
+    for t in totals:
+        columns = two_mode_block_column(int(t), fresh, *pairs.T)
+        table[:, t, :t + 1] = np.abs(columns) ** 2
+    return table, row_code
+
+
+def _chain_angles(input_pattern, theta_rows, psis):
+    """Validated depth-1 input and (R, M-1) theta and psi rows."""
+    inp = tuple(int(v) for v in input_pattern)
+    m = len(inp)
+    theta_rows = np.asarray(theta_rows, dtype=float)
+    if theta_rows.ndim != 2 or theta_rows.shape[1] != m - 1:
+        raise ValueError(
+            f"theta batch must have shape (R, {m - 1}), got {theta_rows.shape}"
+        )
+    if psis is None:
+        return inp, theta_rows, np.zeros_like(theta_rows)
+    psi_rows = np.asarray(psis, dtype=float)
+    if psi_rows.shape != theta_rows.shape:
+        raise ValueError("psi batch must match the theta batch shape")
+    return inp, theta_rows, psi_rows
+
+
 def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
                               stream_seed, psis=None) -> np.ndarray:
     """Depth-1 chain sampling for a batch of angle vectors.
@@ -74,22 +119,11 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    inp = tuple(int(v) for v in input_pattern)
+    inp, theta_rows, psi_rows = _chain_angles(input_pattern, theta_rows, psis)
     m = len(inp)
-    theta_rows = np.asarray(theta_rows, dtype=float)
-    if theta_rows.ndim != 2 or theta_rows.shape[1] != m - 1:
-        raise ValueError(
-            f"theta batch must have shape (R, {m - 1}), got {theta_rows.shape}"
-        )
     rows = theta_rows.shape[0]
     if rows == 0:
         return np.zeros((0, n_samples, m), dtype=np.uint16)
-    if psis is None:
-        psi_rows = np.zeros_like(theta_rows)
-    else:
-        psi_rows = np.asarray(psis, dtype=float)
-        if psi_rows.shape != theta_rows.shape:
-            raise ValueError("psi batch must match the theta batch shape")
 
     root = as_seed_sequence(stream_seed)
     uniforms = np.empty((rows, m - 1, n_samples))
@@ -101,18 +135,16 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
     for gate_idx, mode in enumerate(range(m - 2, -1, -1)):
         fresh = inp[mode]
         totals = carry + fresh
-        pair = np.stack([theta_rows[:, gate_idx], psi_rows[:, gate_idx]],
-                        axis=1)
-        angle_codes, row_code = np.unique(pair, axis=0, return_inverse=True)
         # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
         # pair k, padded with +inf
-        span = int(totals.max()) + 1
-        cdf = np.full((len(angle_codes), span, span), np.inf)
-        occurring = np.flatnonzero(np.bincount(totals.ravel()))
-        for t in occurring:
-            cols = two_mode_block_column(int(t), fresh, *angle_codes.T)
-            cdf[:, t, :t + 1] = np.cumsum(np.abs(cols) ** 2, axis=1)
-            cdf[:, t, t] = np.maximum(cdf[:, t, t], 1.0)
+        table, row_code = gate_outcome_table(
+            fresh, np.flatnonzero(np.bincount(totals.ravel())),
+            theta_rows[:, gate_idx], psi_rows[:, gate_idx])
+        cdf = np.cumsum(table, axis=2)
+        span = cdf.shape[1]
+        levels = np.arange(span)
+        cdf[:, levels[:, None] < levels] = np.inf
+        cdf[:, levels, levels] = np.maximum(cdf[:, levels, levels], 1.0)
         # the count of row entries <= u is searchsorted(row, u, "right")
         u = uniforms[:, gate_idx, :]
         start = (row_code[:, None] * span + totals) * span
@@ -123,3 +155,53 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
         carry = new_carry
     out[:, :, 0] = carry.astype(np.uint16)
     return out
+
+
+def depth1_parity_masses(input_pattern, theta_rows, parity: int,
+                         psis=None) -> np.ndarray:
+    """Exact parity-bit distribution of a depth-1 mesh, per angle row.
+
+    Returns shape (R, 2^M): entry [r, code] is the probability that row r
+    detects a pattern whose parity bits (flipped when parity = 1) have the
+    `parity.bits_to_codes` code `code`.  Gate g of the cascade freezes
+    mode M-1-g, the bit of weight 2^g, so a forward pass carries
+    mass[r, prefix code, carry] over the g frozen bits so far and the
+    photon count of the carried mode; each gate multiplies it by the
+    `gate_outcome_table` of its row's angle pair, split by the parity of
+    the frozen count.  The final carry is mode 0, the top bit.
+
+    The pass holds the mass before and after a gate, 2^M (n+1) floats per
+    row at the last gate, so memory grows as 16 (n+1) 2^M bytes per row;
+    callers bound it by passing rows in chunks.  Every product is an
+    einsum over one row's own arrays, so a row's masses are bit-identical
+    whatever other rows share the call.
+    """
+    if parity not in (0, 1):
+        raise ValueError(f"parity variant must be 0 or 1, got {parity}")
+    inp, theta_rows, psi_rows = _chain_angles(input_pattern, theta_rows, psis)
+    m, n = len(inp), sum(inp)
+    if (n + 1) << m > _MASS_ENTRIES_CAP:
+        raise ValueError(
+            f"exact depth-1 masses of {m} modes and {n} photons need "
+            f"{(n + 1) << m} floats per row, refusing more than "
+            f"{_MASS_ENTRIES_CAP}")
+    rows = theta_rows.shape[0]
+    levels = np.arange(n + 1)
+    mass = np.zeros((rows, 1, n + 1))
+    mass[:, 0, inp[m - 1]] = 1.0
+    for gate_idx, mode in enumerate(range(m - 2, -1, -1)):
+        fresh = inp[mode]
+        table, row_code = gate_outcome_table(
+            fresh, range(fresh, n + 1), theta_rows[:, gate_idx],
+            psi_rows[:, gate_idx])
+        # table[k, c, u] for carry c in and u out; a carry above n - fresh
+        # never occurs
+        carries = n + 1 - fresh
+        table = table[:, fresh:]
+        frozen_bit = ((levels[:carries, None] + fresh - levels) & 1) ^ parity
+        split = np.stack([table * (frozen_bit == b) for b in (0, 1)], axis=1)
+        mass = np.einsum("rkc,rbcu->rbku", mass[:, :, :carries],
+                         split[row_code]).reshape(rows, 2 << gate_idx, n + 1)
+    top_bit = (levels & 1) ^ parity
+    fold = np.stack([top_bit == b for b in (0, 1)], axis=1).astype(float)
+    return np.einsum("rkc,cb->rbk", mass, fold).reshape(rows, 2 ** m)

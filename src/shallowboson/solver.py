@@ -19,12 +19,16 @@ import numpy as np
 
 from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
-from .parity import Bits, parity_bits, parity_groups
+from .parity import Bits, bits_to_codes, codes_to_bits, parity_bits
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
-                       sample_patterns)
+                       depth1_parity_masses, sample_patterns)
 
 _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
+# Exact depth-1 rows go through the carry-chain pass in chunks of at most
+# this many bytes of mass arrays, or one row when a row needs more.
+_CHUNK_BYTES = 1 << 26
+_CODE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -102,9 +106,16 @@ class ParityObjective:
     """Energy of one (sector, parity) configuration as a function of angles.
 
     Wraps the mesh of the requested depth with its one-photon-per-mode
-    input; exact mode evolves the full state, sampled mode draws N_s
-    patterns per evaluation (chain sampling at depth 1, categorical
-    sampling over the canonical-order probability vector otherwise).
+    input.  Exact mode reduces each row's masses over all 2^M parity bit
+    strings against the energy of every bit string: the carry-chain pass
+    at depth 1, the dense state coarse-grained at depth >= 2.  Sampled
+    mode draws N_s patterns per evaluation (chain sampling at depth 1,
+    categorical sampling over the canonical-order probability vector
+    otherwise).
+
+    Exact depth 1 needs 16 (n+1) 2^M bytes per angle row at its last
+    gate (176 MB of mass at M = n = 20, twice that in flight), and
+    `depth1_parity_masses` refuses meshes beyond M = 20.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -121,16 +132,18 @@ class ParityObjective:
             self.num_modes, depth, reck_input(self.num_modes, num_photons))
         self.num_gates = len(self.circuit.gates)
         self.num_parameters = (2 if optimize_phases else 1) * self.num_gates
-        self._exact_tables = None
+        self._energy_table = None
+        self._pattern_codes = None
 
-    def _exact_setup(self):
-        """Per-sector reduction tables: basis row -> bit-string group."""
-        if self._exact_tables is None:
-            basis = enumerate_basis(self.num_modes, self.num_photons)
-            inverse, uniq_bits = parity_groups(basis.patterns, self.parity)
-            e_uniq = np.asarray(self.problem.energies(uniq_bits), dtype=float)
-            self._exact_tables = (inverse, uniq_bits, e_uniq)
-        return self._exact_tables
+    def _code_energies(self) -> np.ndarray:
+        """Energy of every bit string, indexed by its `bits_to_codes` code."""
+        if self._energy_table is None:
+            m, size = self.num_modes, 1 << self.num_modes
+            self._energy_table = np.concatenate([
+                np.asarray(self.problem.energies(codes_to_bits(
+                    np.arange(s, min(s + _CODE_CHUNK, size)), m)), dtype=float)
+                for s in range(0, size, _CODE_CHUNK)])
+        return self._energy_table
 
     def value(self, angles, stream_seed=None):
         """Objective value plus the best observed (energy, bit string)."""
@@ -142,10 +155,10 @@ class ParityObjective:
         """Per-row objectives plus the best observed (energy, bit string).
 
         The best is taken over all rows, the first row on ties.  Exact
-        rows are evolved together by `evolve_batch` and reduced from their
-        full distributions; stream_seed is unused.  Sampled rows each draw
-        from an independent child stream of stream_seed, so results are
-        identical whether rows are evaluated batched or one at a time.
+        rows are reduced from their full parity-bit distributions;
+        stream_seed is unused.  Sampled rows each draw from an independent
+        child stream of stream_seed.  Either way results are identical
+        whether rows are evaluated batched or one at a time.
         """
         rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
         if rows.shape[1] != self.num_parameters:
@@ -176,19 +189,36 @@ class ParityObjective:
         return energies, float(e_flat[best_flat]), best_bits
 
     def _exact_batch(self, thetas, psis):
-        """Energy and lowest observed bit-string group of every row."""
-        inverse, uniq_bits, e_uniq = self._exact_setup()
+        """Energy and lowest observed bit string of every row."""
         energies = np.empty(len(thetas))
-        best_pos = np.empty(len(thetas), dtype=np.int64)
-        for r, state in evolve_batch(self.circuit, thetas, psis):
-            mass = np.bincount(inverse, weights=state.probabilities(),
-                               minlength=len(e_uniq))
-            energies[r] = mass @ e_uniq
-            observed = mass > _SUPPORT_TOL
-            best_pos[r] = np.argmin(np.where(observed, e_uniq, np.inf))
-        best = best_pos[int(np.argmin(e_uniq[best_pos]))]
-        return energies, float(e_uniq[best]), tuple(
-            int(b) for b in uniq_bits[best])
+        best = np.empty(len(thetas), dtype=np.int64)
+
+        def reduce(rows, masses):
+            e_codes = self._code_energies()
+            energies[rows] = np.einsum("rk,k->r", masses, e_codes)
+            best[rows] = np.argmin(
+                np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
+
+        if self.depth == 1:
+            row_bytes = 16 * (self.num_photons + 1) << self.num_modes
+            step = max(1, _CHUNK_BYTES // row_bytes)
+            for start in range(0, len(thetas), step):
+                rows = slice(start, start + step)
+                reduce(rows, depth1_parity_masses(
+                    self.circuit.input, thetas[rows], self.parity,
+                    None if psis is None else psis[rows]))
+        else:
+            if self._pattern_codes is None:
+                basis = enumerate_basis(self.num_modes, self.num_photons)
+                self._pattern_codes = bits_to_codes(
+                    parity_bits(basis.patterns, self.parity))
+            for r, state in evolve_batch(self.circuit, thetas, psis):
+                reduce([r], np.bincount(
+                    self._pattern_codes, weights=state.probabilities(),
+                    minlength=1 << self.num_modes)[None])
+        code = best[int(np.argmin(self._code_energies()[best]))]
+        return energies, float(self._code_energies()[code]), tuple(
+            int(b) for b in codes_to_bits([code], self.num_modes)[0])
 
 
 def gradient_step(angles, gradient, eta: float) -> np.ndarray:

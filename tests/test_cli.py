@@ -386,3 +386,19 @@ def test_runtime_error_exits_1(tmp_path, capsys, monkeypatch):
                            "--output", str(tmp_path))
     assert code == 1
     assert err.startswith("error: ") and "norm" in err
+
+
+def test_solve_qubo_exact_depth1_beyond_sector_enumeration(tmp_path, capsys):
+    # sectors (16, 16) and (16, 15) are past the Fock enumeration cap; the
+    # exact depth-1 objective never enumerates them
+    rng = np.random.default_rng(16)
+    q = rng.normal(size=(16, 16))
+    path = tmp_path / "q16.csv"
+    np.savetxt(path, (q + q.T) / 2, delimiter=",")
+    code, out, err = run_cli(capsys, "solve-qubo", "--matrix", str(path),
+                             "--exact", "--depth", "1", "--iterations", "1",
+                             "--output", str(tmp_path))
+    assert code == 0, err
+    doc = json.loads((tmp_path / "qubo_result.json").read_text())
+    assert len(doc["b_min"]) == 16
+    assert doc["e_min"] >= doc["brute_force"]["e_min"] - 1e-9

@@ -86,6 +86,23 @@ def test_block_unitarity_all_small_sectors():
             assert np.max(np.abs(np.linalg.norm(cols, axis=1) - 1)) < 1e-12
 
 
+def test_block_column_rows_ignore_the_batch():
+    # one angle pair would take numpy's matrix-vector path, which rounds
+    # differently from the same pair inside a batch
+    rng = np.random.default_rng(5)
+    for m in range(0, 71):
+        thetas, psis = rng.uniform(0, 2 * np.pi, (2, 40))
+        p = int(rng.integers(m + 1))
+        batch = two_mode_block_column(m, p, thetas, psis)
+        for k in range(0, 40, 13):
+            alone = two_mode_block_column(m, p, thetas[k:k + 1],
+                                          psis[k:k + 1])
+            assert alone.shape == (1, m + 1)
+            assert np.array_equal(alone[0], batch[k])
+        assert np.array_equal(
+            two_mode_block_column(m, p, thetas[:2], psis[:2]), batch[:2])
+
+
 def convolution_block_column(m, p, theta, psi):
     """Oracle: column p of the block as a convolution of two expansions.
 

@@ -1,4 +1,5 @@
-"""Property tests: sector indexing, gate-list evolution and chain sampling.
+"""Property tests: sector indexing, gate-list evolution, the depth-1 chain
+and problem energies.
 
 The profile is derandomized with a bounded example count, so the suite
 draws the same cases on every run and stays fast.
@@ -12,7 +13,13 @@ from shallowboson.interferometer import (
     CircuitSpec, QuantumState, TwoModeGate, apply_gate, reck_input,
     schwinger_expectation,
 )
-from shallowboson.sampling import chain_sample_depth1_batch
+from shallowboson.problems import (
+    IsingProblem, MobiusProblem, QuboProblem, qubo_to_ising,
+    synthetic_portfolio,
+)
+from shallowboson.sampling import (
+    chain_sample_depth1_batch, depth1_parity_masses,
+)
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None)
@@ -145,3 +152,67 @@ def test_chain_draws_of_a_row_ignore_the_rest_of_the_batch(case, data):
         [psis[rows], np.full((fresh, psis.shape[1]), 0.4)])
     again = chain_sample_depth1_batch(inp, new_thetas, 40, seed, new_psis)
     assert np.array_equal(again[r], full)
+
+
+@PROPERTY
+@given(chain_batches(), st.integers(0, 1))
+def test_parity_masses_of_a_row_ignore_the_rest_of_the_batch(case, parity):
+    inp, thetas, psis, r = case
+    full = depth1_parity_masses(inp, thetas, parity, psis)
+    alone = depth1_parity_masses(inp, thetas[r:r + 1], parity,
+                                 psis[r:r + 1])
+    assert np.array_equal(alone[0], full[r])
+    tail = depth1_parity_masses(inp, thetas[r:], parity, psis[r:])
+    assert np.array_equal(tail[0], full[r])
+
+
+@st.composite
+def problems_and_rows(draw):
+    """One of the four problem classes with a batch of bit rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["qubo", "ising", "mobius", "portfolio"]))
+    if kind == "mobius":
+        m = 2 * draw(st.integers(2, 8))
+        problem = MobiusProblem(m, rng.normal(), rng.normal())
+    elif kind == "portfolio":
+        problem = synthetic_portfolio(
+            draw(st.integers(1, 5)), seed,
+            gamma=float(rng.uniform(0, 3)),
+            n_bits_per_asset=draw(st.integers(1, 3)),
+            approach=draw(st.sampled_from(["normalized", "penalty"])))
+        m = problem.num_bits
+    else:
+        m = draw(st.integers(1, 16))
+        q = rng.normal(size=(m, m))
+        problem = (QuboProblem(q) if kind == "qubo"
+                   else IsingProblem(
+                       {(i, j): rng.normal() for i in range(m)
+                        for j in range(i + 1, m)},
+                       rng.normal(size=m), rng.normal()))
+    rows = rng.integers(0, 2, (draw(st.integers(1, 60)), m))
+    return problem, rows
+
+
+@PROPERTY
+@given(problems_and_rows())
+def test_energy_of_a_row_ignores_the_rest_of_the_batch(case):
+    problem, rows = case
+    energies = problem.energies(rows)
+    for i in range(len(rows)):
+        assert energies[i] == problem.energies(rows[i:i + 1])[0]
+
+
+@PROPERTY
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1))
+def test_qubo_and_ising_energies_agree(m, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(m, m)) * rng.uniform(0.1, 10)
+    rows = rng.integers(0, 2, (50, m))
+    qubo = QuboProblem(q).energies(rows)
+    ising = qubo_to_ising(q).energies(rows)
+    # relative to the size of the terms: an energy that cancels to near
+    # zero carries the rounding of its terms, not of itself
+    scale = np.abs(q).sum()
+    assert np.all(np.abs(qubo - ising) <= 1e-12 * np.maximum(np.abs(qubo),
+                                                             scale))

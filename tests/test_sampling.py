@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import shallowboson.sampling as sampling
 from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import (
-    build_reck_slices, evolve, exact_distribution, reck_input, two_mode_block,
+    build_reck_slices, evolve, evolve_batch, exact_distribution, reck_input,
+    two_mode_block,
 )
+from shallowboson.parity import bits_to_codes, coarse_grain, parity_bits
+from shallowboson.problems import MobiusProblem
 from shallowboson.sampling import (
-    as_seed_sequence, chain_sample_depth1_batch, sample_patterns,
+    as_seed_sequence, chain_sample_depth1_batch, depth1_parity_masses,
+    gate_outcome_table, sample_patterns,
 )
 
 
@@ -253,3 +258,162 @@ def test_chain_sampler_needs_a_sample():
 def test_chain_sampler_empty_batch():
     out = chain_sample_depth1_batch((1, 1, 0), np.zeros((0, 2)), 5, 0)
     assert out.shape == (0, 5, 3) and out.dtype == np.uint16
+
+
+def test_gate_outcome_table_is_the_squared_block_column():
+    rng = np.random.default_rng(3)
+    thetas, psis = rng.uniform(0, 2 * np.pi, (2, 5))
+    thetas[4], psis[4] = thetas[1], psis[1]
+    for fresh in (0, 1):
+        totals = [fresh, fresh + 2, 9]
+        table, row_code = gate_outcome_table(fresh, totals, thetas, psis)
+        assert table.shape == (4, 10, 10) and row_code[4] == row_code[1]
+        for t in range(10):
+            for r in range(5):
+                expected = np.zeros(10)
+                if t in totals:
+                    expected[:t + 1] = np.abs(two_mode_block(
+                        t, thetas[r], psis[r])[:, fresh]) ** 2
+                assert np.max(np.abs(table[row_code[r], t] - expected)
+                              ) < 1e-14
+
+
+def test_sampler_and_exact_pass_share_one_table(monkeypatch):
+    calls = []
+    original = sampling.gate_outcome_table
+
+    def recording(fresh, totals, thetas, psis):
+        calls.append(len(thetas))
+        return original(fresh, totals, thetas, psis)
+
+    monkeypatch.setattr(sampling, "gate_outcome_table", recording)
+    thetas = np.full((3, 4), 0.8)
+    chain_sample_depth1_batch((1, 1, 1, 1, 1), thetas, 20, 0)
+    assert calls == [3] * 4  # one call per gate over the whole batch
+    depth1_parity_masses((1, 1, 1, 1, 1), thetas, 0)
+    assert calls == [3] * 8
+
+
+def dense_parity_masses(circuit, theta_rows, parity, psi_rows=None):
+    """Oracle: coarse-grained dense states, one row of 2^M masses each."""
+    out = np.zeros((len(theta_rows), 2 ** circuit.num_modes))
+    for r, state in evolve_batch(circuit, theta_rows, psi_rows):
+        bits, masses = coarse_grain(state.basis.patterns,
+                                    state.probabilities(), parity)
+        out[r, bits_to_codes(bits)] = masses
+    return out
+
+
+def test_depth1_parity_masses_match_dense_oracle():
+    rng = np.random.default_rng(17)
+    for m in range(2, 10):
+        for n in (m, m - 1):
+            circ = build_reck_slices(m, 1, reck_input(m, n))
+            thetas = rng.uniform(0, 2 * np.pi, (3, m - 1))
+            thetas[2, 0] = 0.0  # an identity gate
+            psis = rng.uniform(0, 2 * np.pi, thetas.shape)
+            for parity in (0, 1):
+                for phases in (None, psis):
+                    masses = depth1_parity_masses(circ.input, thetas, parity,
+                                                  phases)
+                    oracle = dense_parity_masses(circ, thetas, parity, phases)
+                    assert masses.shape == (3, 2 ** m)
+                    assert np.max(np.abs(masses - oracle)) < 1e-12
+                    assert np.allclose(masses.sum(axis=1), 1.0, atol=1e-12)
+                    # bit strings outside the parity image get no mass
+                    assert np.all(masses[oracle == 0] == 0)
+
+
+def test_depth1_parity_masses_validation():
+    with pytest.raises(ValueError, match="parity variant"):
+        depth1_parity_masses((1, 1, 1), np.zeros((1, 2)), 2)
+    with pytest.raises(ValueError, match="theta batch"):
+        depth1_parity_masses((1, 1, 1), np.zeros((1, 3)), 0)
+    # refused before anything of size 2^M is allocated
+    with pytest.raises(ValueError, match="refusing"):
+        depth1_parity_masses(reck_input(21, 20), np.zeros((1, 20)), 0)
+    assert depth1_parity_masses((1, 1, 0), np.zeros((0, 2)), 1).shape == (0, 8)
+
+
+def pairwise_spin_moments(input_pattern, thetas, parity):
+    """Oracle: exact depth-1 spin correlations <s_a s_b>, O(M^2 n^2).
+
+    s = 2 b - 1 for the parity bit b of a mode.  The carried photon count
+    is a Markov chain over the cascade: gate g moves carry c to u with
+    probability |<u, c+f-u| B |f, c>|^2 and freezes mode M-1-g with
+    c + f - u photons; mode 0 keeps the last carry.  For each first mode a,
+    the carry distribution weighted by s_a is pushed through the later
+    gates, which gives every <s_a s_b> with b after a.
+    """
+    inp = tuple(input_pattern)
+    m, n = len(inp), sum(inp)
+    levels = np.arange(n + 1)
+
+    def spin(count):
+        return 2.0 * ((count & 1) ^ parity) - 1.0
+
+    steps = []  # (transition, spin of the frozen mode) per gate
+    for g, mode in enumerate(range(m - 2, -1, -1)):
+        fresh = inp[mode]
+        trans = np.zeros((n + 1, n + 1))
+        for c in range(n + 1 - fresh):
+            t = c + fresh
+            trans[c, :t + 1] = np.abs(
+                two_mode_block(t, thetas[g], 0.0)[:, fresh]) ** 2
+        frozen = levels[:, None] + fresh - levels[None, :]
+        steps.append((trans, spin(frozen)))
+    corr = np.eye(m)
+    carry = np.zeros(n + 1)
+    carry[inp[m - 1]] = 1.0
+    for a_gate in range(m - 1):
+        trans, s_a = steps[a_gate]
+        weighted = ((carry[:, None] * trans) * s_a).sum(axis=0)
+        a = m - 1 - a_gate
+        for b_gate in range(a_gate + 1, m - 1):
+            trans_b, s_b = steps[b_gate]
+            b = m - 1 - b_gate
+            corr[a, b] = corr[b, a] = np.sum(
+                (weighted[:, None] * trans_b) * s_b)
+            weighted = weighted @ trans_b
+        corr[a, 0] = corr[0, a] = weighted @ spin(levels)
+        carry = carry @ trans
+    return corr
+
+
+def mobius_energy_from_correlations(problem, corr):
+    n, half = problem.n, problem.n // 2
+    ring = sum(corr[i, (i + 1) % n] for i in range(n))
+    rungs = sum(corr[i, i + half] for i in range(half))
+    return -problem.j_a * ring - problem.j_b * rungs
+
+
+def test_pairwise_oracle_matches_exact_masses():
+    rng = np.random.default_rng(23)
+    for m in (4, 6, 8):
+        problem = MobiusProblem(m, 0.5, -0.2)
+        codes = np.arange(2 ** m)
+        bits = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        energies = problem.energies(bits)
+        for n in (m, m - 1):
+            inp = reck_input(m, n)
+            thetas = rng.uniform(0, 2 * np.pi, m - 1)
+            for parity in (0, 1):
+                masses = depth1_parity_masses(inp, thetas[None], parity)[0]
+                corr = pairwise_spin_moments(inp, thetas, parity)
+                assert abs(mobius_energy_from_correlations(problem, corr)
+                           - masses @ energies) < 1e-12
+
+
+def test_chain_sampler_mean_energy_at_70_modes():
+    # the 70-mode ring is beyond any dense or 2^M method; the pairwise
+    # oracle gives its exact depth-1 energy
+    problem = MobiusProblem(70, 0.5, -0.2)
+    thetas = np.random.default_rng(70).uniform(0, 2 * np.pi, 69)
+    for n, parity in ((70, 0), (69, 1)):
+        inp = reck_input(70, n)
+        exact = mobius_energy_from_correlations(
+            problem, pairwise_spin_moments(inp, thetas, parity))
+        shots = chain_sample_depth1_batch(inp, thetas[None], 4000, 7)[0]
+        drawn = problem.energies(parity_bits(shots, parity))
+        stderr = drawn.std(ddof=1) / np.sqrt(len(drawn))
+        assert abs(drawn.mean() - exact) < 5 * stderr

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import shallowboson.fock as fock
 import shallowboson.interferometer as interferometer
+import shallowboson.solver as solver
 from shallowboson.interferometer import (
     build_reck_slices, evolve, reck_input, schwinger_expectation,
 )
@@ -142,6 +144,32 @@ def test_exact_iteration_gate_applications(monkeypatch):
     # prefix (g - 1) and its 2g branches (g(g + 1), 2g * g row by row)
     assert len(calls) == 4 * (g + (g - 1) + g * (g + 1))
     assert result.evaluation_count == 4 * 2 * g
+
+
+def test_exact_depth1_builds_no_fock_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact depth 1 touched the dense engine")
+
+    for module, name in ((fock, "enumerate_basis"),
+                         (solver, "enumerate_basis"),
+                         (interferometer, "enumerate_basis"),
+                         (interferometer, "apply_gate")):
+        monkeypatch.setattr(module, name, refuse)
+    m = 16
+    assert fock.sector_size(m, m) > fock._ENUMERATION_CAP
+    problem = _toy_problem(m, seed=9)
+    obj = ParityObjective(problem, m, 0, depth=1, samples=None)
+    base = np.random.default_rng(16).uniform(0, 2 * np.pi, m - 1)
+    rows = np.repeat(base[None, :], 2 * (m - 1) + 1, axis=0)
+    for k in range(m - 1):
+        rows[2 * k + 1, k] += np.pi / 2
+        rows[2 * k + 2, k] -= np.pi / 2
+    energies, best_e, best_b = obj.value_batch(rows)
+    assert np.all(np.isfinite(energies)) and len(best_b) == m
+    assert best_e == problem.energies(np.array([best_b]))[0]
+    assert best_e <= energies.min() + 1e-9
+    # the same rows through a different chunking of the batch
+    assert obj.value_batch(rows[1:3])[0].tolist() == energies[1:3].tolist()
 
 
 class _QuadraticStub:
