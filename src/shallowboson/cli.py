@@ -298,6 +298,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    bad_orders = [k for k in args.count_bk or () if k < 1]
+    if bad_orders:
+        raise UsageError(f"Boolean order must be >= 1, got {bad_orders[0]}")
     if args.mu:
         try:
             mu = tuple(int(c) for c in args.mu.split(","))

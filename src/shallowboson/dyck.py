@@ -2,16 +2,26 @@
 
 A Dyck path of length k runs from height delta1 to height delta2 in unit
 up/down steps and never dips below zero.  The closed-form count is the
-ballot-style difference of two binomials; enumeration is by backtracking.
-The staircase image of a Dyck word lives on the grid whose x axis counts
-detectors and whose y axis counts cumulative detected photons, which is
-the form used to enumerate reachable detection patterns of sliced meshes.
+ballot-style difference of two binomials.  Enumeration unranks the
+lexicographically ordered words in fixed-size blocks of rows from a table
+of completion counts, one vectorised step per column.  The staircase
+image of a Dyck word lives on the grid whose x axis counts detectors and
+whose y axis counts cumulative detected photons, which is the form used
+to enumerate reachable detection patterns of sliced meshes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
+
+# rows unranked per block: bounds each call's temporaries to a few
+# hundred kilobytes whatever the family size
+_BLOCK_ROWS = 1 << 14
+_INT64_MAX = np.iinfo(np.int64).max
+_D, _U, _NL = ord("D"), ord("U"), ord("\n")
 
 
 @dataclass(frozen=True)
@@ -54,33 +64,60 @@ def catalan_number(m: int) -> int:
 
 
 def enumerate_dyck_paths(spec: DyckSpec) -> list[str]:
-    """All U/D words of the family, in lexicographic order (D < U)."""
+    """All U/D words of the family, in lexicographic order (D < U).
+
+    Row r of the ordered family is unranked column by column: at height h
+    with s steps left the word continues with D iff r is below the number
+    of completions after that D, else with U, and r drops by that number.
+    Raises ValueError if a completion count does not fit int64.
+    """
+    table = _completion_table(spec)
+    k = spec.k
+    total = int(table[k, spec.delta1 + 1])
     paths: list[str] = []
-    _extend_paths(paths, [], spec.k, spec.delta1, spec.delta2)
+    for start in range(0, total, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, total - start)
+        rank = np.arange(start, start + rows, dtype=np.int64)
+        height = np.full(rows, spec.delta1, dtype=np.int64)
+        buf = np.empty((rows, k + 1), dtype=np.uint8)  # one word per row
+        for col in range(k):
+            # table column `height` holds the completions after a D step
+            down = table[k - col - 1][height]
+            up = rank >= down
+            np.subtract(rank, down, out=rank, where=up)
+            height += up
+            height -= ~up
+            buf[:, col] = up
+        buf *= _U - _D
+        buf += _D
+        buf[:, k] = _NL
+        # the trailing newline is cut so that split yields `rows` words
+        paths.extend(str(buf.reshape(-1)[:-1].data, "ascii").split("\n"))
     return paths
 
 
-def _extend_paths(paths: list[str], word: list[str], steps_left: int,
-                  height: int, d2: int) -> None:
-    """Append every completion of `word` that ends at height d2.
+def _completion_table(spec: DyckSpec) -> np.ndarray:
+    """int64 table[s, h + 1]: words of s steps from height h to delta2.
 
-    Not nested in its caller: a recursive closure is a reference cycle,
-    which would keep each returned list alive until a cyclic collection.
+    Only words that never go below zero count; column 0 stands for height
+    -1 and stays 0.  Heights stop at max(delta1, delta2) + k: paths that
+    would climb above are dropped, which leaves exact every entry a word
+    of the family can reach.  Rows are summed in uint64, which holds the
+    sum of two int64 entries, and a row with an entry beyond int64 is
+    refused before it is used, so the table never wraps around.
     """
-    if steps_left == 0:
-        if height == d2:
-            paths.append("".join(word))
-        return
-    # prune: the end height must stay reachable
-    if abs(height - d2) > steps_left:
-        return
-    if height > 0:
-        word.append("D")
-        _extend_paths(paths, word, steps_left - 1, height - 1, d2)
-        word.pop()
-    word.append("U")
-    _extend_paths(paths, word, steps_left - 1, height + 1, d2)
-    word.pop()
+    k, d2 = spec.k, spec.delta2
+    width = max(spec.delta1, d2) + k + 2
+    table = np.zeros((k + 1, width), dtype=np.uint64)
+    table[0, d2 + 1] = 1
+    for s in range(1, k + 1):
+        table[s, 1:-1] = table[s - 1, :-2] + table[s - 1, 2:]
+        if table[s].max() > _INT64_MAX:
+            raise ValueError(
+                f"{spec} is too large to enumerate: its completion counts "
+                f"exceed int64"
+            )
+    return table.view(np.int64)
 
 
 def dyck_heights(word: str, spec: DyckSpec) -> list[int]:

@@ -88,18 +88,12 @@ def young_lattice(mu) -> YoungLattice:
     """Lattice of all diagrams bounded columnwise by mu."""
     bound = _validate_diagram(mu)
     k = len(bound)
-    vertices: list[Diagram] = []
-
-    def fill(prefix: list[int], col: int, low: int):
-        if col == k:
-            vertices.append(tuple(prefix))
-            return
-        for v in range(low, bound[col] + 1):
-            prefix.append(v)
-            fill(prefix, col + 1, v)
-            prefix.pop()
-
-    fill([], 0, 0)
+    # column by column: each prefix continues with every value from its
+    # last column up to the bound (no recursive closure, so no cycle)
+    vertices: list[Diagram] = [()]
+    for col, top in enumerate(bound):
+        vertices = [v + (c,) for v in vertices
+                    for c in range(v[-1] if col else 0, top + 1)]
     vertices.sort(key=lambda v: (sum(v), v))
     vset = set(vertices)
     edges = []
@@ -208,6 +202,11 @@ def parity_distinctness_check(num_modes: int) -> bool:
     return len(images) == 2 ** (m - 1)
 
 
+# entries of one (sets x pieces) candidate matrix: bounds the temporaries
+# of count_boolean_sublattices whatever the lattice size
+_CANDIDATES = 1 << 14
+
+
 def count_boolean_sublattices(lattice: YoungLattice, k: int,
                               unit_boxes: bool = False) -> int:
     """Number of Boolean B_k sublattices of the lattice.
@@ -218,47 +217,83 @@ def count_boolean_sublattices(lattice: YoungLattice, k: int,
     closed under meet and join and each sublattice is counted once.  With
     unit_boxes=True the box sets are restricted to single boxes, which is
     the plain remove-k-boxes counting.
+
+    For each bottom vertex one array comparison against all vertices
+    gives the candidate pieces (differences to the vertices above it) and
+    their column supports as packed bitmasks.  Sets of pieces, taken in
+    increasing piece order so that each is found once, grow one order at
+    a time over a (sets x pieces) candidate matrix: a piece joins a set
+    if its support is disjoint from the set's and every new subset sum is
+    a vertex.  Membership is exact for any vertex set and any width: each
+    sum is looked up by binary search among the sorted vertex rows, seen
+    as byte records, and must equal the row found.  No sum is skipped on
+    the strength of join-closure, which a hand-built vertex set may lack.
+    Sets are extended in chunks, depth first, so that each candidate
+    matrix holds about _CANDIDATES entries.
     """
     if k < 1:
         raise ValueError(f"Boolean order must be >= 1, got {k}")
-    vset = lattice._vertex_set
-    width = len(lattice.mu)
+    vertices = np.array(lattice.vertices, dtype=np.int64).reshape(
+        len(lattice.vertices), len(lattice.mu))
+    if len(vertices) < 2:
+        return 0  # no vertex lies above another
+    table = np.sort(_records(vertices))
     total = 0
-    for bottom in lattice.vertices:
-        # candidate pieces: differences to strictly larger vertices
-        pieces = []
-        for v in lattice.vertices:
-            if v == bottom:
-                continue
-            delta = tuple(a - b for a, b in zip(v, bottom))
-            if any(d < 0 for d in delta):
-                continue
-            if unit_boxes and sum(delta) != 1:
-                continue
-            supp = frozenset(c for c in range(width) if delta[c])
-            pieces.append((delta, supp))
-        pieces.sort()
-
-        def extend(start: int, chosen_sums: list[Diagram],
-                   used_support: frozenset, left: int) -> int:
-            if left == 0:
-                return 1
-            count = 0
-            for idx in range(start, len(pieces)):
-                delta, supp = pieces[idx]
-                if supp & used_support:
-                    continue
-                sums = [
-                    tuple(a + d for a, d in zip(s, delta))
-                    for s in chosen_sums
-                ]
-                if all(s in vset for s in sums):
-                    count += extend(idx + 1, chosen_sums + sums,
-                                    used_support | supp, left - 1)
-            return count
-
-        total += extend(0, [bottom], frozenset(), k)
+    for bottom in vertices:
+        delta = vertices - bottom
+        size = delta.sum(axis=1)
+        keep = (delta >= 0).all(axis=1) & (
+            size == 1 if unit_boxes else size > 0)
+        pieces = delta[keep]
+        if len(pieces) >= k:
+            total += _count_piece_sets(table, bottom, pieces, k)
     return total
+
+
+def _records(rows: np.ndarray) -> np.ndarray:
+    """View int64 rows as opaque byte records.
+
+    Records are equal iff the rows are; they sort and search in one byte
+    order, which is all a binary-search membership test needs.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    record = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return rows.view(record).reshape(len(rows))
+
+
+def _count_piece_sets(table: np.ndarray, bottom: np.ndarray,
+                      pieces: np.ndarray, k: int) -> int:
+    """k-sets of pieces with disjoint supports and all subset sums in table.
+
+    A partial set is the (2^j, width) array of its subset sums (bottom
+    first), its last piece index and its packed support; sets are kept in
+    chunks on an explicit stack.
+    """
+    count, width = 0, pieces.shape[1]
+    support = np.packbits(pieces > 0, axis=1)
+    order = np.arange(len(pieces))
+    chunk = max(1, _CANDIDATES // len(pieces))
+    stack = [(bottom[None, None, :], np.array([-1]),
+              np.zeros((1, support.shape[1]), dtype=np.uint8))]
+    while stack:
+        sums, last, used = stack.pop()
+        candidate = order > last[:, None]
+        candidate &= ~(used[:, None, :] & support).any(axis=2)
+        sets, new = np.nonzero(candidate)
+        grown = sums[sets] + pieces[new][:, None, :]
+        found = _records(grown.reshape(-1, width))
+        at = np.searchsorted(table, found).clip(max=len(table) - 1)
+        ok = (table[at] == found).reshape(grown.shape[:2]).all(axis=1)
+        if sums.shape[1] << 1 == 1 << k:  # the grown sets have k pieces
+            count += int(np.count_nonzero(ok))
+            continue
+        sets, new = sets[ok], new[ok]
+        sums = np.concatenate([sums[sets], grown[ok]], axis=1)
+        used = used[sets] | support[new]
+        for lo in range(0, len(new), chunk):
+            stack.append((sums[lo:lo + chunk], new[lo:lo + chunk],
+                          used[lo:lo + chunk]))
+    return count
 
 
 @dataclass

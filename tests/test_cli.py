@@ -286,6 +286,14 @@ def test_lattice_refuses_oversized(capsys, tmp_path):
     assert code == 2 and "refusing" in err
 
 
+def test_lattice_rejects_order_below_one_before_writing(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "lattice", "--mu", "1,2,3",
+                             "--count-bk", "2", "0", "--output", str(tmp_path))
+    assert code == 2 and "Boolean order must be >= 1" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("suite", [
     "dyck-counts", "multiplicities", "parity-surjectivity", "gradients"])
 def test_verify_suites_pass(tmp_path, capsys, suite):

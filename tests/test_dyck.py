@@ -1,12 +1,50 @@
 import gc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shallowboson.dyck import (
     DyckSpec, catalan_dyck_spec, catalan_number, dyck_count, dyck_heights,
     enumerate_dyck_paths, staircase_endpoint_heights, staircase_path,
     staircase_to_word,
 )
+
+PROPERTY = settings(max_examples=80, derandomize=True, deadline=None,
+                    database=None)
+
+
+def recursive_dyck_paths(spec):
+    """Oracle: backtracking, D before U, so in lexicographic order."""
+    paths = []
+    _extend_paths(paths, [], spec.k, spec.delta1, spec.delta2)
+    return paths
+
+
+def _extend_paths(paths, word, steps_left, height, d2):
+    """Append every completion of `word` that ends at height d2."""
+    if steps_left == 0:
+        if height == d2:
+            paths.append("".join(word))
+        return
+    # prune: the end height must stay reachable
+    if abs(height - d2) > steps_left:
+        return
+    if height > 0:
+        word.append("D")
+        _extend_paths(paths, word, steps_left - 1, height - 1, d2)
+        word.pop()
+    word.append("U")
+    _extend_paths(paths, word, steps_left - 1, height + 1, d2)
+    word.pop()
+
+
+@st.composite
+def dyck_specs(draw, max_k=14, max_delta=8):
+    k = draw(st.integers(0, max_k))
+    d1 = draw(st.integers(0, max_delta))
+    d2 = draw(st.sampled_from(
+        [d for d in range(max_delta + 1) if (k + d - d1) % 2 == 0]))
+    return DyckSpec(k, d1, d2)
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -41,6 +79,29 @@ def test_enumeration_matches_closed_form():
                 paths = enumerate_dyck_paths(spec)
                 assert len(paths) == dyck_count(spec)
                 assert paths == sorted(paths)
+
+
+@PROPERTY
+@given(dyck_specs())
+@example(DyckSpec(0, 0, 0))
+@example(DyckSpec(0, 3, 3))
+@example(DyckSpec(2, 5, 1))   # empty: delta1 > k and delta2 out of reach
+@example(DyckSpec(4, 7, 3))   # delta1 > k, one word
+@example(DyckSpec(14, 8, 8))
+def test_enumeration_equals_recursive_oracle(spec):
+    assert enumerate_dyck_paths(spec) == recursive_dyck_paths(spec)
+
+
+def test_enumeration_spans_several_blocks():
+    # C_10 = 16,796 words: more rows than one unranking block holds
+    spec = DyckSpec(20, 0, 0)
+    assert enumerate_dyck_paths(spec) == recursive_dyck_paths(spec)
+
+
+@pytest.mark.parametrize("spec", [DyckSpec(70, 0, 0), DyckSpec(130, 0, 0)])
+def test_enumeration_refuses_counts_beyond_int64(spec):
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_dyck_paths(spec)
 
 
 def test_enumeration_leaves_no_reference_cycle():

@@ -1,8 +1,11 @@
 from itertools import combinations
 from math import comb
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shallowboson.dyck import catalan_dyck_spec, catalan_number, dyck_count
 from shallowboson.fock import enumerate_basis
@@ -12,6 +15,10 @@ from shallowboson.young import (
     ferrers_to_pattern, ordinal_sum_decomposition, parity_distinctness_check,
     pattern_to_ferrers, vertex_to_pattern, young_lattice,
 )
+
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    database=None)
 
 
 def _pattern_set(patterns):
@@ -211,6 +218,123 @@ def incomparable_pairs(lattice):
         if not le and not ge:
             count += 1
     return count
+
+
+def recursive_boolean_count(lattice, k, unit_boxes=False):
+    """Oracle: per bottom vertex, backtrack over sets of pieces in order.
+
+    A piece is the difference to a vertex above the bottom; a set grows by
+    a piece of disjoint column support whose sums with every subset sum
+    chosen so far are all vertices.
+    """
+    vset = lattice._vertex_set
+    width = len(lattice.mu)
+    total = 0
+    for bottom in lattice.vertices:
+        pieces = []
+        for v in lattice.vertices:
+            if v == bottom:
+                continue
+            delta = tuple(a - b for a, b in zip(v, bottom))
+            if any(d < 0 for d in delta):
+                continue
+            if unit_boxes and sum(delta) != 1:
+                continue
+            supp = frozenset(c for c in range(width) if delta[c])
+            pieces.append((delta, supp))
+        pieces.sort()
+        total += _extend_piece_sets(pieces, vset, 0, [bottom], frozenset(), k)
+    return total
+
+
+def _extend_piece_sets(pieces, vset, start, chosen_sums, used_support, left):
+    if left == 0:
+        return 1
+    count = 0
+    for idx in range(start, len(pieces)):
+        delta, supp = pieces[idx]
+        if supp & used_support:
+            continue
+        sums = [tuple(a + d for a, d in zip(s, delta)) for s in chosen_sums]
+        if all(s in vset for s in sums):
+            count += _extend_piece_sets(pieces, vset, idx + 1,
+                                        chosen_sums + sums,
+                                        used_support | supp, left - 1)
+    return count
+
+
+@st.composite
+def young_bounds(draw):
+    """A column bound of width <= 5 with entries <= 4."""
+    return tuple(sorted(draw(st.lists(st.integers(0, 4), max_size=5))))
+
+
+@PROPERTY
+@given(young_bounds(), st.integers(1, 4), st.booleans())
+def test_boolean_count_equals_recursive_oracle(mu, k, unit_boxes):
+    lattice = young_lattice(mu)
+    assert count_boolean_sublattices(lattice, k, unit_boxes) == (
+        recursive_boolean_count(lattice, k, unit_boxes))
+
+
+@pytest.mark.parametrize("unit_boxes", [False, True])
+def test_boolean_count_on_a_wide_chain(unit_boxes):
+    # (1,)*64 bounds a 65-element chain: every comparable pair is a B_1,
+    # the 64 covers are its single boxes, and a chain holds no B_2
+    lattice = young_lattice((1,) * 64)
+    assert len(lattice) == 65
+    assert count_boolean_sublattices(lattice, 1, unit_boxes) == (
+        64 if unit_boxes else comb(65, 2))
+    assert count_boolean_sublattices(lattice, 2, unit_boxes) == 0
+    assert recursive_boolean_count(lattice, 1, unit_boxes) == (
+        64 if unit_boxes else comb(65, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("unit_boxes", [False, True])
+def test_boolean_count_ignores_zero_columns(k, unit_boxes):
+    # thirty columns pinned at 0 leave a copy of the (3, 3, 3) lattice
+    padded = young_lattice((0,) * 30 + (3,) * 3)
+    plain = young_lattice((3, 3, 3))
+    want = recursive_boolean_count(plain, k, unit_boxes)
+    assert count_boolean_sublattices(padded, k, unit_boxes) == want
+    assert recursive_boolean_count(padded, k, unit_boxes) == want
+
+
+def test_boolean_count_checks_every_subset_sum():
+    from shallowboson.young import YoungLattice
+    # two disjoint single boxes above (0, 0, 1) whose union is missing: a
+    # hand-built vertex set need not be join-closed, so the sum is checked
+    vertices = [(0, 0, 1), (0, 0, 2), (0, 1, 1)]
+    broken = YoungLattice((0, 1, 2), vertices, [], set(vertices))
+    assert count_boolean_sublattices(broken, 2) == 0
+    closed = vertices + [(0, 1, 2)]
+    square = YoungLattice((0, 1, 2), closed, [], set(closed))
+    assert count_boolean_sublattices(square, 2) == 1
+    assert recursive_boolean_count(broken, 2) == 0
+    assert recursive_boolean_count(square, 2) == 1
+
+
+def test_young_lattice_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        young_lattice((2, 3, 4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_boolean_count_leaves_no_reference_cycle():
+    lattice = young_lattice((2, 3, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        count_boolean_sublattices(lattice, 3)
+        count_boolean_sublattices(lattice, 2, unit_boxes=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_boolean_squares_in_depth1_lattice():
