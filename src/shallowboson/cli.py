@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .verify import SUITES
 
 _OUTPUT_ENV = "SHALLOWBOSON_OUTPUT"
 _LATTICE_VERTEX_LIMIT = 1_000_000
+_CONFIG_FIELDS = {f.name for f in fields(SolverConfig)}
 
 
 class UsageError(Exception):
@@ -47,66 +49,42 @@ def _output_dir(args) -> Path:
     return path
 
 
-# the library defaults, except that the CLI samples unless told --exact
-_CONFIG_DEFAULTS = {**SolverConfig().to_dict(), "samples": 400}
-# JSON value types a config file may give each field
-_NUMBER, _NONE = (int, float), type(None)
-_CONFIG_TYPES = {
-    "depth": (int,), "samples": (int, _NONE), "eta": _NUMBER,
-    "max_iterations": (int,), "plateau_tolerance": _NUMBER,
-    "plateau_window": (int,), "master_seed": (int,),
-    "optimize_phases": (bool,), "target_energy": _NUMBER + (_NONE,),
-}
+def _read_input(path: str, what: str, parse):
+    """parse(Path) of an input file; missing or unparsable is a usage error."""
+    p = Path(path)
+    if not p.exists():
+        raise UsageError(f"{what} file not found: {path}")
+    try:
+        return parse(p)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"could not parse {what} file {path}: {exc!r}")
 
 
 def _solver_config(args) -> SolverConfig:
-    merged = dict(_CONFIG_DEFAULTS)
+    """--config overridden by the flags given; SolverConfig checks values."""
+    doc = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {args.config}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"could not parse {args.config}: {exc}")
+        doc = _read_input(args.config, "config",
+                          lambda p: json.loads(p.read_text()))
         if not isinstance(doc, dict):
             raise UsageError(f"{args.config} does not hold a JSON object")
         if isinstance(doc.get("config"), dict):
             doc = doc["config"]  # replay straight from a result document
-        unknown = set(doc) - set(merged)
+        unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
             raise UsageError(
                 f"unknown config keys in {args.config}: {sorted(unknown)}"
             )
-        for key, value in doc.items():
-            kinds = _CONFIG_TYPES[key]
-            if (not isinstance(value, kinds)
-                    or (isinstance(value, bool) and bool not in kinds)):
-                raise UsageError(
-                    f"config key {key!r} in {args.config} has the wrong "
-                    f"type: {value!r}"
-                )
-        merged.update(doc)
-    if args.depth is not None:
-        merged["depth"] = args.depth
+    flags = {name: getattr(args, name) for name in _CONFIG_FIELDS
+             if getattr(args, name, None) is not None}
+    merged = {"samples": 400, **doc, **flags}
     if args.exact:
         merged["samples"] = None
-    elif args.samples is not None:
-        merged["samples"] = args.samples
-    if args.seed is not None:
-        merged["master_seed"] = args.seed
-    if args.eta is not None:
-        merged["eta"] = args.eta
-    if args.iterations is not None:
-        merged["max_iterations"] = args.iterations
-    if args.plateau is not None:
-        merged["plateau_tolerance"] = args.plateau
-    if args.phases:
-        merged["optimize_phases"] = True
     return SolverConfig(**merged)
 
 
 def _add_solver_flags(sub):
+    """One flag per SolverConfig field (dest = field name) plus --exact."""
     sub.add_argument("--config", default=None, metavar="PATH",
                      help="JSON solver config, or a previous result "
                           "document to replay; explicit flags win")
@@ -116,30 +94,24 @@ def _add_solver_flags(sub):
                       help="evaluate objectives from the full distribution")
     mode.add_argument("--samples", type=int, default=None, metavar="N_S",
                       help="samples per evaluation (default 400)")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=None, dest="master_seed",
+                     metavar="SEED")
     sub.add_argument("--eta", type=float, default=None)
-    sub.add_argument("--iterations", type=int, default=None)
-    sub.add_argument("--plateau", type=float, default=None)
+    sub.add_argument("--iterations", type=int, default=None,
+                     dest="max_iterations", metavar="ITERATIONS")
+    sub.add_argument("--plateau", type=float, default=None,
+                     dest="plateau_tolerance", metavar="PLATEAU")
     sub.add_argument("--phases", action="store_true", default=None,
+                     dest="optimize_phases",
                      help="optimize phase angles alongside the splitters")
     sub.add_argument("--output", default=None,
                      help=f"output directory (default ${_OUTPUT_ENV} or .)")
 
 
-def _load_qubo(path: str) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"matrix file not found: {path}")
-    try:
-        if p.suffix == ".json":
-            matrix = np.asarray(json.loads(p.read_text()), dtype=float)
-        else:
-            matrix = np.loadtxt(p, delimiter=",", ndmin=2)
-    except Exception as exc:
-        raise UsageError(f"could not parse matrix file {path}: {exc}")
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise UsageError(f"matrix in {path} is not square: {matrix.shape}")
-    return matrix
+def _parse_matrix(p: Path) -> np.ndarray:
+    if p.suffix == ".json":
+        return np.asarray(json.loads(p.read_text()), dtype=float)
+    return np.loadtxt(p, delimiter=",", ndmin=2)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -161,7 +133,7 @@ def _write_result(out_dir: Path, stem: str, result, extra: dict) -> Path:
 
 
 def cmd_solve_qubo(args) -> int:
-    matrix = _load_qubo(args.matrix)
+    matrix = _read_input(args.matrix, "matrix", _parse_matrix)
     problem = QuboProblem(matrix)
     config = _solver_config(args)
     result = run_variational(problem, config)
@@ -198,47 +170,28 @@ def cmd_solve_mobius(args) -> int:
     return 0
 
 
+def _parse_moments(p: Path) -> tuple[np.ndarray, ...]:
+    doc = json.loads(p.read_text())
+    return tuple(np.asarray(doc[key], dtype=float) for key in ("mu", "sigma"))
+
+
 def cmd_solve_portfolio(args) -> int:
     if args.prices:
-        p = Path(args.prices)
-        if not p.exists():
-            raise UsageError(f"price file not found: {args.prices}")
-        rows = []
-        with p.open() as fh:
-            header = fh.readline().strip().split(",")
-            for lineno, line in enumerate(fh, start=2):
-                cells = line.strip().split(",")
-                if len(cells) != len(header):
-                    raise UsageError(
-                        f"{args.prices}:{lineno}: expected "
-                        f"{len(header)} columns"
-                    )
-                rows.append([cell for cell in cells[1:]])
-        try:
-            prices = np.asarray(rows, dtype=float)
-        except ValueError:
-            raise UsageError(f"{args.prices}: non-numeric price cell")
-        try:
-            mu, sigma = portfolio_returns_from_prices(prices)
-        except ValueError as exc:
-            raise UsageError(f"{args.prices}: {exc}")
+        # the header fixes the column count; the date column is dropped
+        mu, sigma = portfolio_returns_from_prices(_read_input(
+            args.prices, "price", lambda p: np.loadtxt(
+                p, delimiter=",", dtype=str, ndmin=2)[1:, 1:].astype(float)))
     elif args.moments:
-        p = Path(args.moments)
-        if not p.exists():
-            raise UsageError(f"moments file not found: {args.moments}")
-        try:
-            doc = json.loads(p.read_text())
-            mu = np.asarray(doc["mu"], dtype=float)
-            sigma = np.asarray(doc["sigma"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{args.moments} must be a JSON object with "
-                             f"numeric mu and sigma: {exc!r}")
+        mu, sigma = _read_input(args.moments, "moments", _parse_moments)
     else:
         raise UsageError("one of --prices or --moments is required")
-    gammas = [float(g) for g in args.gamma.split(",")] if args.gamma else [1.0]
+    gammas = [float(g) for g in args.gamma.split(",")] if args.gamma else None
     problem = PortfolioProblem(mu, sigma, n_bits_per_asset=args.nq,
                                approach=args.approach)
     config = _solver_config(args)
+    # drawn before the solve, so that a bad count fails before any work
+    cloud = random_portfolio_cloud(problem, args.random_baseline,
+                                   config.master_seed)
     run = run_portfolio(problem, config, gammas)
     out_dir = _output_dir(args)
     run.write_frontier_csv(out_dir / "frontier.csv")
@@ -250,11 +203,9 @@ def cmd_solve_portfolio(args) -> int:
                         "mu": mu.tolist(), "sigma": sigma.tolist()},
         })
     if args.random_baseline:
-        risks, rets = random_portfolio_cloud(
-            problem, args.random_baseline, args.seed)
         with open(out_dir / "random_portfolios.csv", "w") as fh:
             fh.write("risk,return\n")
-            for r, m in zip(risks, rets):
+            for r, m in zip(*cloud):
                 fh.write(f"{r!r},{m!r}\n")
     for pt in run.points:
         print(f"gamma={pt.gamma:g}  risk={pt.risk:.6f}  "
@@ -265,16 +216,13 @@ def cmd_solve_portfolio(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        spec = catalan_dyck_spec(args.M, args.n, args.depth)
-        closed_form = dyck_count(spec)
-        if closed_form > _LATTICE_VERTEX_LIMIT:
-            raise UsageError(
-                f"{closed_form} reachable patterns exceed "
-                f"{_LATTICE_VERTEX_LIMIT}; refusing to enumerate")
-        basis = catalan_basis(args.M, args.n, args.depth)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = catalan_dyck_spec(args.M, args.n, args.depth)
+    closed_form = dyck_count(spec)
+    if closed_form > _LATTICE_VERTEX_LIMIT:
+        raise UsageError(
+            f"{closed_form} reachable patterns exceed "
+            f"{_LATTICE_VERTEX_LIMIT}; refusing to enumerate")
+    basis = catalan_basis(args.M, args.n, args.depth)
     print(f"reachable patterns of the first {args.depth} slice(s), "
           f"M={args.M}, n={args.n}:")
     patterns = basis.tolist()
@@ -298,9 +246,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    bad_orders = [k for k in args.count_bk or () if k < 1]
-    if bad_orders:
-        raise UsageError(f"Boolean order must be >= 1, got {bad_orders[0]}")
     if args.mu:
         try:
             mu = tuple(int(c) for c in args.mu.split(","))
@@ -321,23 +266,20 @@ def cmd_lattice(args) -> int:
         raise UsageError(
             f"lattice may exceed {_LATTICE_VERTEX_LIMIT} vertices; refusing"
         )
-    try:
-        lattice = young_lattice(mu)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    lattice = young_lattice(mu)
+    # counted before any output, so that a bad order writes nothing
+    counts = [(k, count_boolean_sublattices(lattice, k),
+               count_boolean_sublattices(lattice, k, unit_boxes=True))
+              for k in args.count_bk or ()]
     out_dir = _output_dir(args)
-    text = export_lattice_text(lattice, ceiling)
-    (out_dir / "lattice.txt").write_text(text)
+    (out_dir / "lattice.txt").write_text(export_lattice_text(lattice, ceiling))
     (out_dir / "lattice.json").write_text(
         json.dumps(export_lattice_json(lattice, ceiling), sort_keys=True)
         + "\n")
     print(f"vertices = {len(lattice)}  cover edges = "
           f"{len(lattice.cover_edges)}")
-    if args.count_bk:
-        for k in args.count_bk:
-            general = count_boolean_sublattices(lattice, k)
-            unit = count_boolean_sublattices(lattice, k, unit_boxes=True)
-            print(f"B_{k} sublattices: {general} (single-box reading: {unit})")
+    for k, general, unit in counts:
+        print(f"B_{k} sublattices: {general} (single-box reading: {unit})")
     print(f"lattice written to {out_dir / 'lattice.txt'}")
     return 0
 
@@ -428,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

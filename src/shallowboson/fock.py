@@ -15,9 +15,8 @@ import numpy as np
 
 Pattern = tuple[int, ...]
 
-# Sector sizes are validated against 64-bit indexing before enumeration.
-_MAX_SECTOR = 2**63 - 1
-# Practical cap: dense enumeration above this is refused outright.
+# Practical cap: dense enumeration above this is refused outright (it
+# also keeps every pattern index far inside int64).
 _ENUMERATION_CAP = 50_000_000
 
 
@@ -40,10 +39,6 @@ class SectorBasis:
 
     def __init__(self, num_modes: int, num_photons: int):
         size = sector_size(num_modes, num_photons)
-        if size > _MAX_SECTOR:
-            raise ValueError(
-                f"sector ({num_modes}, {num_photons}) exceeds 64-bit indexing"
-            )
         if size > _ENUMERATION_CAP:
             raise ValueError(
                 f"sector ({num_modes}, {num_photons}) has {size} patterns, "

@@ -55,6 +55,22 @@ def bits_to_codes(bits) -> np.ndarray:
     return bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
 
 
+def parity_codes(patterns, j: int = 0) -> np.ndarray:
+    """``bits_to_codes(parity_bits(patterns, j))`` one mode column at a
+    time, without an int64 bit matrix of the whole pattern array."""
+    if j not in (0, 1):
+        raise ValueError(f"parity variant must be 0 or 1, got {j}")
+    patterns = np.asarray(patterns)
+    width = patterns.shape[-1]
+    if width > 63:
+        raise ValueError(f"{width}-bit strings do not fit a 64-bit code")
+    codes = np.zeros(patterns.shape[:-1], dtype=np.int64)
+    for column in np.moveaxis(patterns, -1, 0):
+        codes <<= 1
+        codes |= (column & 1) ^ j
+    return codes
+
+
 def codes_to_bits(codes, width: int) -> np.ndarray:
     """Inverse of :func:`bits_to_codes`: int64 rows of `width` bits."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -63,9 +79,8 @@ def codes_to_bits(codes, width: int) -> np.ndarray:
 
 def parity_groups(patterns, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Group index per row and group bit rows, in ascending code order."""
-    bits = parity_bits(patterns, j)
-    codes, index = np.unique(bits_to_codes(bits), return_inverse=True)
-    return index, codes_to_bits(codes, bits.shape[1])
+    codes, index = np.unique(parity_codes(patterns, j), return_inverse=True)
+    return index, codes_to_bits(codes, np.shape(patterns)[-1])
 
 
 def coarse_grain(patterns, probs, j: int = 0

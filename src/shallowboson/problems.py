@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from importlib import resources
+from math import comb
 
 import numpy as np
 
@@ -62,6 +63,9 @@ class IsingProblem:
                 raise ValueError(f"coupling ({i}, {j}) out of range")
         self.couplings = dict(couplings)
         self.constant = float(constant)
+        if not np.isfinite([*self.fields, *couplings.values(),
+                            self.constant]).all():
+            raise ValueError("fields, couplings or constant are non-finite")
         self._j = np.zeros((self.num_bits, self.num_bits))
         for (i, j), val in self.couplings.items():
             self._j[i, j] = val
@@ -106,6 +110,8 @@ class MobiusProblem:
         self.n = n
         self.j_a = float(j_a)
         self.j_b = float(j_b)
+        if not np.isfinite([self.j_a, self.j_b]).all():
+            raise ValueError(f"couplings must be finite, got {j_a}, {j_b}")
         self.num_bits = n
 
     def spin_energy(self, spins) -> float:
@@ -259,8 +265,8 @@ class PortfolioProblem:
         scale = max(1.0, float(np.max(np.abs(self.sigma))))
         if np.min(np.linalg.eigvalsh(self.sigma)) < -1e-9 * scale:
             raise ValueError("covariance must be positive semidefinite")
-        if self.gamma < 0:
-            raise ValueError(f"risk aversion must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0: {self.gamma}")
         if self.n_bits_per_asset < 1:
             raise ValueError("need at least one bit per asset")
         if self.approach not in ("penalty", "normalized"):
@@ -271,6 +277,8 @@ class PortfolioProblem:
             self.penalty_weight = default
         if self.zero_penalty is None:
             self.zero_penalty = default
+        if not np.isfinite([self.penalty_weight, self.zero_penalty]).all():
+            raise ValueError("penalty weights must be finite")
 
     @property
     def n_assets(self) -> int:
@@ -318,20 +326,12 @@ def count_unit_sum_allocations(n_assets: int, n_bits_per_asset: int) -> int:
     """Bit assignments whose decoded weights sum exactly to 1.
 
     Under the per-asset integer reading, these are the solutions of
-    sum_i q_i = 2^N_q - 1 with q_i in [0, 2^N_q - 1], counted by dynamic
-    programming.
+    sum_i q_i = T with q_i in [0, T] and T = 2^N_q - 1.  No q_i can exceed
+    T when the sum is T, so they are the weak compositions of T into
+    n_assets parts, binom(T + n_assets - 1, n_assets - 1).
     """
     target = 2**n_bits_per_asset - 1
-    ways = np.zeros(target + 1, dtype=object)
-    ways[0] = 1
-    for _ in range(n_assets):
-        new = np.zeros_like(ways)
-        for total in range(target + 1):
-            if ways[total]:
-                for q in range(min(target, target - total) + 1):
-                    new[total + q] += ways[total]
-        ways = new
-    return int(ways[target])
+    return comb(target + n_assets - 1, n_assets - 1) if n_assets else 0
 
 
 @dataclass
@@ -375,23 +375,27 @@ def run_portfolio(problem: PortfolioProblem, config: SolverConfig,
     """Sweep risk aversions, solve each, and collect frontier points."""
     if gammas is None:
         gammas = [1.0]
+    # every instance is checked before the first solve
+    instances = [replace(problem, gamma=float(gamma),
+                         penalty_weight=problem.penalty_weight,
+                         zero_penalty=problem.zero_penalty)
+                 for gamma in gammas]
     points = []
     results = {}
-    for gamma in gammas:
-        instance = replace(problem, gamma=float(gamma),
-                           penalty_weight=problem.penalty_weight,
-                           zero_penalty=problem.zero_penalty)
+    for instance in instances:
         result = run_variational(instance, config)
         risk, ret = allocation_risk_return(instance, result.b_min)
-        points.append(FrontierPoint(float(gamma), risk, ret,
+        points.append(FrontierPoint(instance.gamma, risk, ret,
                                     result.b_min, result.e_min))
-        results[float(gamma)] = result
+        results[instance.gamma] = result
     return PortfolioRun(points, results)
 
 
 def random_portfolio_cloud(problem: PortfolioProblem, count: int, seed
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Risk/return of `count` random non-empty bit allocations."""
+    if count < 0:
+        raise ValueError(f"portfolio count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(count, problem.num_bits))
     empty = bits.sum(axis=1) == 0

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
+import sys
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
-from .parity import Bits, bits_to_codes, codes_to_bits, parity_bits
+from .parity import Bits, codes_to_bits, parity_bits, parity_codes
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
                        depth1_parity_masses, sample_patterns)
 
@@ -29,6 +30,10 @@ _SUPPORT_TOL = 1e-12
 # this many bytes of mass arrays, or one row when a row needs more.
 _CHUNK_BYTES = 1 << 26
 _CODE_CHUNK = 1 << 16
+
+
+# accepted types per annotated field type; a bool is neither int nor float
+_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass
@@ -46,6 +51,21 @@ class SolverConfig:
     target_energy: float | None = None
 
     def __post_init__(self):
+        for spec in fields(self):  # types as annotated, floats finite
+            kind, _, optional = spec.type.partition(" | ")
+            value = getattr(self, spec.name)
+            if isinstance(value, np.generic):
+                value = value.item()
+                setattr(self, spec.name, value)
+            if value is None and optional:
+                continue
+            if (not isinstance(value, _KINDS[kind])
+                    or isinstance(value, bool) != (kind == "bool")
+                    or (kind == "float"
+                        and not abs(value) <= sys.float_info.max)):
+                raise ValueError(f"{spec.name} must be of type {spec.type}"
+                                 f"{' and finite' if kind == 'float' else ''}"
+                                 f", got {value!r}")
         if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.eta <= 0:
@@ -210,8 +230,8 @@ class ParityObjective:
         else:
             if self._pattern_codes is None:
                 basis = enumerate_basis(self.num_modes, self.num_photons)
-                self._pattern_codes = bits_to_codes(
-                    parity_bits(basis.patterns, self.parity))
+                self._pattern_codes = parity_codes(basis.patterns,
+                                                   self.parity)
             for r, state in evolve_batch(self.circuit, thetas, psis):
                 reduce([r], np.bincount(
                     self._pattern_codes, weights=state.probabilities(),
@@ -354,7 +374,7 @@ def run_variational(problem, config: SolverConfig) -> SolverResult:
 
         curves[tag] = curve
         finals[tag] = [float(a) for a in angles]
-        converged[tag] = curve[-1][1] if curve else float("nan")
+        converged[tag] = curve[-1][1]
 
     return SolverResult(
         e_min=float(e_min),

@@ -350,41 +350,35 @@ def export_lattice_text(lattice: YoungLattice, num_photons: int | None = None
                         ) -> str:
     """Graph description: one labelled vertex per line plus cover edges.
 
-    Each vertex carries the three labels (diagram, detection pattern,
-    parity bit string of the pattern).
+    Each vertex carries the three labels of :func:`export_lattice_json`
+    (diagram, detection pattern, parity bit string of the pattern).
     """
-    ceiling = num_photons if num_photons is not None else (
-        lattice.mu[-1] if lattice.mu else 0)
-    index = {v: t for t, v in enumerate(lattice.vertices)}
-    lines = []
-    for t, v in enumerate(lattice.vertices):
-        pattern = vertex_to_pattern(v, ceiling)
-        bits = tuple(x % 2 for x in pattern)
-        lines.append(
-            f"vertex {t} diagram={','.join(map(str, v))} "
-            f"pattern={','.join(map(str, pattern))} "
-            f"bits={''.join(map(str, bits))}"
-        )
-    for a, b in lattice.cover_edges:
-        lines.append(f"edge {index[a]} {index[b]}")
+    doc = export_lattice_json(lattice, num_photons)
+    lines = [
+        f"vertex {t} diagram={','.join(map(str, v['diagram']))} "
+        f"pattern={','.join(map(str, v['pattern']))} bits={v['bits']}"
+        for t, v in enumerate(doc["vertices"])
+    ]
+    lines += [f"edge {a} {b}" for a, b in doc["edges"]]
     return "\n".join(lines) + "\n"
 
 
 def export_lattice_json(lattice: YoungLattice, num_photons: int | None = None
                         ) -> dict:
+    """Labelled vertices (diagram, pattern, bits) and indexed cover edges."""
     ceiling = num_photons if num_photons is not None else (
         lattice.mu[-1] if lattice.mu else 0)
     index = {v: t for t, v in enumerate(lattice.vertices)}
+    vertices = []
+    for v in lattice.vertices:
+        pattern = vertex_to_pattern(v, ceiling)
+        vertices.append({
+            "diagram": list(v),
+            "pattern": list(pattern),
+            "bits": "".join(str(x % 2) for x in pattern),
+        })
     return {
         "mu": list(lattice.mu),
-        "vertices": [
-            {
-                "diagram": list(v),
-                "pattern": list(vertex_to_pattern(v, ceiling)),
-                "bits": "".join(
-                    str(x % 2) for x in vertex_to_pattern(v, ceiling)),
-            }
-            for v in lattice.vertices
-        ],
+        "vertices": vertices,
         "edges": [[index[a], index[b]] for a, b in lattice.cover_edges],
     }

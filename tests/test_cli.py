@@ -170,11 +170,64 @@ def test_solver_config_file_malformed(tmp_path, capsys, doc):
     assert code == 2 and err.startswith("error: ") and out == ""
 
 
-def test_config_types_cover_solver_config():
-    from shallowboson.cli import _CONFIG_TYPES
-    from shallowboson.solver import SolverConfig
+@pytest.mark.parametrize("argv", [
+    ("solve-qubo", "--eta", "nan"), ("solve-qubo", "--eta", "inf"),
+    ("solve-qubo", "--plateau", "nan"), ("solve-mobius", "--ja", "nan"),
+    ("solve-mobius", "--jb", "inf"), ("solve-portfolio", "--gamma", "inf"),
+    ("solve-portfolio", "--gamma", "1,nan"), ("solve-qubo", "--config"),
+    ("solve-portfolio", "--random-baseline", "-5"),
+], ids=" ".join)
+def test_bad_input_is_refused_before_solving(tmp_path, capsys, monkeypatch,
+                                             argv):
+    import shallowboson.cli as cli
+    import shallowboson.problems as problems
 
-    assert set(_CONFIG_TYPES) == set(SolverConfig().to_dict())
+    def refuse(problem, config):
+        raise AssertionError("solver called on non-finite input")
+
+    monkeypatch.setattr(cli, "run_variational", refuse)
+    monkeypatch.setattr(problems, "run_variational", refuse)
+    matrix = tmp_path / "q.csv"
+    np.savetxt(matrix, np.eye(2), delimiter=",")
+    config = tmp_path / "config.json"
+    config.write_text('{"eta": NaN}')
+    problem = synthetic_portfolio(4, seed=3)
+    moments = _write_moments(tmp_path, {
+        "mu": problem.mu.tolist(), "sigma": problem.sigma.tolist()})
+    inputs = {"solve-qubo": ["--matrix", str(matrix)],
+              "solve-mobius": ["--n", "4"],
+              "solve-portfolio": ["--moments", str(moments)]}
+    argv = list(argv) + ([str(config)] if argv[-1] == "--config" else [])
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, argv[0], *inputs[argv[0]], *argv[1:],
+                             "--samples", "8", "--output", str(out_dir))
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert not out_dir.exists()
+
+
+def _portfolio_baseline(capsys, tmp_path, moments, sub, *flags):
+    out_dir = tmp_path / sub
+    code, _, err = run_cli(
+        capsys, "solve-portfolio", "--moments", str(moments), "--samples",
+        "8", "--iterations", "1", "--random-baseline", "50", *flags,
+        "--output", str(out_dir))
+    assert code == 0, err
+    return (out_dir / "random_portfolios.csv").read_bytes()
+
+
+def test_random_baseline_follows_master_seed(tmp_path, capsys):
+    problem = synthetic_portfolio(4, seed=3)
+    moments = _write_moments(tmp_path, {
+        "mu": problem.mu.tolist(), "sigma": problem.sigma.tolist()})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"master_seed": 7}))
+    first = _portfolio_baseline(capsys, tmp_path, moments, "a")
+    assert _portfolio_baseline(capsys, tmp_path, moments, "b") == first
+    seeded = _portfolio_baseline(capsys, tmp_path, moments, "c",
+                                 "--seed", "7")
+    assert seeded != first
+    assert _portfolio_baseline(capsys, tmp_path, moments, "d",
+                               "--config", str(config)) == seeded
 
 
 def test_solve_mobius_small_exact(tmp_path, capsys):
@@ -266,6 +319,27 @@ def test_lattice_counts(tmp_path, capsys):
     assert "single-box reading: 4" in out
     assert (out_dir / "lattice.txt").exists()
     assert (out_dir / "lattice.json").exists()
+
+
+# SHA-256 of (lattice.txt, lattice.json) as written when the text export
+# labelled every vertex itself
+_LATTICE_DIGESTS = {
+    ("--mu", "2,3,4"): (
+        "580c2b93eaaec2cb3f124222eb3394ca7ff2245c6825ed6f1c859b90fbc8e00d",
+        "dcae7027d3d260501f4c2287adf82d40828d2dfbd7bda04273d9d618286a1342"),
+    ("--sector", "6,6,2"): (
+        "e563532f7724d09118de817eaee7a52e8697bdbc281e5fba548e2c0f9588482a",
+        "889b217a800e2489d4f2f32db2c0c552dc35ff36e409fee7879534d82c857bff"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(_LATTICE_DIGESTS), ids=" ".join)
+def test_lattice_output_bytes(tmp_path, capsys, args):
+    code, _, _ = run_cli(capsys, "lattice", *args, "--output", str(tmp_path))
+    assert code == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("lattice.txt", "lattice.json")
+                 ) == _LATTICE_DIGESTS[args]
 
 
 def test_lattice_vertex_count_14(tmp_path, capsys):

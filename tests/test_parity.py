@@ -9,7 +9,8 @@ from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import build_reck_slices, evolve, reck_input
 from shallowboson.parity import (
     binom_identity_check, bits_to_codes, coarse_grain, codes_to_bits,
-    parity_bits, parity_map, upsilon0, upsilon0_prime, verify_surjectivity,
+    parity_bits, parity_codes, parity_map, upsilon0, upsilon0_prime,
+    verify_surjectivity,
 )
 from shallowboson.young import catalan_basis
 
@@ -116,6 +117,23 @@ def test_bit_codes_round_trip():
     assert np.array_equal(bits_to_codes(bits), codes)
     with pytest.raises(ValueError):
         bits_to_codes(np.zeros((1, 64), dtype=np.int64))
+
+
+def test_parity_codes_match_bit_codes():
+    for m in range(1, 9):
+        for n in range(m + 1):
+            patterns = enumerate_basis(m, n).patterns
+            for j in (0, 1):
+                assert np.array_equal(
+                    parity_codes(patterns, j),
+                    bits_to_codes(parity_bits(patterns, j)))
+    samples = catalan_basis(5, 4, 1).reshape(6, 7, 5)  # any leading shape
+    assert np.array_equal(parity_codes(samples, 1),
+                          bits_to_codes(parity_bits(samples, 1)))
+    with pytest.raises(ValueError):
+        parity_codes(np.zeros((1, 64), dtype=np.uint16))
+    with pytest.raises(ValueError):
+        parity_codes(samples, 2)
 
 
 def test_multiplicity_examples():

@@ -9,6 +9,7 @@ from shallowboson.problems import (
     portfolio_energy_penalty, portfolio_returns_from_prices, qubo_energy,
     qubo_to_ising, random_portfolio_cloud, synthetic_portfolio,
 )
+from shallowboson.solver import SolverConfig
 
 
 def all_bit_rows(width):
@@ -272,6 +273,22 @@ def test_unit_sum_subspace_count():
     assert count_unit_sum_allocations(20, 3) == comb(26, 7)
 
 
+def unit_sum_allocations_dp(n_assets, n_bits_per_asset):
+    """Oracle: solutions of sum_i q_i = 2^N_q - 1, q_i in [0, 2^N_q - 1]."""
+    target = 2**n_bits_per_asset - 1
+    ways = [1] + [0] * target
+    for _ in range(n_assets):
+        ways = [sum(ways[:total + 1]) for total in range(target + 1)]
+    return ways[target]
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+def test_unit_sum_count_matches_dynamic_programming(n_bits):
+    for n_assets in range(9):
+        assert count_unit_sum_allocations(n_assets, n_bits) == \
+            unit_sum_allocations_dp(n_assets, n_bits)
+
+
 def test_covariance_validation():
     with pytest.raises(ValueError):
         PortfolioProblem(np.ones(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -283,6 +300,35 @@ def test_covariance_validation():
         PortfolioProblem(np.array([0.1, np.nan]), np.eye(2))
     with pytest.raises(ValueError, match="non-finite"):
         PortfolioProblem(np.ones(2), np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_scalars_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MobiusProblem(8, bad, -0.2)
+    with pytest.raises(ValueError, match="finite"):
+        MobiusProblem(8, 0.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        IsingProblem({}, np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        IsingProblem({(0, 1): bad}, np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        IsingProblem({(0, 1): 1.0}, np.zeros(2), constant=bad)
+    for key in ("gamma", "penalty_weight", "zero_penalty"):
+        with pytest.raises(ValueError, match="finite"):
+            PortfolioProblem(np.ones(2), np.eye(2), **{key: bad})
+
+
+def test_run_portfolio_checks_every_gamma_before_solving(monkeypatch):
+    import shallowboson.problems as problems
+
+    def refuse(problem, config):
+        raise AssertionError("solved before every gamma was checked")
+
+    monkeypatch.setattr(problems, "run_variational", refuse)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        problems.run_portfolio(synthetic_portfolio(4, seed=1),
+                               SolverConfig(samples=8), [1.0, float("nan")])
 
 
 def test_synthetic_portfolio_reproducible():

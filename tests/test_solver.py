@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -299,6 +300,37 @@ def test_config_validation():
         SolverConfig(eta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+
+
+# a value of the wrong type for every SolverConfig field
+_WRONG_TYPED = {
+    "depth": 2.0, "samples": 2.5, "eta": "0.1", "max_iterations": None,
+    "plateau_tolerance": "1e-4", "plateau_window": 20.0,
+    "master_seed": "7", "optimize_phases": 1, "target_energy": "low",
+}
+_REAL_FIELDS = ("eta", "plateau_tolerance", "target_energy")
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SolverConfig),
+                         ids=lambda field: field.name)
+def test_config_rejects_wrong_types(field):
+    assert set(_WRONG_TYPED) == {
+        f.name for f in dataclasses.fields(SolverConfig)}
+    bad = [_WRONG_TYPED[field.name], True if field.type != "bool" else 0]
+    if field.name in _REAL_FIELDS:
+        bad += [np.nan, np.inf, -np.inf, np.float64(np.nan)]
+    for value in bad:
+        with pytest.raises(ValueError, match=field.name):
+            SolverConfig(**{field.name: value})
+
+
+def test_config_unwraps_numpy_scalars():
+    config = SolverConfig(depth=np.int64(2), samples=np.int32(8),
+                          eta=np.float32(0.5), optimize_phases=np.bool_(True))
+    assert config.to_dict() == SolverConfig(
+        depth=2, samples=8, eta=0.5, optimize_phases=True).to_dict()
+    assert type(config.depth) is int and type(config.eta) is float
+    assert json.dumps(config.to_dict())  # plain JSON, no numpy scalars
 
 
 def test_run_variational_bookkeeping():
