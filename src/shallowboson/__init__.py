@@ -30,8 +30,8 @@ from .young import (
 )
 from .sampling import sample_patterns, chain_sample_depth1_batch
 from .solver import (
-    SolverConfig, SolverResult, ParityObjective, parameter_shift_gradient,
-    finite_difference_gradient, gradient_step, run_variational,
+    SolverConfig, SolverResult, ParityObjective, finite_difference_gradient,
+    gradient_step, run_variational,
 )
 from .problems import (
     QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem, qubo_energy,
@@ -57,8 +57,8 @@ __all__ = [
     "count_boolean_sublattices", "ordinal_sum_decomposition",
     "export_lattice_text", "export_lattice_json", "sample_patterns",
     "chain_sample_depth1_batch", "SolverConfig", "SolverResult",
-    "ParityObjective", "parameter_shift_gradient",
-    "finite_difference_gradient", "gradient_step", "run_variational",
+    "ParityObjective", "finite_difference_gradient", "gradient_step",
+    "run_variational",
     "QuboProblem", "IsingProblem", "MobiusProblem", "PortfolioProblem",
     "qubo_energy", "qubo_to_ising", "mobius_min", "brute_force_min",
     "benchmark_qubo6", "benchmark_qubo11", "portfolio_returns_from_prices",

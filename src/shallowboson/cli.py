@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -50,13 +51,15 @@ def _output_dir(args) -> Path:
 
 
 def _read_input(path: str, what: str, parse):
-    """parse(Path) of an input file; missing or unparsable is a usage error."""
+    """parse(Path) of a file; missing, empty or unparsable is a usage error."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"{what} file not found: {path}")
     try:
-        return parse(p)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        with warnings.catch_warnings():  # loadtxt only warns on no data
+            warnings.simplefilter("error", UserWarning)
+            return parse(p)
+    except (OSError, ValueError, KeyError, TypeError, UserWarning) as exc:
         raise UsageError(f"could not parse {what} file {path}: {exc!r}")
 
 

@@ -18,7 +18,7 @@ phase acting on the input index p.  One J_y eigenbasis is cached per m,
 with its eigenvalues set to the exact -m/2 ... m/2, so the blocks stay
 unitary to rounding at every photon total.  `two_mode_block` builds the
 whole block for `apply_gate`; `two_mode_block_column` builds one input
-column for many angle pairs at once, for the depth-1 chain in `sampling`.
+column for many splitter angles at once, for the phase-free depth-1 chain.
 
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
@@ -84,23 +84,22 @@ def two_mode_block(m: int, theta: float, psi: float) -> np.ndarray:
     return rotation * np.exp(-1j * psi * lam)
 
 
-def two_mode_block_column(m: int, p: int, thetas, psis) -> np.ndarray:
-    """Column p of the photon-total-m block for K angle pairs at once.
+def two_mode_block_column(m: int, p: int, thetas) -> np.ndarray:
+    """Column p of the photon-total-m block for K splitter angles at once.
 
-    thetas and psis are 1-D arrays of length K; row k of the (K, m+1)
-    result is two_mode_block(m, thetas[k], psis[k])[:, p], the image of
-    the input |p, m-p>.  A row does not depend on the other rows: a single
-    pair is padded to two, because numpy sends a one-row product down its
+    Row k of the (K, m+1) result is two_mode_block(m, thetas[k], 0)[:, p],
+    the image of the input |p, m-p>; a phase would only scale it by a unit
+    number.  A row does not depend on the other rows: a single angle is
+    padded to two, because numpy sends a one-row product down its
     matrix-vector path, which rounds differently.
     """
     lam, vecs = _spin_basis(m)
     thetas = np.asarray(thetas, dtype=float)
-    psis = np.asarray(psis, dtype=float)
     count = len(thetas)
     if count == 1:
-        thetas, psis = np.repeat(thetas, 2), np.repeat(psis, 2)
+        thetas = np.repeat(thetas, 2)
     columns = (np.exp(-1j * thetas[:, None] * lam) * vecs[p].conj()) @ vecs.T
-    return (columns * np.exp(-1j * psis * lam[p])[:, None])[:count]
+    return columns[:count]
 
 
 @dataclass(frozen=True)

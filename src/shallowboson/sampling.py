@@ -5,11 +5,13 @@ distribution, and a sequential sampler for depth-1 meshes that draws
 patterns gate by gate without ever building the output distribution.  In
 the depth-1 cascade each gate freezes one output mode, and conditioning on
 its measured count collapses the carried mode to a definite Fock state, so
-a chain of two-mode blocks samples exactly.  `gate_outcome_table` gives
-the outcome probabilities of one gate for every (angle pair, photon total)
-that occurs, from one `two_mode_block_column` call per photon total.  The
-sampler reads its cumulative sum: each shot's outcome is the number of
-entries of its CDF row that do not exceed its uniform draw.
+a chain of two-mode blocks samples exactly.  A single slice commutes its
+phases past the detectors, so the chain takes splitter angles alone.
+`gate_outcome_table` gives the outcome probabilities of one gate for every
+(angle, photon total) that occurs, from one `two_mode_block_column` call
+per photon total.  The sampler reads its cumulative sum: each shot's
+outcome is the number of entries of its CDF row that do not exceed its
+uniform draw.
 
 The same table drives `depth1_parity_masses`, the exact parity-bit
 distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
@@ -70,29 +72,28 @@ def sample_patterns(patterns, probs, n_samples: int,
     return patterns[np.searchsorted(cdf, rng.random(n_samples), side="right")]
 
 
-def gate_outcome_table(fresh: int, totals, thetas, psis):
+def gate_outcome_table(fresh: int, totals, thetas):
     """Outcome probabilities of one depth-1 gate under R rows' angles.
 
     The gate's first mode brings `fresh` photons and the carried mode the
-    rest of the pair's photon total t.  For the k-th distinct pair among
-    (thetas[r], psis[r]), table[k, t, u] is the probability
+    rest of the pair's photon total t.  For the k-th distinct angle among
+    thetas, table[k, t, u] is the probability
     |<u, t-u| U_k |fresh, t-fresh>|^2 that u photons go on in the carried
     mode and t - u stay in the frozen one, for every t in `totals`; the
     entries u > t and the rows of totals not listed are zero.  Returns the
-    (K, T, T) table, T = max(totals) + 1, and each row's pair index k.
+    (K, T, T) table, T = max(totals) + 1, and each row's angle index k.
     """
-    pairs, row_code = np.unique(np.stack([thetas, psis], axis=1), axis=0,
-                                return_inverse=True)
+    angles, row_code = np.unique(thetas, return_inverse=True)
     span = int(max(totals)) + 1
-    table = np.zeros((len(pairs), span, span))
+    table = np.zeros((len(angles), span, span))
     for t in totals:
-        columns = two_mode_block_column(int(t), fresh, *pairs.T)
+        columns = two_mode_block_column(int(t), fresh, angles)
         table[:, t, :t + 1] = np.abs(columns) ** 2
     return table, row_code
 
 
-def _chain_angles(input_pattern, theta_rows, psis):
-    """Validated depth-1 input and (R, M-1) theta and psi rows."""
+def _chain_angles(input_pattern, theta_rows):
+    """Validated depth-1 input and (R, M-1) theta rows."""
     inp = tuple(int(v) for v in input_pattern)
     m = len(inp)
     theta_rows = np.asarray(theta_rows, dtype=float)
@@ -100,16 +101,11 @@ def _chain_angles(input_pattern, theta_rows, psis):
         raise ValueError(
             f"theta batch must have shape (R, {m - 1}), got {theta_rows.shape}"
         )
-    if psis is None:
-        return inp, theta_rows, np.zeros_like(theta_rows)
-    psi_rows = np.asarray(psis, dtype=float)
-    if psi_rows.shape != theta_rows.shape:
-        raise ValueError("psi batch must match the theta batch shape")
-    return inp, theta_rows, psi_rows
+    return inp, theta_rows
 
 
 def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
-                              stream_seed, psis=None) -> np.ndarray:
+                              stream_seed) -> np.ndarray:
     """Depth-1 chain sampling for a batch of angle vectors.
 
     theta_rows has shape (R, M-1), one gate angle per nearest-neighbour
@@ -119,7 +115,7 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    inp, theta_rows, psi_rows = _chain_angles(input_pattern, theta_rows, psis)
+    inp, theta_rows = _chain_angles(input_pattern, theta_rows)
     m = len(inp)
     rows = theta_rows.shape[0]
     if rows == 0:
@@ -136,10 +132,10 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
         fresh = inp[mode]
         totals = carry + fresh
         # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
-        # pair k, padded with +inf
+        # k, padded with +inf
         table, row_code = gate_outcome_table(
             fresh, np.flatnonzero(np.bincount(totals.ravel())),
-            theta_rows[:, gate_idx], psi_rows[:, gate_idx])
+            theta_rows[:, gate_idx])
         cdf = np.cumsum(table, axis=2)
         span = cdf.shape[1]
         levels = np.arange(span)
@@ -157,8 +153,8 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
     return out
 
 
-def depth1_parity_masses(input_pattern, theta_rows, parity: int,
-                         psis=None) -> np.ndarray:
+def depth1_parity_masses(input_pattern, theta_rows,
+                         parity: int) -> np.ndarray:
     """Exact parity-bit distribution of a depth-1 mesh, per angle row.
 
     Returns shape (R, 2^M): entry [r, code] is the probability that row r
@@ -167,7 +163,7 @@ def depth1_parity_masses(input_pattern, theta_rows, parity: int,
     mode M-1-g, the bit of weight 2^g, so a forward pass carries
     mass[r, prefix code, carry] over the g frozen bits so far and the
     photon count of the carried mode; each gate multiplies it by the
-    `gate_outcome_table` of its row's angle pair, split by the parity of
+    `gate_outcome_table` of its row's angle, split by the parity of
     the frozen count.  The final carry is mode 0, the top bit.
 
     The pass holds the mass before and after a gate, 2^M (n+1) floats per
@@ -178,7 +174,7 @@ def depth1_parity_masses(input_pattern, theta_rows, parity: int,
     """
     if parity not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {parity}")
-    inp, theta_rows, psi_rows = _chain_angles(input_pattern, theta_rows, psis)
+    inp, theta_rows = _chain_angles(input_pattern, theta_rows)
     m, n = len(inp), sum(inp)
     if (n + 1) << m > _MASS_ENTRIES_CAP:
         raise ValueError(
@@ -192,8 +188,7 @@ def depth1_parity_masses(input_pattern, theta_rows, parity: int,
     for gate_idx, mode in enumerate(range(m - 2, -1, -1)):
         fresh = inp[mode]
         table, row_code = gate_outcome_table(
-            fresh, range(fresh, n + 1), theta_rows[:, gate_idx],
-            psi_rows[:, gate_idx])
+            fresh, range(fresh, n + 1), theta_rows[:, gate_idx])
         # table[k, c, u] for carry c in and u out; a carry above n - fresh
         # never occurs
         carries = n + 1 - fresh

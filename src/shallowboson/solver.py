@@ -12,6 +12,7 @@ batch of vectors share their common gate prefixes (`evolve_batch`).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass, asdict, fields
@@ -66,18 +67,13 @@ class SolverConfig:
                 raise ValueError(f"{spec.name} must be of type {spec.type}"
                                  f"{' and finite' if kind == 'float' else ''}"
                                  f", got {value!r}")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        for name, low in (("samples", 1), ("max_iterations", 1),
+                          ("plateau_window", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.eta <= 0:
             raise ValueError(f"learning rate must be > 0, got {self.eta}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if self.plateau_window < 1:
-            raise ValueError(
-                f"plateau_window must be >= 1, got {self.plateau_window}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,12 +122,14 @@ class ParityObjective:
     """Energy of one (sector, parity) configuration as a function of angles.
 
     Wraps the mesh of the requested depth with its one-photon-per-mode
-    input.  Exact mode reduces each row's masses over all 2^M parity bit
-    strings against the energy of every bit string: the carry-chain pass
-    at depth 1, the dense state coarse-grained at depth >= 2.  Sampled
-    mode draws N_s patterns per evaluation (chain sampling at depth 1,
-    categorical sampling over the canonical-order probability vector
-    otherwise).
+    input, and owns the parameter vector: gate angles, then one phase per
+    gate with optimize_phases.  Phases reach only the dense engine of
+    depth >= 2; one slice commutes them past the detectors.  Exact mode
+    reduces each row's masses over all 2^M parity bit strings against the
+    energy of every bit string: the carry-chain pass at depth 1, the dense
+    state coarse-grained at depth >= 2.  Sampled mode draws N_s patterns
+    per evaluation (chain sampling at depth 1, categorical sampling over
+    the canonical-order probability vector otherwise).
 
     Exact depth 1 needs 16 (n+1) 2^M bytes per angle row at its last
     gate (176 MB of mass at M = n = 20, twice that in flight), and
@@ -185,18 +183,17 @@ class ParityObjective:
             raise ValueError(
                 f"expected rows of {self.num_parameters} parameters"
             )
-        thetas = rows[:, :self.num_gates]
-        psis = rows[:, self.num_gates:] if self.optimize_phases else None
         if self.samples is None:
-            return self._exact_batch(thetas, psis)
+            return self._exact_batch(rows)
         n_s = self.samples
         if self.depth == 1:
             pats = chain_sample_depth1_batch(
-                self.circuit.input, thetas, n_s, stream_seed, psis=psis)
+                self.circuit.input, rows[:, :self.num_gates], n_s,
+                stream_seed)
         else:
             children = as_seed_sequence(stream_seed).spawn(len(rows))
             pats = np.empty((len(rows), n_s, self.num_modes), np.uint16)
-            for r, state in evolve_batch(self.circuit, thetas, psis):
+            for r, state in self._dense_states(rows):
                 pats[r] = sample_patterns(state.basis.patterns,
                                           state.probabilities(), n_s,
                                           children[r])
@@ -208,31 +205,53 @@ class ParityObjective:
         best_bits = tuple(int(b) for b in flat[best_flat])
         return energies, float(e_flat[best_flat]), best_bits
 
-    def _exact_batch(self, thetas, psis):
-        """Energy and lowest observed bit string of every row."""
-        energies = np.empty(len(thetas))
-        best = np.empty(len(thetas), dtype=np.int64)
+    def shift_gradient(self, angles, stream_seed=None):
+        """Shift-rule gradient plus the best observed (energy, bit string).
 
-        def reduce(rows, masses):
+        Component k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 from one
+        `value_batch` call over 2p rows: row 2k shifts parameter k up,
+        row 2k+1 down, and sampled rows draw from those child streams.
+        """
+        angles = np.asarray(angles, dtype=float)
+        p = self.num_parameters
+        if angles.shape != (p,):
+            raise ValueError(
+                f"expected {p} parameters, got shape {angles.shape}")
+        shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
+        energies, best_e, best_b = self.value_batch(angles + shifts,
+                                                    stream_seed)
+        return (energies[0::2] - energies[1::2]) / 2.0, best_e, best_b
+
+    def _dense_states(self, rows):
+        """(row, state) pairs from `evolve_batch`, phases included."""
+        phases = rows[:, self.num_gates:] if self.optimize_phases else None
+        return evolve_batch(self.circuit, rows[:, :self.num_gates], phases)
+
+    def _exact_batch(self, rows):
+        """Energy and lowest observed bit string of every row."""
+        energies = np.empty(len(rows))
+        best = np.empty(len(rows), dtype=np.int64)
+
+        def reduce(at, masses):
             e_codes = self._code_energies()
-            energies[rows] = np.einsum("rk,k->r", masses, e_codes)
-            best[rows] = np.argmin(
+            energies[at] = np.einsum("rk,k->r", masses, e_codes)
+            best[at] = np.argmin(
                 np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
 
         if self.depth == 1:
             row_bytes = 16 * (self.num_photons + 1) << self.num_modes
             step = max(1, _CHUNK_BYTES // row_bytes)
-            for start in range(0, len(thetas), step):
-                rows = slice(start, start + step)
-                reduce(rows, depth1_parity_masses(
-                    self.circuit.input, thetas[rows], self.parity,
-                    None if psis is None else psis[rows]))
+            for start in range(0, len(rows), step):
+                chunk = slice(start, start + step)
+                reduce(chunk, depth1_parity_masses(
+                    self.circuit.input, rows[chunk, :self.num_gates],
+                    self.parity))
         else:
             if self._pattern_codes is None:
                 basis = enumerate_basis(self.num_modes, self.num_photons)
                 self._pattern_codes = parity_codes(basis.patterns,
                                                    self.parity)
-            for r, state in evolve_batch(self.circuit, thetas, psis):
+            for r, state in self._dense_states(rows):
                 reduce([r], np.bincount(
                     self._pattern_codes, weights=state.probabilities(),
                     minlength=1 << self.num_modes)[None])
@@ -247,26 +266,6 @@ def gradient_step(angles, gradient, eta: float) -> np.ndarray:
         raise ValueError(f"learning rate must be > 0, got {eta}")
     return (np.asarray(angles, dtype=float)
             - eta * np.asarray(gradient, dtype=float)) % _TWO_PI
-
-
-def parameter_shift_gradient(objective: ParityObjective, angles,
-                             index: int, stream_seed=None) -> float:
-    """Exact shift-rule derivative: (E(x + pi/2) - E(x - pi/2)) / 2."""
-    angles = np.asarray(angles, dtype=float)
-    if not 0 <= index < angles.size:
-        raise ValueError(f"parameter index {index} out of range")
-    plus = angles.copy()
-    minus = angles.copy()
-    plus[index] += np.pi / 2
-    minus[index] -= np.pi / 2
-    if objective.samples is None:
-        e_plus = objective.value(plus)[0]
-        e_minus = objective.value(minus)[0]
-    else:
-        children = as_seed_sequence(stream_seed).spawn(2)
-        e_plus = objective.value(plus, children[0])[0]
-        e_minus = objective.value(minus, children[1])[0]
-    return (e_plus - e_minus) / 2.0
 
 
 def finite_difference_gradient(objective: ParityObjective, angles,
@@ -298,12 +297,6 @@ def finite_difference_gradient(objective: ParityObjective, angles,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _descent_tags(num_modes: int):
-    for sector_tag, n in enumerate((num_modes, num_modes - 1)):
-        for j in (0, 1):
-            yield sector_tag, n, j
-
-
 def run_variational(problem, config: SolverConfig) -> SolverResult:
     """Four seeded descents over (sector, parity); best bit string wins.
 
@@ -326,7 +319,8 @@ def run_variational(problem, config: SolverConfig) -> SolverResult:
     target = (-np.inf if config.target_energy is None
               else config.target_energy)
 
-    for sector_tag, n, j in _descent_tags(m):
+    for (sector_tag, n), j in itertools.product(enumerate((m, m - 1)),
+                                                (0, 1)):
         if e_min <= target:
             break
         tag = f"n={n},j={j}"
@@ -343,33 +337,26 @@ def run_variational(problem, config: SolverConfig) -> SolverResult:
             return eval_root.spawn(1)[0]
 
         curve: list[tuple[int, float, float]] = []
-        best_hist: list[float] = []
         running_best = np.inf
+        window = config.plateau_window
         for it in range(config.max_iterations):
             energy, seen_e, seen_b = objective.value(angles, next_seed())
             if seen_e < e_min:
                 e_min, b_min = seen_e, seen_b
             running_best = min(running_best, energy)
-            best_hist.append(running_best)
             curve.append((it, float(energy), float(running_best)))
             if e_min <= target:
                 break
-            if (len(best_hist) > config.plateau_window
-                    and best_hist[-config.plateau_window - 1]
-                    - best_hist[-1] < config.plateau_tolerance):
+            if (len(curve) > window and curve[-window - 1][2]
+                    - curve[-1][2] < config.plateau_tolerance):
                 break
 
-            shifted = np.repeat(angles[None, :], 2 * p, axis=0)
-            for k in range(p):
-                shifted[2 * k, k] += np.pi / 2
-                shifted[2 * k + 1, k] -= np.pi / 2
-            e_shift, seen_e, seen_b = objective.value_batch(
-                shifted, next_seed())
+            grad, seen_e, seen_b = objective.shift_gradient(angles,
+                                                            next_seed())
             if seen_e < e_min:
                 e_min, b_min = seen_e, seen_b
             # evaluations in exact mode, shots in sampled mode
             eval_count += 2 * p * (config.samples or 1)
-            grad = (e_shift[0::2] - e_shift[1::2]) / 2.0
             angles = gradient_step(angles, grad, config.eta)
 
         curves[tag] = curve

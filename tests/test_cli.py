@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,36 @@ def test_bad_input_is_refused_before_solving(tmp_path, capsys, monkeypatch,
                              "--samples", "8", "--output", str(out_dir))
     assert code == 2 and err.startswith("error: ") and out == ""
     assert not out_dir.exists()
+
+
+def test_negative_seed_names_the_field(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "solve-mobius", "--n", "4", "--seed",
+                             "-1", "--output", str(out_dir))
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert "master_seed" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [("solve-qubo", "--matrix"),
+                                  ("solve-portfolio", "--prices")],
+                         ids=" ".join)
+def test_empty_data_file_is_one_usage_error(tmp_path, argv):
+    # a fresh interpreter shows what a user sees on stderr, warnings too
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "shallowboson.cli", *argv, str(empty),
+         "--output", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: could not parse")
+    assert not (tmp_path / "out").exists()
 
 
 def _portfolio_baseline(capsys, tmp_path, moments, sub, *flags):

@@ -125,21 +125,19 @@ def chain_batches(draw):
     """A depth-1 input, a batch of angle rows and one row index in it."""
     m = draw(st.integers(3, 7))
     inp = reck_input(m, draw(st.sampled_from([m, m - 1])))
-    # few distinct angle values, so rows share (theta, psi) pairs per gate
+    # few distinct angle values, so rows share angles per gate
     angle = st.sampled_from([0.0, 0.7, np.pi / 2, 2.9, 4.4])
     row = st.lists(angle, min_size=m - 1, max_size=m - 1)
     thetas = draw(st.lists(row, min_size=1, max_size=6))
-    psis = draw(st.lists(row, min_size=len(thetas), max_size=len(thetas)))
-    return inp, np.array(thetas), np.array(psis), draw(
-        st.integers(0, len(thetas) - 1))
+    return inp, np.array(thetas), draw(st.integers(0, len(thetas) - 1))
 
 
 @PROPERTY
 @given(chain_batches(), st.data())
 def test_chain_draws_of_a_row_ignore_the_rest_of_the_batch(case, data):
-    inp, thetas, psis, r = case
+    inp, thetas, r = case
     seed = data.draw(st.integers(0, 2**32 - 1))
-    full = chain_sample_depth1_batch(inp, thetas, 40, seed, psis)[r]
+    full = chain_sample_depth1_batch(inp, thetas, 40, seed)[r]
     # row r keeps its index, which picks its seeded stream; cut the batch
     # after it, reorder or replace the rows before it, append other rows
     order = list(range(r)) + list(range(r + 1, len(thetas)))
@@ -148,21 +146,18 @@ def test_chain_draws_of_a_row_ignore_the_rest_of_the_batch(case, data):
     fresh = data.draw(st.integers(0, 2))
     new_thetas = np.concatenate(
         [thetas[rows], np.full((fresh, thetas.shape[1]), 1.3)])
-    new_psis = np.concatenate(
-        [psis[rows], np.full((fresh, psis.shape[1]), 0.4)])
-    again = chain_sample_depth1_batch(inp, new_thetas, 40, seed, new_psis)
+    again = chain_sample_depth1_batch(inp, new_thetas, 40, seed)
     assert np.array_equal(again[r], full)
 
 
 @PROPERTY
 @given(chain_batches(), st.integers(0, 1))
 def test_parity_masses_of_a_row_ignore_the_rest_of_the_batch(case, parity):
-    inp, thetas, psis, r = case
-    full = depth1_parity_masses(inp, thetas, parity, psis)
-    alone = depth1_parity_masses(inp, thetas[r:r + 1], parity,
-                                 psis[r:r + 1])
+    inp, thetas, r = case
+    full = depth1_parity_masses(inp, thetas, parity)
+    alone = depth1_parity_masses(inp, thetas[r:r + 1], parity)
     assert np.array_equal(alone[0], full[r])
-    tail = depth1_parity_masses(inp, thetas[r:], parity, psis[r:])
+    tail = depth1_parity_masses(inp, thetas[r:], parity)
     assert np.array_equal(tail[0], full[r])
 
 

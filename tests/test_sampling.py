@@ -240,9 +240,9 @@ def test_chain_sampler_matches_sort_grouped_oracle():
             psis = rng.uniform(0, 2 * np.pi, rows.shape)
             psis[2] = psis[0]  # a duplicate (theta, psi) row
             for seed in (0, 31 + m):
+                drawn = chain_sample_depth1_batch(inp, rows, 120, seed)
+                # the oracle's phases cannot move a draw
                 for phases in (None, psis):
-                    drawn = chain_sample_depth1_batch(inp, rows, 120, seed,
-                                                      phases)
                     expected = reference_chain_sample(inp, rows, 120, seed,
                                                       phases)
                     assert np.array_equal(drawn, expected)
@@ -266,7 +266,7 @@ def test_gate_outcome_table_is_the_squared_block_column():
     thetas[4], psis[4] = thetas[1], psis[1]
     for fresh in (0, 1):
         totals = [fresh, fresh + 2, 9]
-        table, row_code = gate_outcome_table(fresh, totals, thetas, psis)
+        table, row_code = gate_outcome_table(fresh, totals, thetas)
         assert table.shape == (4, 10, 10) and row_code[4] == row_code[1]
         for t in range(10):
             for r in range(5):
@@ -282,9 +282,9 @@ def test_sampler_and_exact_pass_share_one_table(monkeypatch):
     calls = []
     original = sampling.gate_outcome_table
 
-    def recording(fresh, totals, thetas, psis):
+    def recording(fresh, totals, thetas):
         calls.append(len(thetas))
-        return original(fresh, totals, thetas, psis)
+        return original(fresh, totals, thetas)
 
     monkeypatch.setattr(sampling, "gate_outcome_table", recording)
     thetas = np.full((3, 4), 0.8)
@@ -313,9 +313,9 @@ def test_depth1_parity_masses_match_dense_oracle():
             thetas[2, 0] = 0.0  # an identity gate
             psis = rng.uniform(0, 2 * np.pi, thetas.shape)
             for parity in (0, 1):
+                masses = depth1_parity_masses(circ.input, thetas, parity)
+                # the oracle's phases cannot move a mass
                 for phases in (None, psis):
-                    masses = depth1_parity_masses(circ.input, thetas, parity,
-                                                  phases)
                     oracle = dense_parity_masses(circ, thetas, parity, phases)
                     assert masses.shape == (3, 2 ** m)
                     assert np.max(np.abs(masses - oracle)) < 1e-12

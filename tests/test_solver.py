@@ -14,7 +14,7 @@ from shallowboson.parity import coarse_grain
 from shallowboson.problems import QuboProblem, benchmark_qubo6
 from shallowboson.solver import (
     ParityObjective, SolverConfig, finite_difference_gradient,
-    gradient_step, parameter_shift_gradient, run_variational,
+    gradient_step, run_variational,
 )
 
 
@@ -82,7 +82,7 @@ def test_sampled_depth2_batch_matches_rows_alone():
 
 @pytest.mark.parametrize("evaluate", [
     lambda obj, x, seed: obj.value(x, seed),
-    lambda obj, x, seed: parameter_shift_gradient(obj, x, 1, seed),
+    lambda obj, x, seed: obj.shift_gradient(x, seed)[0][1],
     lambda obj, x, seed: finite_difference_gradient(
         obj, x, 1, 1e-3, "central", seed),
     lambda obj, x, seed: finite_difference_gradient(obj, x, 1, 1e-3,
@@ -259,8 +259,45 @@ def test_shift_rule_zero_for_decoupled_parameter():
     obj = ParityObjective(problem, 3, 0, 2, samples=None)
     angles = np.zeros(obj.num_parameters)
     # parameter 0 couples modes (1, 2); bit 0 stays that of mode 0
-    grad = parameter_shift_gradient(obj, angles, 0)
+    grad = obj.shift_gradient(angles)[0][0]
     assert grad == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth,phases", [(1, False), (1, True), (2, True)])
+def test_shift_gradient_is_the_two_point_difference(depth, phases):
+    obj = ParityObjective(_toy_problem(5, seed=15), 5, 0, depth,
+                          optimize_phases=phases)
+    angles = np.random.default_rng(depth).uniform(0, 2 * np.pi,
+                                                  obj.num_parameters)
+    grad, best_e, best_b = obj.shift_gradient(angles)
+    values = []
+    for k in range(obj.num_parameters):
+        step = np.zeros(obj.num_parameters)
+        step[k] = np.pi / 2
+        plus, minus = obj.value(angles + step), obj.value(angles - step)
+        assert grad[k] == (plus[0] - minus[0]) / 2
+        values += [plus, minus]
+    # the best over the stencil, the first row on ties
+    assert (best_e, best_b) == min(values, key=lambda v: v[1])[1:]
+    for bad in (angles[:-1], np.append(angles, 0.0), angles[None, :]):
+        with pytest.raises(ValueError, match="parameters"):
+            obj.shift_gradient(bad)
+
+
+@pytest.mark.parametrize("samples", [None, 24])
+def test_depth1_phases_cannot_change_a_value(samples):
+    # one slice commutes its phases past the detectors
+    obj = ParityObjective(_toy_problem(5, seed=16), 4, 1, 1, samples,
+                          optimize_phases=True)
+    rng = np.random.default_rng(17)
+    rows = rng.uniform(0, 2 * np.pi, (6, obj.num_parameters))
+    phase_free = rows.copy()
+    phase_free[:, obj.num_gates:] = 0.0
+    seed = np.random.SeedSequence(18)
+    energies, best_e, best_b = obj.value_batch(rows, seed)
+    again, again_e, again_b = obj.value_batch(phase_free, seed)
+    assert energies.tolist() == again.tolist()
+    assert (best_e, best_b) == (again_e, again_b)
 
 
 def test_gradient_step_behaviour():
@@ -300,6 +337,8 @@ def test_config_validation():
         SolverConfig(eta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        SolverConfig(master_seed=-1)
 
 
 # a value of the wrong type for every SolverConfig field
