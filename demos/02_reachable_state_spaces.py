@@ -25,7 +25,7 @@ for m, n in [(4, 4), (4, 3), (6, 5)]:
         circuit = build_reck_slices(m, depth, reck_input(m, n))
         thetas = rng.uniform(0.1, np.pi - 0.1, len(circuit.gates))
         simulated = support(evolve(circuit, thetas))
-        agree = simulated == set(map(tuple, patterns.tolist()))
+        agree = np.array_equal(simulated, patterns)
         print(f"  depth {depth}: paths(k={spec.k}, {spec.delta1}->"
               f"{spec.delta2}) = {closed:4d}   enumerated = "
               f"{len(patterns):4d}   simulator support = "

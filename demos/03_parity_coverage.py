@@ -25,5 +25,7 @@ for m_even in range(0, 7, 2):
 
 print("\ndepth-1 empirical multiplicities (M = 4, n = 4, parity 0):")
 report = verify_surjectivity(4, 1, {4}, {0})
-for bits, count in sorted(report.multiplicities.items()):
-    print(f"  {''.join(map(str, bits))}: {count}")
+# one count per bit string, indexed by its code (first mode most significant)
+for code, count in enumerate(report.multiplicities):
+    if count:
+        print(f"  {code:04b}: {count}")

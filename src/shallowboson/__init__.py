@@ -10,9 +10,8 @@ verifies the staircase-path combinatorics of the reachable state spaces
 from .fock import SectorBasis, enumerate_basis, sector_size
 from .interferometer import (
     TwoModeGate, CircuitSpec, QuantumState, build_reck_slices, reck_input,
-    apply_gate, evolve, evolve_batch, exact_distribution, support,
-    schwinger_expectation, two_mode_block, two_mode_transfer,
-    single_particle_transfer,
+    apply_gate, evolve, evolve_batch, support, schwinger_expectation,
+    two_mode_block, two_mode_transfer, single_particle_transfer,
 )
 from .parity import (
     parity_map, coarse_grain, upsilon0, upsilon0_prime, binom_identity_check,
@@ -45,7 +44,7 @@ from .problems import (
 __all__ = [
     "SectorBasis", "enumerate_basis", "sector_size", "TwoModeGate",
     "CircuitSpec", "QuantumState", "build_reck_slices", "reck_input",
-    "apply_gate", "evolve", "evolve_batch", "exact_distribution", "support",
+    "apply_gate", "evolve", "evolve_batch", "support",
     "schwinger_expectation", "two_mode_block", "two_mode_transfer",
     "single_particle_transfer", "parity_map", "coarse_grain", "upsilon0",
     "upsilon0_prime", "binom_identity_check", "verify_surjectivity",

@@ -34,7 +34,6 @@ applications instead of 2G * G.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -158,29 +157,6 @@ class CircuitSpec:
                  for g, t, p in zip(self.gates, thetas, psis)]
         return CircuitSpec(self.num_modes, self.depth, gates, self.input)
 
-    def to_json(self) -> str:
-        doc = {
-            "M": self.num_modes,
-            "depth": self.depth,
-            "input": list(self.input),
-            "gates": [
-                {"i": g.i, "j": g.j, "theta": g.theta, "psi": g.psi}
-                for g in self.gates
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircuitSpec":
-        doc = json.loads(text)
-        gates = [
-            TwoModeGate(int(g["i"]), int(g["j"]),
-                        float(g["theta"]), float(g["psi"]))
-            for g in doc["gates"]
-        ]
-        return cls(int(doc["M"]), int(doc["depth"]), gates,
-                   tuple(doc["input"]))
-
 
 def reck_input(num_modes: int, num_photons: int) -> Pattern:
     """One photon per mode, padded with one trailing empty mode for n = M-1."""
@@ -247,14 +223,14 @@ class QuantumState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
-    def amplitudes(self, tol: float = 0.0) -> dict[Pattern, complex]:
-        """Sparse view: pattern -> amplitude for |amplitude| > tol."""
-        keep = np.abs(self.vector) > tol
-        return dict(zip(map(tuple, self.basis.patterns[keep].tolist()),
-                        self.vector[keep].tolist()))
-
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.vector) ** 2
+        """Born-rule probabilities, aligned with `basis.patterns`."""
+        probs = np.abs(self.vector) ** 2
+        norm = np.sqrt(probs.sum())
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise RuntimeError(
+                f"state norm {norm:.3e} deviates beyond {_NORM_TOL}")
+        return probs
 
 
 @lru_cache(maxsize=256)
@@ -351,28 +327,14 @@ def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
                         range(len(thetas)), 0)
 
 
-def exact_distribution(state: QuantumState, tol: float = 0.0
-                       ) -> dict[Pattern, float]:
-    """Born-rule probabilities per detection pattern."""
-    if abs(state.norm() - 1.0) > _NORM_TOL:
-        raise RuntimeError(
-            f"state norm {state.norm():.3e} deviates beyond {_NORM_TOL}"
-        )
-    probs = state.probabilities()
-    keep = probs > tol
-    return dict(zip(map(tuple, state.basis.patterns[keep].tolist()),
-                    probs[keep].tolist()))
-
-
-def support(state: QuantumState, tol: float = 0.0) -> set[Pattern]:
-    """Patterns carrying probability above `tol`.
+def support(state: QuantumState, tol: float = 0.0) -> np.ndarray:
+    """Pattern rows carrying probability above `tol`, in canonical order.
 
     Unreachable patterns keep exactly zero amplitude under the blockwise
     evolution (their orbits never receive mass), so strict positivity is
     the right default; raise `tol` to trim near-zero entries instead.
     """
-    keep = state.probabilities() > tol
-    return set(map(tuple, state.basis.patterns[keep].tolist()))
+    return state.basis.patterns[state.probabilities() > tol]
 
 
 def single_particle_transfer(circuit: CircuitSpec, thetas, psis=None

@@ -9,14 +9,12 @@ that the union of parity images charts the whole 2^M qubit basis.
 
 Distributions are arrays: pattern rows (canonical order for a sector
 basis) with an aligned probability vector.  Bit strings are int64 rows
-coded with the first mode as the most significant bit, and grouped bit
-strings come in ascending code order (lexicographic order of the rows).
+coded with the first mode as the most significant bit, and a coarse-
+grained distribution is one (2^M,) vector indexed by that code.
 """
 
 from __future__ import annotations
 
-import json
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -27,6 +25,7 @@ from .young import catalan_basis
 Bits = tuple[int, ...]
 
 _MASS_TOL = 1e-9
+_MAX_DENSE_WIDTH = 26  # a 2^26 float vector is 512 MiB
 
 
 def parity_map(pattern, j: int = 0) -> Bits:
@@ -77,26 +76,21 @@ def codes_to_bits(codes, width: int) -> np.ndarray:
     return (np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 1
 
 
-def parity_groups(patterns, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Group index per row and group bit rows, in ascending code order."""
-    codes, index = np.unique(parity_codes(patterns, j), return_inverse=True)
-    return index, codes_to_bits(codes, np.shape(patterns)[-1])
-
-
-def coarse_grain(patterns, probs, j: int = 0
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum pattern probabilities onto their parity bit strings.
-
-    Returns the bit rows reached, in ascending code order, and their masses.
-    """
-    probs = np.asarray(probs, dtype=float)
-    total = probs.sum()
-    if abs(total - 1.0) > _MASS_TOL:
-        raise ValueError(
-            f"input masses sum to {total!r}, expected 1 within {_MASS_TOL}"
-        )
-    index, bits = parity_groups(patterns, j)
-    return bits, np.bincount(index, weights=probs, minlength=len(bits))
+def coarse_grain(patterns, probs=None, j: int = 0) -> np.ndarray:
+    """Pattern masses summed per parity bit string, a (2^M,) vector
+    indexed by code; probs=None counts the patterns (int entries)."""
+    patterns = np.asarray(patterns)
+    width = patterns.shape[-1]
+    if width > _MAX_DENSE_WIDTH:
+        raise ValueError(f"{width}-bit strings exceed the {_MAX_DENSE_WIDTH}"
+                         "-bit limit of a dense mass vector")
+    if probs is not None:
+        probs = np.asarray(probs, dtype=float)
+        if abs(probs.sum() - 1.0) > _MASS_TOL:
+            raise ValueError(f"input masses sum to {probs.sum()!r}, "
+                             f"expected 1 within {_MASS_TOL}")
+    return np.bincount(parity_codes(patterns, j), weights=probs,
+                       minlength=1 << width)
 
 
 def _check_range(num_modes: int, m: int) -> None:
@@ -156,42 +150,36 @@ def binom_identity_check(p: int, q: int, r: int) -> bool:
 
 @dataclass
 class CoverageReport:
-    """Which bit strings the parity images of a sliced mesh reach."""
+    """Which bit strings the parity images of a sliced mesh reach.
+
+    per_config[(n, j)] counts the depth-i patterns of sector n behind each
+    bit string under parity map j, an int vector indexed by code.
+    """
 
     num_modes: int
     depth: int
-    sectors: list[int]
-    parities: list[int]
-    covered: list[Bits]
-    missing: list[Bits]
-    multiplicities: dict[Bits, int]
-    per_config: dict[tuple[int, int], dict[Bits, int]]
+    per_config: dict[tuple[int, int], np.ndarray]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """Preimage count per bit string over all configurations."""
+        return sum(self.per_config.values())
+
+    def _bit_rows(self, mask) -> list[Bits]:
+        codes = np.flatnonzero(mask)
+        return list(map(tuple, codes_to_bits(codes, self.num_modes).tolist()))
+
+    @property
+    def covered(self) -> list[Bits]:
+        return self._bit_rows(self.multiplicities > 0)
+
+    @property
+    def missing(self) -> list[Bits]:
+        return self._bit_rows(self.multiplicities == 0)
 
     @property
     def is_complete(self) -> bool:
-        return not self.missing
-
-    def to_json(self) -> str:
-        doc = {
-            "M": self.num_modes,
-            "depth": self.depth,
-            "sectors": self.sectors,
-            "parities": self.parities,
-            "covered": ["".join(map(str, b)) for b in self.covered],
-            "missing": ["".join(map(str, b)) for b in self.missing],
-            "multiplicities": {
-                "".join(map(str, b)): c
-                for b, c in sorted(self.multiplicities.items())
-            },
-            "per_config": {
-                f"n={n},j={j}": {
-                    "".join(map(str, b)): c for b, c in sorted(mult.items())
-                }
-                for (n, j), mult in sorted(self.per_config.items())
-            },
-            "is_complete": self.is_complete,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return bool(self.multiplicities.all())
 
 
 def verify_surjectivity(num_modes: int, depth: int,
@@ -216,26 +204,7 @@ def verify_surjectivity(num_modes: int, depth: int,
     if any(j not in (0, 1) for j in variants):
         raise ValueError(f"parity variants must lie in {{0, 1}}: {variants}")
 
-    per_config: dict[tuple[int, int], dict[Bits, int]] = {}
-    total: Counter = Counter()
-    for n in sectors:
-        patterns = catalan_basis(num_modes, n, depth)
-        for j in variants:
-            index, bits = parity_groups(patterns, j)
-            per_config[(n, j)] = dict(zip(map(tuple, bits.tolist()),
-                                          np.bincount(index).tolist()))
-            total.update(per_config[(n, j)])
-
-    covered = sorted(total)
-    missing = codes_to_bits(np.setdiff1d(
-        np.arange(2 ** num_modes), bits_to_codes(covered)), num_modes)
-    return CoverageReport(
-        num_modes=num_modes,
-        depth=depth,
-        sectors=sectors,
-        parities=variants,
-        covered=covered,
-        missing=list(map(tuple, missing.tolist())),
-        multiplicities=dict(total),
-        per_config=per_config,
-    )
+    bases = {n: catalan_basis(num_modes, n, depth) for n in sectors}
+    return CoverageReport(num_modes, depth, {
+        (n, j): coarse_grain(bases[n], None, j)
+        for n in sectors for j in variants})

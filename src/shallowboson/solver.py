@@ -74,6 +74,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.eta <= 0:
             raise ValueError(f"learning rate must be > 0, got {self.eta}")
+        if self.optimize_phases and self.depth == 1:
+            # one slice commutes its phases past the detectors
+            raise ValueError("optimize_phases needs depth >= 2, got depth=1")
 
     def to_dict(self) -> dict:
         return asdict(self)

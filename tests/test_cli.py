@@ -218,6 +218,18 @@ def test_negative_seed_names_the_field(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_depth1_phases_are_refused(tmp_path, capsys):
+    matrix = tmp_path / "q.csv"
+    np.savetxt(matrix, np.eye(3), delimiter=",")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "solve-qubo", "--matrix", str(matrix),
+                             "--depth", "1", "--phases", "--exact",
+                             "--output", str(out_dir))
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert "optimize_phases" in err and "depth" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [("solve-qubo", "--matrix"),
                                   ("solve-portfolio", "--prices")],
                          ids=" ".join)

@@ -10,7 +10,7 @@ import shallowboson.solver as solver
 from shallowboson.interferometer import (
     build_reck_slices, evolve, reck_input, schwinger_expectation,
 )
-from shallowboson.parity import coarse_grain
+from shallowboson.parity import coarse_grain, codes_to_bits
 from shallowboson.problems import QuboProblem, benchmark_qubo6
 from shallowboson.solver import (
     ParityObjective, SolverConfig, finite_difference_gradient,
@@ -122,8 +122,8 @@ def test_exact_batch_matches_rows_alone(depth, phases):
     for row, energy in zip(rows, energies):
         psis = row[g:] if phases else None
         state = evolve(obj.circuit, row[:g], psis)
-        bits, masses = coarse_grain(state.basis.patterns,
-                                    state.probabilities(), 1)
+        masses = coarse_grain(state.basis.patterns, state.probabilities(), 1)
+        bits = codes_to_bits(np.arange(len(masses)), obj.num_modes)
         assert energy == pytest.approx(masses @ problem.energies(bits),
                                        abs=1e-12)
 
@@ -341,6 +341,13 @@ def test_config_validation():
         SolverConfig(master_seed=-1)
 
 
+def test_config_refuses_phases_at_depth1():
+    # one slice commutes its phases past the detectors
+    with pytest.raises(ValueError, match="optimize_phases.*depth=1"):
+        SolverConfig(depth=1, optimize_phases=True)
+    assert SolverConfig(depth=2, optimize_phases=True).optimize_phases
+
+
 # a value of the wrong type for every SolverConfig field
 _WRONG_TYPED = {
     "depth": 2.0, "samples": 2.5, "eta": "0.1", "max_iterations": None,
@@ -422,11 +429,11 @@ def test_optimize_phases_expands_parameters():
     problem = _toy_problem(4, seed=13)
     obj = ParityObjective(problem, 4, 0, 2, optimize_phases=True)
     assert obj.num_parameters == 2 * len(obj.circuit.gates)
-    config = SolverConfig(depth=1, samples=16, eta=0.1, max_iterations=2,
+    config = SolverConfig(depth=2, samples=16, eta=0.1, max_iterations=2,
                           plateau_tolerance=0.0, master_seed=1,
                           optimize_phases=True)
     result = run_variational(problem, config)
-    assert all(len(v) == 6 for v in result.final_angles.values())
+    assert all(len(v) == 10 for v in result.final_angles.values())
 
 
 def test_curves_csv_schema(tmp_path):
