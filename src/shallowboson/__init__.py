@@ -14,7 +14,7 @@ from .interferometer import (
     two_mode_block, two_mode_transfer, single_particle_transfer,
 )
 from .parity import (
-    parity_map, coarse_grain, upsilon0, upsilon0_prime, binom_identity_check,
+    coarse_grain, upsilon0, upsilon0_prime, binom_identity_check,
     verify_surjectivity, CoverageReport,
 )
 from .dyck import (
@@ -33,7 +33,7 @@ from .solver import (
     gradient_step, run_variational,
 )
 from .problems import (
-    QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem, qubo_energy,
+    QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem,
     qubo_to_ising, mobius_min, brute_force_min, benchmark_qubo6,
     benchmark_qubo11, portfolio_returns_from_prices, binary_encode_weights,
     portfolio_energy_penalty, portfolio_energy_normalized,
@@ -46,7 +46,7 @@ __all__ = [
     "CircuitSpec", "QuantumState", "build_reck_slices", "reck_input",
     "apply_gate", "evolve", "evolve_batch", "support",
     "schwinger_expectation", "two_mode_block", "two_mode_transfer",
-    "single_particle_transfer", "parity_map", "coarse_grain", "upsilon0",
+    "single_particle_transfer", "coarse_grain", "upsilon0",
     "upsilon0_prime", "binom_identity_check", "verify_surjectivity",
     "CoverageReport", "DyckSpec", "dyck_count", "enumerate_dyck_paths",
     "staircase_path", "staircase_to_word", "catalan_dyck_spec",
@@ -57,9 +57,8 @@ __all__ = [
     "export_lattice_text", "export_lattice_json", "sample_patterns",
     "chain_sample_depth1_batch", "SolverConfig", "SolverResult",
     "ParityObjective", "finite_difference_gradient", "gradient_step",
-    "run_variational",
-    "QuboProblem", "IsingProblem", "MobiusProblem", "PortfolioProblem",
-    "qubo_energy", "qubo_to_ising", "mobius_min", "brute_force_min",
+    "run_variational", "QuboProblem", "IsingProblem", "MobiusProblem",
+    "PortfolioProblem", "qubo_to_ising", "mobius_min", "brute_force_min",
     "benchmark_qubo6", "benchmark_qubo11", "portfolio_returns_from_prices",
     "binary_encode_weights", "portfolio_energy_penalty",
     "portfolio_energy_normalized", "count_unit_sum_allocations",

@@ -138,25 +138,6 @@ class CircuitSpec:
     def num_photons(self) -> int:
         return sum(self.input)
 
-    def bound(self, thetas, psis=None) -> "CircuitSpec":
-        """Copy of the circuit with angle values written into the gates."""
-        thetas = list(map(float, thetas))
-        if len(thetas) != len(self.gates):
-            raise ValueError(
-                f"{len(thetas)} thetas for {len(self.gates)} gates"
-            )
-        if psis is None:
-            psis = [g.psi for g in self.gates]
-        else:
-            psis = list(map(float, psis))
-            if len(psis) != len(self.gates):
-                raise ValueError(
-                    f"{len(psis)} psis for {len(self.gates)} gates"
-                )
-        gates = [TwoModeGate(g.i, g.j, t, p)
-                 for g, t, p in zip(self.gates, thetas, psis)]
-        return CircuitSpec(self.num_modes, self.depth, gates, self.input)
-
 
 def reck_input(num_modes: int, num_photons: int) -> Pattern:
     """One photon per mode, padded with one trailing empty mode for n = M-1."""
@@ -270,17 +251,35 @@ def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
     return QuantumState(state.basis, new_vec)
 
 
+def _angle_rows(circuit: CircuitSpec, theta_rows, psi_rows=None):
+    """Checked (rows, gates) theta and psi arrays; None: the gates' psis."""
+    num_gates = len(circuit.gates)
+    thetas = np.asarray(theta_rows, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != num_gates:
+        raise ValueError(
+            f"theta rows of shape {thetas.shape} for {num_gates} gates")
+    if psi_rows is None:
+        return thetas, np.broadcast_to([g.psi for g in circuit.gates],
+                                       thetas.shape)
+    psis = np.asarray(psi_rows, dtype=float)
+    if psis.shape != thetas.shape:
+        raise ValueError(
+            f"psi rows of shape {psis.shape} for theta rows of shape "
+            f"{thetas.shape}")
+    return thetas, psis
+
+
 def evolve(circuit: CircuitSpec, thetas, psis=None) -> QuantumState:
     """Apply the circuit's gates in order to its input basis state."""
-    bound = circuit.bound(thetas, psis)
-    if bound.depth == 1 and any(g.psi for g in bound.gates):
+    thetas, psis = _angle_rows(circuit, [thetas],
+                               None if psis is None else [psis])
+    if circuit.depth == 1 and psis.any():
         # accepted, but a single slice commutes its phases past the
         # detectors: the output distribution does not depend on them
         warnings.warn(
             "phase angles on a depth-1 mesh do not affect the output "
             "distribution", stacklevel=2)
-    return next(evolve_batch(circuit, [thetas],
-                             None if psis is None else [psis]))[1]
+    return next(evolve_batch(circuit, thetas, psis))[1]
 
 
 def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
@@ -290,18 +289,7 @@ def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
     share one state object.  psi_rows=None keeps the circuit's own phases.
     """
     num_gates = len(circuit.gates)
-    thetas = np.asarray(theta_rows, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != num_gates:
-        raise ValueError(
-            f"theta rows of shape {thetas.shape} for {num_gates} gates")
-    if psi_rows is None:
-        psis = np.broadcast_to([g.psi for g in circuit.gates], thetas.shape)
-    else:
-        psis = np.asarray(psi_rows, dtype=float)
-        if psis.shape != thetas.shape:
-            raise ValueError(
-                f"psi rows of shape {psis.shape} for theta rows of shape "
-                f"{thetas.shape}")
+    thetas, psis = _angle_rows(circuit, theta_rows, psi_rows)
     angles = np.stack([thetas, psis], axis=-1).tolist()  # [row][gate] pairs
     basis = enumerate_basis(circuit.num_modes, circuit.num_photons)
 
@@ -340,11 +328,12 @@ def support(state: QuantumState, tol: float = 0.0) -> np.ndarray:
 def single_particle_transfer(circuit: CircuitSpec, thetas, psis=None
                              ) -> np.ndarray:
     """M x M matrix V with U a_k U^dag = sum_l V_kl a_l."""
-    bound = circuit.bound(thetas, psis)
+    thetas, psis = _angle_rows(circuit, [thetas],
+                               None if psis is None else [psis])
     m = circuit.num_modes
     v = np.eye(m, dtype=complex)
-    for gate in bound.gates:
-        t = two_mode_transfer(gate.theta, gate.psi)
+    for gate, theta, psi in zip(circuit.gates, thetas[0], psis[0]):
+        t = two_mode_transfer(theta, psi)
         step = np.eye(m, dtype=complex)
         step[np.ix_([gate.i, gate.j], [gate.i, gate.j])] = t
         v = v @ step

@@ -9,8 +9,9 @@ that the union of parity images charts the whole 2^M qubit basis.
 
 Distributions are arrays: pattern rows (canonical order for a sector
 basis) with an aligned probability vector.  Bit strings are int64 rows
-coded with the first mode as the most significant bit, and a coarse-
-grained distribution is one (2^M,) vector indexed by that code.
+coded with the first mode as the most significant bit (`parity_codes`
+codes patterns, `codes_to_bits` decodes), and a coarse-grained
+distribution is one (2^M,) vector indexed by that code.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ _MASS_TOL = 1e-9
 _MAX_DENSE_WIDTH = 26  # a 2^26 float vector is 512 MiB
 
 
-def parity_map(pattern, j: int = 0) -> Bits:
-    """Componentwise parity of the photon counts, flipped when j = 1.
-
-    The scalar reference for :func:`parity_bits`.
-    """
-    if j not in (0, 1):
-        raise ValueError(f"parity variant must be 0 or 1, got {j}")
-    return tuple((int(v) % 2) ^ j for v in pattern)
-
-
 def parity_bits(patterns, j: int = 0) -> np.ndarray:
     """Vectorised parity map: one int64 bit row per pattern row."""
     if j not in (0, 1):
@@ -45,18 +36,10 @@ def parity_bits(patterns, j: int = 0) -> np.ndarray:
     return ((np.asarray(patterns) & 1) ^ j).astype(np.int64)
 
 
-def bits_to_codes(bits) -> np.ndarray:
-    """Integer code of each bit row, first bit most significant."""
-    bits = np.asarray(bits, dtype=np.int64)
-    width = bits.shape[-1]
-    if width > 63:
-        raise ValueError(f"{width}-bit strings do not fit a 64-bit code")
-    return bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
-
-
 def parity_codes(patterns, j: int = 0) -> np.ndarray:
-    """``bits_to_codes(parity_bits(patterns, j))`` one mode column at a
-    time, without an int64 bit matrix of the whole pattern array."""
+    """Integer code of each pattern's parity bits, first mode most
+    significant, built one mode column at a time without an int64 bit
+    matrix of the whole pattern array."""
     if j not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {j}")
     patterns = np.asarray(patterns)
@@ -71,7 +54,8 @@ def parity_codes(patterns, j: int = 0) -> np.ndarray:
 
 
 def codes_to_bits(codes, width: int) -> np.ndarray:
-    """Inverse of :func:`bits_to_codes`: int64 rows of `width` bits."""
+    """Int64 rows of `width` bits, the first bit most significant: the
+    parity bits of the patterns :func:`parity_codes` gave each code."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
     return (np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 1
 

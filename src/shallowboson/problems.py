@@ -40,17 +40,6 @@ class QuboProblem:
         return np.einsum("bi,ij,bj->b", x, self.q, x)
 
 
-def qubo_energy(q: np.ndarray, x) -> float:
-    """x^T Q x for a single bit string."""
-    q = np.asarray(q, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (q.shape[0],):
-        raise ValueError(
-            f"bit string of length {x.shape} does not match {q.shape[0]}"
-        )
-    return float(x @ q @ x)
-
-
 class IsingProblem:
     """H = sum_{i<j} J_ij s_i s_j + sum_k h_k s_k + const over s = +-1."""
 
@@ -70,13 +59,6 @@ class IsingProblem:
         for (i, j), val in self.couplings.items():
             self._j[i, j] = val
 
-    def spin_energy(self, spins) -> float:
-        s = np.asarray(spins, dtype=float)
-        if s.shape != (self.num_bits,) or not np.all(np.abs(s) == 1):
-            raise ValueError(f"spins must be a +-1 vector of length "
-                             f"{self.num_bits}")
-        return float(s @ self._j @ s + self.fields @ s + self.constant)
-
     def energies(self, bits: np.ndarray) -> np.ndarray:
         s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0
         return (np.einsum("bi,ij,bj->b", s, self._j, s)
@@ -85,20 +67,12 @@ class IsingProblem:
 
 def qubo_to_ising(q: np.ndarray) -> IsingProblem:
     """Equivalent Ising model under s = 2x - 1; energies match everywhere."""
-    q = QuboProblem(q).q
-    n = q.shape[0]
-    couplings = {}
-    fields = np.zeros(n)
-    constant = 0.0
-    for i in range(n):
-        fields[i] += q[i, i] / 2.0
-        constant += q[i, i] / 2.0
-        for j in range(i + 1, n):
-            couplings[(i, j)] = q[i, j] / 2.0
-            fields[i] += q[i, j] / 2.0
-            fields[j] += q[i, j] / 2.0
-            constant += q[i, j] / 2.0
-    return IsingProblem(couplings, fields, constant)
+    half = QuboProblem(q).q / 2.0
+    upper = np.triu(half, 1)
+    i, j = np.triu_indices(len(half), 1)
+    couplings = dict(zip(zip(i.tolist(), j.tolist()), half[i, j].tolist()))
+    fields = np.diag(half) + upper.sum(axis=0) + upper.sum(axis=1)
+    return IsingProblem(couplings, fields, np.trace(half) + upper.sum())
 
 
 class MobiusProblem:
@@ -114,18 +88,16 @@ class MobiusProblem:
             raise ValueError(f"couplings must be finite, got {j_a}, {j_b}")
         self.num_bits = n
 
-    def spin_energy(self, spins) -> float:
-        s = np.asarray(spins, dtype=float)
-        if s.shape != (self.n,) or not np.all(np.abs(s) == 1):
-            raise ValueError(f"spins must be a +-1 vector of length {self.n}")
-        return float(self.energies(((s + 1) / 2)[None, :])[0])
-
     def energies(self, bits: np.ndarray) -> np.ndarray:
-        s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0
-        ring = np.sum(s * np.roll(s, -1, axis=1), axis=1)
+        # a spin pair contributes +1 when its bits agree and -1 when not
+        x = np.atleast_2d(np.asarray(bits))
+        if x.shape[-1] != self.n:
+            raise ValueError(f"{x.shape[-1]}-bit rows for {self.n} spins")
         half = self.n // 2
-        rungs = np.sum(s[:, :half] * s[:, half:], axis=1)
-        return -self.j_a * ring - self.j_b * rungs
+        d_ring = np.count_nonzero(x != np.roll(x, -1, axis=1), axis=1)
+        d_rung = np.count_nonzero(x[:, :half] != x[:, half:], axis=1)
+        return (-self.j_a * (self.n - 2 * d_ring)
+                - self.j_b * (half - 2 * d_rung))
 
 
 def mobius_min(problem: MobiusProblem) -> float:
@@ -144,27 +116,26 @@ def brute_force_min(problem, k_lowest: int = 3):
     Returns (energy, argmin bits, [(energy, bits), ...] sorted ascending).
     Spin problems are scanned through s = 2x - 1.
     """
+    if k_lowest < 1:
+        raise ValueError(f"k_lowest must be >= 1, got {k_lowest}")
     width = problem.num_bits
     if width > _BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"{width} bits exceeds the exhaustive-search bound of "
             f"{_BRUTE_FORCE_LIMIT}"
         )
-    best: list[tuple[float, tuple[int, ...]]] = []
+    kept = []  # (energies, codes) of the k lowest of each chunk
     total = 1 << width
     for start in range(0, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = codes_to_bits(codes, width)
-        energies = problem.energies(bits)
-        take = min(k_lowest, len(energies))
-        idx = np.argpartition(energies, take - 1)[:take]
-        for t in idx:
-            best.append((float(energies[t]),
-                         tuple(int(b) for b in bits[t])))
-        best.sort()
-        best = best[:k_lowest]
-    e_min, argmin = best[0]
-    return e_min, argmin, best
+        energies = problem.energies(codes_to_bits(codes, width))
+        take = np.argpartition(energies, min(k_lowest, len(codes)) - 1)
+        kept.append((energies[take[:k_lowest]], codes[take[:k_lowest]]))
+    energies, codes = map(np.concatenate, zip(*kept))
+    order = np.lexsort((codes, energies))[:k_lowest]  # ties by bit string
+    best = list(zip(map(float, energies[order]), map(tuple, codes_to_bits(
+        codes[order], width).tolist())))
+    return *best[0], best
 
 
 def _load_matrix(name: str) -> np.ndarray:
@@ -222,16 +193,13 @@ def binary_encode_weights(x, n_bits_per_asset: int, n_assets: int
     set group invests weight 1 and N_q = 1 reduces to invest/skip bits.
     """
     x = np.asarray(x, dtype=np.int64)
-    flat = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != n_assets * n_bits_per_asset:
+    if x.shape[-1] != n_assets * n_bits_per_asset:
         raise ValueError(
-            f"expected {n_assets * n_bits_per_asset} bits, got {x.shape[1]}"
+            f"expected {n_assets * n_bits_per_asset} bits, got {x.shape[-1]}"
         )
-    groups = x.reshape(x.shape[0], n_assets, n_bits_per_asset)
+    groups = x.reshape(*x.shape[:-1], n_assets, n_bits_per_asset)
     weights = 2 ** np.arange(n_bits_per_asset, dtype=np.int64)
-    omega = (groups * weights).sum(axis=2) / float(2**n_bits_per_asset - 1)
-    return omega[0] if flat else omega
+    return (groups * weights).sum(axis=-1) / float(2**n_bits_per_asset - 1)
 
 
 @dataclass
@@ -293,33 +261,36 @@ class PortfolioProblem:
                                      self.n_assets)
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
-        omega = np.atleast_2d(self.decode(bits)).astype(float)
-        risk = np.einsum("bi,ij,bj->b", omega, self.sigma, omega)
-        gain = np.einsum("bi,i->b", omega, self.mu)
-        if self.approach == "penalty":
-            return (-gain + self.gamma * risk
-                    + self.penalty_weight * (omega.sum(axis=1) - 1.0) ** 2)
-        totals = omega.sum(axis=1)
-        safe = np.where(totals == 0, 1.0, totals)
-        vals = -gain / safe + self.gamma * risk / safe**2
-        return np.where(totals == 0, self.zero_penalty, vals)
+        energy = (portfolio_energy_penalty if self.approach == "penalty"
+                  else portfolio_energy_normalized)
+        return energy(self, np.atleast_2d(self.decode(bits)))
 
 
-def portfolio_energy_penalty(problem: PortfolioProblem, omega) -> float:
-    """-w.mu + gamma w.Sigma.w + B (sum w - 1)^2."""
+def _moments(problem: PortfolioProblem, omega):
+    """(w, w.Sigma.w, w.mu) over the weight rows w of omega."""
     w = np.asarray(omega, dtype=float)
-    base = -w @ problem.mu + problem.gamma * (w @ problem.sigma @ w)
-    return float(base + problem.penalty_weight * (w.sum() - 1.0) ** 2)
+    return (w, np.einsum("...i,ij,...j->...", w, problem.sigma, w),
+            np.einsum("...i,i->...", w, problem.mu))
 
 
-def portfolio_energy_normalized(problem: PortfolioProblem, omega) -> float:
-    """Scale-invariant objective; the empty allocation pays the penalty."""
-    w = np.asarray(omega, dtype=float)
-    total = w.sum()
-    if total == 0:
-        return float(problem.zero_penalty)
-    return float(-(w @ problem.mu) / total
-                 + problem.gamma * (w @ problem.sigma @ w) / total**2)
+def portfolio_energy_penalty(problem: PortfolioProblem, omega):
+    """-w.mu + gamma w.Sigma.w + B (sum w - 1)^2 of each weight row w.
+
+    One row gives a float, rows of shape (B, n_assets) a (B,) array.
+    """
+    w, risk, gain = _moments(problem, omega)
+    return (-gain + problem.gamma * risk
+            + problem.penalty_weight * (w.sum(axis=-1) - 1.0) ** 2)
+
+
+def portfolio_energy_normalized(problem: PortfolioProblem, omega):
+    """Scale-invariant objective of each weight row, shaped as above; the
+    empty allocation pays the zero penalty."""
+    w, risk, gain = _moments(problem, omega)
+    totals = w.sum(axis=-1)
+    safe = np.where(totals == 0, 1.0, totals)
+    return np.where(totals == 0, problem.zero_penalty,
+                    -gain / safe + problem.gamma * risk / safe**2)[()]
 
 
 def count_unit_sum_allocations(n_assets: int, n_bits_per_asset: int) -> int:
@@ -359,15 +330,16 @@ class PortfolioRun:
                 ])
 
 
-def allocation_risk_return(problem: PortfolioProblem, bits
-                           ) -> tuple[float, float]:
-    """Risk and return of the unit-normalized allocation of a bit string."""
+def allocation_risk_return(problem: PortfolioProblem, bits):
+    """Risk and return of the unit-normalized allocation of each bit row.
+
+    The empty allocation has risk and return 0.  One row gives two floats,
+    rows of shape (B, num_bits) two (B,) arrays.
+    """
     omega = problem.decode(bits)
-    total = omega.sum()
-    if total == 0:
-        return 0.0, 0.0
-    w = omega / total
-    return (float(np.sqrt(w @ problem.sigma @ w)), float(w @ problem.mu))
+    totals = omega.sum(axis=-1, keepdims=True)
+    _, risk, ret = _moments(problem, omega / np.where(totals == 0, 1, totals))
+    return np.sqrt(risk), ret
 
 
 def run_portfolio(problem: PortfolioProblem, config: SolverConfig,
@@ -376,15 +348,12 @@ def run_portfolio(problem: PortfolioProblem, config: SolverConfig,
     if gammas is None:
         gammas = [1.0]
     # every instance is checked before the first solve
-    instances = [replace(problem, gamma=float(gamma),
-                         penalty_weight=problem.penalty_weight,
-                         zero_penalty=problem.zero_penalty)
-                 for gamma in gammas]
+    instances = [replace(problem, gamma=float(gamma)) for gamma in gammas]
     points = []
     results = {}
     for instance in instances:
         result = run_variational(instance, config)
-        risk, ret = allocation_risk_return(instance, result.b_min)
+        risk, ret = map(float, allocation_risk_return(instance, result.b_min))
         points.append(FrontierPoint(instance.gamma, risk, ret,
                                     result.b_min, result.e_min))
         results[instance.gamma] = result
@@ -397,18 +366,12 @@ def random_portfolio_cloud(problem: PortfolioProblem, count: int, seed
     if count < 0:
         raise ValueError(f"portfolio count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(count, problem.num_bits))
-    empty = bits.sum(axis=1) == 0
-    while empty.any():
-        bits[empty] = rng.integers(0, 2, size=(int(empty.sum()),
-                                               problem.num_bits))
-        empty = bits.sum(axis=1) == 0
-    omega = np.atleast_2d(problem.decode(bits)).astype(float)
-    totals = omega.sum(axis=1)
-    w = omega / totals[:, None]
-    risks = np.sqrt(np.einsum("bi,ij,bj->b", w, problem.sigma, w))
-    returns = w @ problem.mu
-    return risks, returns
+    bits = np.zeros((count, problem.num_bits), dtype=np.int64)
+    empty = np.ones(count, dtype=bool)
+    while empty.any():  # draw every row, then redraw the empty ones
+        bits[empty] = rng.integers(0, 2, (int(empty.sum()), problem.num_bits))
+        empty = ~bits.any(axis=1)
+    return allocation_risk_return(problem, bits)
 
 
 def synthetic_portfolio(n_assets: int, seed, gamma: float = 1.0,

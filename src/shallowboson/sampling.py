@@ -158,12 +158,12 @@ def depth1_parity_masses(input_pattern, theta_rows,
     """Exact parity-bit distribution of a depth-1 mesh, per angle row.
 
     Returns shape (R, 2^M): entry [r, code] is the probability that row r
-    detects a pattern whose parity bits (flipped when parity = 1) have the
-    `parity.bits_to_codes` code `code`.  Gate g of the cascade freezes
-    mode M-1-g, the bit of weight 2^g, so a forward pass carries
-    mass[r, prefix code, carry] over the g frozen bits so far and the
-    photon count of the carried mode; each gate multiplies it by the
-    `gate_outcome_table` of its row's angle, split by the parity of
+    detects a pattern whose `parity.parity_codes` code (parity bits flipped
+    when parity = 1, the first mode most significant) is `code`.  Gate g
+    of the cascade freezes mode M-1-g, the bit of weight 2^g, so a forward
+    pass carries mass[r, prefix code, carry] over the g frozen bits so far
+    and the photon count of the carried mode; each gate multiplies it by
+    the `gate_outcome_table` of its row's angle, split by the parity of
     the frozen count.  The final carry is mode 0, the top bit.
 
     The pass holds the mass before and after a gate, 2^M (n+1) floats per

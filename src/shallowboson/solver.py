@@ -157,7 +157,8 @@ class ParityObjective:
         self._pattern_codes = None
 
     def _code_energies(self) -> np.ndarray:
-        """Energy of every bit string, indexed by its `bits_to_codes` code."""
+        """Energy of every bit string, indexed by its code: row `code` of
+        `codes_to_bits`, the order of `parity_codes`."""
         if self._energy_table is None:
             m, size = self.num_modes, 1 << self.num_modes
             self._energy_table = np.concatenate([

@@ -192,6 +192,13 @@ def test_parameter_count_mismatch():
         evolve(circ, [0.1, 0.2])
     with pytest.raises(ValueError):
         evolve(circ, [0.1, 0.2, 0.3], [0.0])
+    # the count check comes before the depth-1 phase warning
+    with pytest.raises(ValueError):
+        evolve(circ, [0.1, 0.2], [0.3, 0.4])
+    for thetas, psis in (([0.1, 0.2], None), ([0.1, 0.2, 0.3], [0.0]),
+                         ([0.1] * 4, [0.0] * 4)):
+        with pytest.raises(ValueError):
+            single_particle_transfer(circ, thetas, psis)
 
 
 @pytest.mark.parametrize("m,n,depth,size", [

@@ -7,11 +7,31 @@ import pytest
 from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import build_reck_slices, evolve, reck_input
 from shallowboson.parity import (
-    binom_identity_check, bits_to_codes, coarse_grain, codes_to_bits,
-    parity_bits, parity_codes, parity_map, upsilon0, upsilon0_prime,
-    verify_surjectivity,
+    binom_identity_check, coarse_grain, codes_to_bits, parity_bits,
+    parity_codes, upsilon0, upsilon0_prime, verify_surjectivity,
 )
 from shallowboson.young import catalan_basis
+
+Bits = tuple[int, ...]
+
+
+def parity_map(pattern, j: int = 0) -> Bits:
+    """Componentwise parity of the photon counts, flipped when j = 1.
+
+    The scalar reference for :func:`parity_bits`.
+    """
+    if j not in (0, 1):
+        raise ValueError(f"parity variant must be 0 or 1, got {j}")
+    return tuple((int(v) % 2) ^ j for v in pattern)
+
+
+def bits_to_codes(bits) -> np.ndarray:
+    """Integer code of each bit row, first bit most significant."""
+    bits = np.asarray(bits, dtype=np.int64)
+    width = bits.shape[-1]
+    if width > 63:
+        raise ValueError(f"{width}-bit strings do not fit a 64-bit code")
+    return bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
 
 
 def brute_multiplicity(num_modes, num_photons, m):
@@ -31,11 +51,12 @@ def brute_multiplicity_flipped(num_modes, num_photons, m):
 
 
 def test_parity_map_examples():
-    assert parity_map((3, 0, 1, 0), 0) == (1, 0, 1, 0)
-    assert parity_map((1, 2, 1, 0), 0) == (1, 0, 1, 0)
-    assert parity_map((0,) * 6, 1) == (1,) * 6
-    with pytest.raises(ValueError):
-        parity_map((1, 0), 2)
+    for map_ in (parity_map, lambda p, j: tuple(parity_bits([p], j)[0])):
+        assert map_((3, 0, 1, 0), 0) == (1, 0, 1, 0)
+        assert map_((1, 2, 1, 0), 0) == (1, 0, 1, 0)
+        assert map_((0,) * 6, 1) == (1,) * 6
+        with pytest.raises(ValueError):
+            map_((1, 0), 2)
 
 
 def reference_coarse_grain(dist, j):
@@ -126,6 +147,7 @@ def test_bit_codes_round_trip():
     bits = codes_to_bits(codes, 6)
     assert bits[1].tolist() == [0, 0, 0, 0, 0, 1]
     assert np.array_equal(bits_to_codes(bits), codes)
+    assert np.array_equal(parity_codes(bits), codes)  # 0/1 counts are bits
     with pytest.raises(ValueError):
         bits_to_codes(np.zeros((1, 64), dtype=np.int64))
 

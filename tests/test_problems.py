@@ -6,7 +6,7 @@ from shallowboson.problems import (
     allocation_risk_return, benchmark_qubo6, benchmark_qubo11,
     binary_encode_weights, brute_force_min, count_unit_sum_allocations,
     mobius_min, portfolio_energy_normalized,
-    portfolio_energy_penalty, portfolio_returns_from_prices, qubo_energy,
+    portfolio_energy_penalty, portfolio_returns_from_prices,
     qubo_to_ising, random_portfolio_cloud, synthetic_portfolio,
 )
 from shallowboson.solver import SolverConfig
@@ -18,11 +18,12 @@ def all_bit_rows(width):
 
 
 def test_qubo_energy_basics():
-    q = benchmark_qubo6()
-    assert qubo_energy(q, np.zeros(6)) == 0.0
-    assert qubo_energy(q, np.ones(6)) == pytest.approx(-7.9240876, abs=1e-6)
+    problem = QuboProblem(benchmark_qubo6())
+    zero, one = problem.energies(np.array([np.zeros(6), np.ones(6)]))
+    assert zero == 0.0
+    assert one == pytest.approx(-7.9240876, abs=1e-6)
     with pytest.raises(ValueError):
-        qubo_energy(q, np.ones(5))
+        problem.energies(np.ones((1, 5)))
     with pytest.raises(ValueError, match="non-finite"):
         QuboProblem(np.array([[1.0, np.nan], [np.nan, 2.0]]))
 
@@ -78,8 +79,9 @@ def test_qubo_to_ising_one_variable():
     c = 0.7
     ising = qubo_to_ising(np.array([[c]]))
     # both-sides evaluation over x in {0, 1} fixes h = const = c/2
-    assert ising.spin_energy([-1]) == pytest.approx(0.0, abs=1e-15)
-    assert ising.spin_energy([1]) == pytest.approx(c, abs=1e-15)
+    at_zero, at_one = ising.energies(np.array([[0], [1]]))
+    assert at_zero == pytest.approx(0.0, abs=1e-15)
+    assert at_one == pytest.approx(c, abs=1e-15)
     assert ising.fields[0] == pytest.approx(c / 2)
     assert ising.constant == pytest.approx(c / 2)
 
@@ -95,19 +97,20 @@ def test_ising_validation():
         IsingProblem({(1, 0): 1.0}, np.zeros(2))
     problem = IsingProblem({(0, 1): 1.0}, np.zeros(2))
     with pytest.raises(ValueError):
-        problem.spin_energy([1, 2])
+        problem.energies(np.ones((1, 3)))
 
 
 def test_mobius_hand_sums():
     problem = MobiusProblem(8, 0.5, -0.2)
-    assert problem.spin_energy(np.ones(8)) == pytest.approx(-3.2)
-    assert MobiusProblem(8, 0.0, 0.0).spin_energy(np.ones(8)) == 0.0
+    assert problem.energies(np.ones((1, 8)))[0] == pytest.approx(-3.2)
+    assert MobiusProblem(8, 0.0, 0.0).energies(np.ones((1, 8)))[0] == 0.0
     with pytest.raises(ValueError):
         MobiusProblem(7, 0.5, -0.2)
     with pytest.raises(ValueError):
         MobiusProblem(2, 0.5, -0.2)
-    with pytest.raises(ValueError):
-        problem.spin_energy(np.ones(7))
+    for width in (5, 7):  # 5 columns would broadcast against the rungs
+        with pytest.raises(ValueError, match=f"{width}-bit rows for 8"):
+            problem.energies(np.ones((1, width)))
 
 
 def test_mobius_closed_form_values():
@@ -124,7 +127,28 @@ def test_mobius_domain_wall_configuration():
     # half-up half-down: two ring domain walls, all rungs anti-aligned
     problem = MobiusProblem(70, 0.5, -0.2)
     spins = np.concatenate([np.ones(35), -np.ones(35)])
-    assert problem.spin_energy(spins) == pytest.approx(-40.0)
+    bits = ((spins + 1) / 2).astype(np.int64)
+    assert problem.energies(bits[None, :])[0] == pytest.approx(-40.0)
+
+
+def mobius_spin_products(problem, bits):
+    """Oracle: the float spin-product sums over s = 2x - 1."""
+    s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0
+    ring = np.sum(s * np.roll(s, -1, axis=1), axis=1)
+    half = problem.n // 2
+    rungs = np.sum(s[:, :half] * s[:, half:], axis=1)
+    return -problem.j_a * ring - problem.j_b * rungs
+
+
+@pytest.mark.parametrize("n", [4, 70])
+def test_mobius_disagreement_counts_match_spin_products(n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, (2000, n))
+    for j_a, j_b in ((0.5, -0.2), (0.1, 0.3), (1.0, -0.5), (0.37, 0.0),
+                     (-0.8, 0.25), (-0.3, 0.0)):
+        problem = MobiusProblem(n, j_a, j_b)
+        assert np.array_equal(problem.energies(bits),
+                              mobius_spin_products(problem, bits))
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))
@@ -142,6 +166,12 @@ def test_brute_force_basics():
     e_min, argmin, lowest = brute_force_min(problem)
     assert e_min == -1.0 and argmin == (1,)
     assert lowest == [(-1.0, (1,)), (0.0, (0,))]
+
+
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_brute_force_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match=f"k_lowest must be >= 1, got {k}"):
+        brute_force_min(QuboProblem(benchmark_qubo6()), k_lowest=k)
 
 
 def test_brute_force_dimension_guard():
@@ -245,6 +275,25 @@ def test_normalized_energy_relations():
             assert portfolio_energy_normalized(problem, scale * w) == (
                 pytest.approx(portfolio_energy_normalized(problem, w),
                               rel=1e-12))
+
+
+@pytest.mark.parametrize("approach,energy", [
+    ("penalty", portfolio_energy_penalty),
+    ("normalized", portfolio_energy_normalized),
+])
+def test_portfolio_energy_rows(approach, energy):
+    # energies() is the row-wise objective of the decoded weights; one
+    # weight row gives the same float as that row in a batch
+    problem = synthetic_portfolio(5, seed=8, approach=approach,
+                                  n_bits_per_asset=2)
+    bits = all_bit_rows(problem.num_bits)
+    omega = problem.decode(bits)
+    rows = energy(problem, omega)
+    assert rows.shape == (len(bits),)
+    assert np.array_equal(problem.energies(bits), rows)
+    for r in (0, 1, 77, len(bits) - 1):
+        single = energy(problem, omega[r])
+        assert isinstance(single, float) and single == rows[r]
 
 
 def test_single_asset_invests_fully():
@@ -351,3 +400,28 @@ def test_allocation_risk_return():
     assert ret == pytest.approx(0.2)
     assert risk == pytest.approx(0.3)
     assert allocation_risk_return(problem, (0, 0, 0)) == (0.0, 0.0)
+
+
+def scalar_risk_return(problem, bits):
+    """Oracle: the risk and return of one bit string, a vector at a time."""
+    omega = problem.decode(bits)
+    total = omega.sum()
+    if total == 0:
+        return 0.0, 0.0
+    w = omega / total
+    return (float(np.sqrt(w @ problem.sigma @ w)), float(w @ problem.mu))
+
+
+def test_allocation_risk_return_rows():
+    problem = synthetic_portfolio(6, seed=9, n_bits_per_asset=2)
+    bits = np.random.default_rng(2).integers(0, 2, (300, problem.num_bits))
+    bits[0] = 0
+    risks, returns = allocation_risk_return(problem, bits)
+    assert risks.shape == returns.shape == (300,)
+    assert (risks[0], returns[0]) == (0.0, 0.0)
+    for r, row in enumerate(bits):
+        risk, ret = scalar_risk_return(problem, row)
+        assert risks[r] == pytest.approx(risk, rel=1e-12, abs=1e-15)
+        assert returns[r] == pytest.approx(ret, rel=1e-12, abs=1e-15)
+        assert allocation_risk_return(problem, row) == pytest.approx(
+            (risk, ret), rel=1e-12, abs=1e-15)
