@@ -208,7 +208,7 @@ def cmd_solve_portfolio(args) -> int:
     if args.random_baseline:
         with open(out_dir / "random_portfolios.csv", "w") as fh:
             fh.write("risk,return\n")
-            for r, m in zip(*cloud):
+            for r, m in np.column_stack(cloud).tolist():
                 fh.write(f"{r!r},{m!r}\n")
     for pt in run.points:
         print(f"gamma={pt.gamma:g}  risk={pt.risk:.6f}  "

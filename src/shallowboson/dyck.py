@@ -198,8 +198,12 @@ def catalan_dyck_spec(num_modes: int, num_photons: int, depth: int) -> DyckSpec:
     For one photon per mode (n = M) or one trailing empty mode (n = M-1)
     the staircase polygon of the first `depth` mesh slices has k = M+n-1,
     start height depth + 1 + (n - M) and end height start + (M-1) - n.
+    Meshes, reachable bases and coverage reports range-check (M, n, depth)
+    here alone.
     """
     m, n = num_modes, num_photons
+    if m < 2:
+        raise ValueError(f"mesh needs at least 2 modes, got {m}")
     if n not in (m, m - 1):
         raise ValueError(
             f"photon number must be M or M-1, got n={n} for M={m}"

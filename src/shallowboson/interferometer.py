@@ -40,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dyck import catalan_dyck_spec
 from .fock import SectorBasis, Pattern, enumerate_basis
 
 _NORM_TOL = 1e-9
@@ -158,27 +159,21 @@ def build_reck_slices(num_modes: int, depth: int,
     slice 1 is the full nearest-neighbour cascade (M-1 gates), each deeper
     slice adds one gate fewer, and depth M-1 realizes the complete mesh
     with M(M-1)/2 gates.  Angles are placeholders bound later.
+    `catalan_dyck_spec` range-checks (M, n, depth).
     """
-    if num_modes < 2:
-        raise ValueError(f"mesh needs at least 2 modes, got {num_modes}")
-    if not 1 <= depth <= num_modes - 1:
+    if input_pattern is None:
+        input_pattern = reck_input(num_modes, num_modes)
+    spec = CircuitSpec(num_modes, depth, [], input_pattern)
+    catalan_dyck_spec(num_modes, spec.num_photons, depth)
+    if any(v > 1 for v in spec.input):
         raise ValueError(
-            f"depth must be in [1, {num_modes - 1}], got {depth}"
-        )
-    gates = [
+            f"mesh input must hold at most one photon per mode, got "
+            f"{spec.input}")
+    spec.gates = [
         TwoModeGate(j, j + 1)
         for s in range(1, depth + 1)
         for j in range(num_modes - 2, s - 2, -1)
     ]
-    if input_pattern is None:
-        input_pattern = reck_input(num_modes, num_modes)
-    spec = CircuitSpec(num_modes, depth, gates, tuple(input_pattern))
-    n = spec.num_photons
-    if n not in (num_modes, num_modes - 1) or any(v > 1 for v in spec.input):
-        raise ValueError(
-            "mesh input must hold at most one photon per mode with "
-            f"n in {{M, M-1}}, got {spec.input}"
-        )
     return spec
 
 

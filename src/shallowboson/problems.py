@@ -41,27 +41,27 @@ class QuboProblem:
 
 
 class IsingProblem:
-    """H = sum_{i<j} J_ij s_i s_j + sum_k h_k s_k + const over s = +-1."""
+    """H = sum_{i<j} J_ij s_i s_j + sum_k h_k s_k + const over s = +-1;
+    `couplings` is J as an upper-triangular matrix, from an {(i, j): J_ij}
+    dict."""
 
     def __init__(self, couplings: dict[tuple[int, int], float],
                  fields: np.ndarray, constant: float = 0.0):
         self.fields = np.asarray(fields, dtype=float)
         self.num_bits = self.fields.shape[0]
-        for (i, j) in couplings:
+        self.couplings = np.zeros((self.num_bits, self.num_bits))
+        for (i, j), val in couplings.items():
             if not 0 <= i < j < self.num_bits:
                 raise ValueError(f"coupling ({i}, {j}) out of range")
-        self.couplings = dict(couplings)
+            self.couplings[i, j] = val
         self.constant = float(constant)
-        if not np.isfinite([*self.fields, *couplings.values(),
+        if not np.isfinite([*self.fields, *self.couplings.ravel(),
                             self.constant]).all():
             raise ValueError("fields, couplings or constant are non-finite")
-        self._j = np.zeros((self.num_bits, self.num_bits))
-        for (i, j), val in self.couplings.items():
-            self._j[i, j] = val
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
         s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0
-        return (np.einsum("bi,ij,bj->b", s, self._j, s)
+        return (np.einsum("bi,ij,bj->b", s, self.couplings, s)
                 + np.einsum("bi,i->b", s, self.fields) + self.constant)
 
 

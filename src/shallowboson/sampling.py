@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interferometer import two_mode_block_column
+from .interferometer import (_angle_rows, build_reck_slices,
+                             two_mode_block_column)
 
 _MASS_TOL = 1e-9
 # One row of the exact depth-1 pass ends on 2^M (n+1) floats; meshes beyond
@@ -92,31 +93,32 @@ def gate_outcome_table(fresh: int, totals, thetas):
     return table, row_code
 
 
-def _chain_angles(input_pattern, theta_rows):
-    """Validated depth-1 input and (R, M-1) theta rows."""
-    inp = tuple(int(v) for v in input_pattern)
-    m = len(inp)
-    theta_rows = np.asarray(theta_rows, dtype=float)
-    if theta_rows.ndim != 2 or theta_rows.shape[1] != m - 1:
+def _depth1_thetas(circuit, theta_rows) -> np.ndarray:
+    """Checked (R, M-1) theta rows of a circuit laid out as the depth-1
+    mesh of `build_reck_slices`, the gate order both engines rely on."""
+    layout = [(g.i, g.j) for g in circuit.gates]
+    if circuit.depth != 1 or layout != [
+            (g.i, g.j) for g in build_reck_slices(circuit.num_modes, 1).gates]:
         raise ValueError(
-            f"theta batch must have shape (R, {m - 1}), got {theta_rows.shape}"
-        )
-    return inp, theta_rows
+            f"the depth-1 engines need the gates of build_reck_slices"
+            f"({circuit.num_modes}, 1) in order, got a depth-"
+            f"{circuit.depth} circuit of {len(layout)} gates")
+    return _angle_rows(circuit, theta_rows)[0]
 
 
-def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
+def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
                               stream_seed) -> np.ndarray:
     """Depth-1 chain sampling for a batch of angle vectors.
 
-    theta_rows has shape (R, M-1), one gate angle per nearest-neighbour
-    pair in firing order (pair (M-2, M-1) first).  Each row draws from an
-    independent seeded stream, so results do not depend on batching.
-    Returns uint16 patterns of shape (R, n_samples, M).
+    theta_rows has shape (R, M-1), one angle per gate of the depth-1
+    `circuit` in its firing order (pair (M-2, M-1) first).  Each row draws
+    from an independent seeded stream, so results do not depend on
+    batching.  Returns uint16 patterns of shape (R, n_samples, M).
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    inp, theta_rows = _chain_angles(input_pattern, theta_rows)
-    m = len(inp)
+    theta_rows = _depth1_thetas(circuit, theta_rows)
+    m, inp = circuit.num_modes, circuit.input
     rows = theta_rows.shape[0]
     if rows == 0:
         return np.zeros((0, n_samples, m), dtype=np.uint16)
@@ -127,44 +129,44 @@ def chain_sample_depth1_batch(input_pattern, theta_rows, n_samples: int,
         uniforms[r] = np.random.default_rng(child).random((m - 1, n_samples))
 
     out = np.zeros((rows, n_samples, m), dtype=np.uint16)
-    carry = np.full((rows, n_samples), inp[m - 1], dtype=np.int64)
-    for gate_idx, mode in enumerate(range(m - 2, -1, -1)):
-        fresh = inp[mode]
+    # the last mode is the first carry; gate g freezes its mode j
+    carry = np.full((rows, n_samples), inp[-1], dtype=np.int64)
+    for g, gate in enumerate(circuit.gates):
+        fresh = inp[gate.i]
         totals = carry + fresh
         # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
         # k, padded with +inf
         table, row_code = gate_outcome_table(
             fresh, np.flatnonzero(np.bincount(totals.ravel())),
-            theta_rows[:, gate_idx])
+            theta_rows[:, g])
         cdf = np.cumsum(table, axis=2)
         span = cdf.shape[1]
         levels = np.arange(span)
         cdf[:, levels[:, None] < levels] = np.inf
         cdf[:, levels, levels] = np.maximum(cdf[:, levels, levels], 1.0)
         # the count of row entries <= u is searchsorted(row, u, "right")
-        u = uniforms[:, gate_idx, :]
+        u = uniforms[:, g, :]
         start = (row_code[:, None] * span + totals) * span
         new_carry = np.zeros_like(carry)
         for level in range(span):
             new_carry += cdf.take(start + level) <= u
-        out[:, :, mode + 1] = (totals - new_carry).astype(np.uint16)
+        out[:, :, gate.j] = (totals - new_carry).astype(np.uint16)
         carry = new_carry
-    out[:, :, 0] = carry.astype(np.uint16)
+    out[:, :, 0] = carry.astype(np.uint16)  # the last gate's mode i
     return out
 
 
-def depth1_parity_masses(input_pattern, theta_rows,
-                         parity: int) -> np.ndarray:
+def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     """Exact parity-bit distribution of a depth-1 mesh, per angle row.
 
     Returns shape (R, 2^M): entry [r, code] is the probability that row r
     detects a pattern whose `parity.parity_codes` code (parity bits flipped
     when parity = 1, the first mode most significant) is `code`.  Gate g
-    of the cascade freezes mode M-1-g, the bit of weight 2^g, so a forward
-    pass carries mass[r, prefix code, carry] over the g frozen bits so far
-    and the photon count of the carried mode; each gate multiplies it by
-    the `gate_outcome_table` of its row's angle, split by the parity of
-    the frozen count.  The final carry is mode 0, the top bit.
+    of `circuit` freezes mode j = M-1-g, the bit of weight 2^g, so a pass
+    carries mass[r, prefix code, carry] over the g frozen bits so far and
+    the photon count of the carried mode; each gate multiplies it by the
+    `gate_outcome_table` of its row's angle, split by the parity of the
+    frozen count.  The final carry is mode 0, the top bit.
 
     The pass holds the mass before and after a gate, 2^M (n+1) floats per
     row at the last gate, so memory grows as 16 (n+1) 2^M bytes per row;
@@ -174,8 +176,8 @@ def depth1_parity_masses(input_pattern, theta_rows,
     """
     if parity not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {parity}")
-    inp, theta_rows = _chain_angles(input_pattern, theta_rows)
-    m, n = len(inp), sum(inp)
+    theta_rows = _depth1_thetas(circuit, theta_rows)
+    m, n, inp = circuit.num_modes, circuit.num_photons, circuit.input
     if (n + 1) << m > _MASS_ENTRIES_CAP:
         raise ValueError(
             f"exact depth-1 masses of {m} modes and {n} photons need "
@@ -184,11 +186,11 @@ def depth1_parity_masses(input_pattern, theta_rows,
     rows = theta_rows.shape[0]
     levels = np.arange(n + 1)
     mass = np.zeros((rows, 1, n + 1))
-    mass[:, 0, inp[m - 1]] = 1.0
-    for gate_idx, mode in enumerate(range(m - 2, -1, -1)):
-        fresh = inp[mode]
+    mass[:, 0, inp[-1]] = 1.0
+    for g, gate in enumerate(circuit.gates):
+        fresh = inp[gate.i]
         table, row_code = gate_outcome_table(
-            fresh, range(fresh, n + 1), theta_rows[:, gate_idx])
+            fresh, range(fresh, n + 1), theta_rows[:, g])
         # table[k, c, u] for carry c in and u out; a carry above n - fresh
         # never occurs
         carries = n + 1 - fresh
@@ -196,7 +198,7 @@ def depth1_parity_masses(input_pattern, theta_rows,
         frozen_bit = ((levels[:carries, None] + fresh - levels) & 1) ^ parity
         split = np.stack([table * (frozen_bit == b) for b in (0, 1)], axis=1)
         mass = np.einsum("rkc,rbcu->rbku", mass[:, :, :carries],
-                         split[row_code]).reshape(rows, 2 << gate_idx, n + 1)
+                         split[row_code]).reshape(rows, 2 << g, n + 1)
     top_bit = (levels & 1) ^ parity
     fold = np.stack([top_bit == b for b in (0, 1)], axis=1).astype(float)
     return np.einsum("rkc,cb->rbk", mass, fold).reshape(rows, 2 ** m)

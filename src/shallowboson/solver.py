@@ -16,6 +16,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, asdict, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
 
 _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
-# Exact depth-1 rows go through the carry-chain pass in chunks of at most
-# this many bytes of mass arrays, or one row when a row needs more.
+# Exact rows are read out in chunks of at most this many bytes of mass
+# arrays, or one row when a row needs more.
 _CHUNK_BYTES = 1 << 26
 _CODE_CHUNK = 1 << 16
 
@@ -153,19 +154,22 @@ class ParityObjective:
             self.num_modes, depth, reck_input(self.num_modes, num_photons))
         self.num_gates = len(self.circuit.gates)
         self.num_parameters = (2 if optimize_phases else 1) * self.num_gates
-        self._energy_table = None
-        self._pattern_codes = None
 
+    @cached_property
     def _code_energies(self) -> np.ndarray:
         """Energy of every bit string, indexed by its code: row `code` of
         `codes_to_bits`, the order of `parity_codes`."""
-        if self._energy_table is None:
-            m, size = self.num_modes, 1 << self.num_modes
-            self._energy_table = np.concatenate([
-                np.asarray(self.problem.energies(codes_to_bits(
-                    np.arange(s, min(s + _CODE_CHUNK, size)), m)), dtype=float)
-                for s in range(0, size, _CODE_CHUNK)])
-        return self._energy_table
+        m, size = self.num_modes, 1 << self.num_modes
+        return np.concatenate([
+            np.asarray(self.problem.energies(codes_to_bits(
+                np.arange(s, min(s + _CODE_CHUNK, size)), m)), dtype=float)
+            for s in range(0, size, _CODE_CHUNK)])
+
+    @cached_property
+    def _pattern_codes(self) -> np.ndarray:
+        """Parity code of every pattern of the dense sector, in its order."""
+        basis = enumerate_basis(self.num_modes, self.num_photons)
+        return parity_codes(basis.patterns, self.parity)
 
     def value(self, angles, stream_seed=None):
         """Objective value plus the best observed (energy, bit string)."""
@@ -190,14 +194,14 @@ class ParityObjective:
         if self.samples is None:
             return self._exact_batch(rows)
         n_s = self.samples
+        thetas, phases = self._split(rows)
         if self.depth == 1:
-            pats = chain_sample_depth1_batch(
-                self.circuit.input, rows[:, :self.num_gates], n_s,
-                stream_seed)
+            pats = chain_sample_depth1_batch(self.circuit, thetas, n_s,
+                                             stream_seed)
         else:
             children = as_seed_sequence(stream_seed).spawn(len(rows))
             pats = np.empty((len(rows), n_s, self.num_modes), np.uint16)
-            for r, state in self._dense_states(rows):
+            for r, state in evolve_batch(self.circuit, thetas, phases):
                 pats[r] = sample_patterns(state.basis.patterns,
                                           state.probabilities(), n_s,
                                           children[r])
@@ -226,41 +230,43 @@ class ParityObjective:
                                                     stream_seed)
         return (energies[0::2] - energies[1::2]) / 2.0, best_e, best_b
 
-    def _dense_states(self, rows):
-        """(row, state) pairs from `evolve_batch`, phases included."""
+    def _split(self, rows):
+        """Theta rows, and phase rows with optimize_phases (else None)."""
         phases = rows[:, self.num_gates:] if self.optimize_phases else None
-        return evolve_batch(self.circuit, rows[:, :self.num_gates], phases)
+        return rows[:, :self.num_gates], phases
+
+    def _masses(self, rows) -> np.ndarray:
+        """(R, 2^M) parity masses of the rows, indexed by code."""
+        thetas, phases = self._split(rows)
+        if self.depth == 1:
+            return depth1_parity_masses(self.circuit, thetas, self.parity)
+        masses = np.empty((len(rows), 1 << self.num_modes))
+        for r, state in evolve_batch(self.circuit, thetas, phases):
+            masses[r] = np.bincount(self._pattern_codes,
+                                    weights=state.probabilities(),
+                                    minlength=1 << self.num_modes)
+        return masses
 
     def _exact_batch(self, rows):
         """Energy and lowest observed bit string of every row."""
         energies = np.empty(len(rows))
         best = np.empty(len(rows), dtype=np.int64)
-
-        def reduce(at, masses):
-            e_codes = self._code_energies()
-            energies[at] = np.einsum("rk,k->r", masses, e_codes)
-            best[at] = np.argmin(
-                np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
-
+        # a depth-1 row holds 2 (n+1) mass arrays in flight, a dense row one
+        row_bytes = 8 << self.num_modes
         if self.depth == 1:
-            row_bytes = 16 * (self.num_photons + 1) << self.num_modes
-            step = max(1, _CHUNK_BYTES // row_bytes)
-            for start in range(0, len(rows), step):
-                chunk = slice(start, start + step)
-                reduce(chunk, depth1_parity_masses(
-                    self.circuit.input, rows[chunk, :self.num_gates],
-                    self.parity))
-        else:
-            if self._pattern_codes is None:
-                basis = enumerate_basis(self.num_modes, self.num_photons)
-                self._pattern_codes = parity_codes(basis.patterns,
-                                                   self.parity)
-            for r, state in self._dense_states(rows):
-                reduce([r], np.bincount(
-                    self._pattern_codes, weights=state.probabilities(),
-                    minlength=1 << self.num_modes)[None])
-        code = best[int(np.argmin(self._code_energies()[best]))]
-        return energies, float(self._code_energies()[code]), tuple(
+            row_bytes *= 2 * (self.num_photons + 1)
+        step = max(1, _CHUNK_BYTES // row_bytes)
+        for start in range(0, len(rows), step):
+            chunk = slice(start, start + step)
+            # masses first: a refused mesh builds no 2^M energy table
+            masses = self._masses(rows[chunk])
+            e_codes = self._code_energies
+            energies[chunk] = np.einsum("rk,k->r", masses, e_codes)
+            best[chunk] = np.argmin(
+                np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
+        e_codes = self._code_energies
+        code = best[int(np.argmin(e_codes[best]))]
+        return energies, float(e_codes[code]), tuple(
             int(b) for b in codes_to_bits([code], self.num_modes)[0])
 
 
@@ -312,8 +318,6 @@ def run_variational(problem, config: SolverConfig) -> SolverResult:
     as the tracked best configuration reaches it.
     """
     m = problem.num_bits
-    if m < 2:
-        raise ValueError(f"problems need at least 2 bits, got {m}")
     curves: dict[str, list[tuple[int, float, float]]] = {}
     finals: dict[str, list[float]] = {}
     converged: dict[str, float] = {}

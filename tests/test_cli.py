@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,9 @@ import pytest
 
 from shallowboson import verify
 from shallowboson.cli import main
-from shallowboson.problems import synthetic_portfolio
+from shallowboson.problems import (
+    PortfolioProblem, random_portfolio_cloud, synthetic_portfolio,
+)
 from shallowboson.solver import run_variational
 
 
@@ -274,6 +278,19 @@ def test_random_baseline_follows_master_seed(tmp_path, capsys):
     assert seeded != first
     assert _portfolio_baseline(capsys, tmp_path, moments, "d",
                                "--config", str(config)) == seeded
+
+
+def test_random_baseline_rows_read_back_as_floats(tmp_path, capsys):
+    problem = synthetic_portfolio(4, seed=3)
+    moments = _write_moments(tmp_path, {
+        "mu": problem.mu.tolist(), "sigma": problem.sigma.tolist()})
+    written = _portfolio_baseline(capsys, tmp_path, moments, "a").decode()
+    header, *rows = csv.reader(io.StringIO(written))
+    assert header == ["risk", "return"]
+    risks, returns = random_portfolio_cloud(
+        PortfolioProblem(problem.mu, problem.sigma), 50, 0)
+    assert [[float(v) for v in row] for row in rows] == np.column_stack(
+        [risks, returns]).tolist()
 
 
 def test_solve_mobius_small_exact(tmp_path, capsys):

@@ -177,3 +177,7 @@ def test_mesh_spec_validation():
         catalan_dyck_spec(4, 4, 0)
     with pytest.raises(ValueError):
         catalan_dyck_spec(4, 4, 4)
+    with pytest.raises(ValueError, match="at least 2 modes, got 1"):
+        catalan_dyck_spec(1, 1, 1)
+    with pytest.raises(ValueError, match="at least 2 modes, got 0"):
+        catalan_dyck_spec(0, 0, 1)

@@ -1,8 +1,10 @@
+import re
 from math import lgamma, sqrt
 
 import numpy as np
 import pytest
 
+from shallowboson.dyck import catalan_dyck_spec
 from shallowboson.fock import enumerate_basis
 import shallowboson.interferometer as interferometer
 from shallowboson.interferometer import (
@@ -165,18 +167,36 @@ def test_mesh_slice_gate_counts(depth, count):
     assert len(circuit.gates) == count
 
 
+def spec_error(m, n, depth):
+    """The message catalan_dyck_spec refuses (M, n, depth) with."""
+    with pytest.raises(ValueError) as info:
+        catalan_dyck_spec(m, n, depth)
+    return re.escape(str(info.value))
+
+
 def test_mesh_depth_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=spec_error(4, 4, 0)):
         build_reck_slices(4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=spec_error(4, 4, 4)):
         build_reck_slices(4, 4)
+    with pytest.raises(ValueError, match=spec_error(1, 1, 1)):
+        build_reck_slices(1, 1)
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        build_reck_slices(1, 1)
 
 
 def test_mesh_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most one photon per mode"):
         build_reck_slices(4, 1, (2, 1, 1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=spec_error(4, 2, 1)):
         build_reck_slices(4, 1, (1, 1, 0, 0))
+    with pytest.raises(ValueError, match=spec_error(3, 4, 1)):
+        build_reck_slices(3, 1, (2, 1, 1))
+    with pytest.raises(ValueError, match="input pattern length"):
+        build_reck_slices(4, 1, (1, 1, 1))
+    # reck_input keeps its own refusal of a photon number it cannot build
+    with pytest.raises(ValueError, match="supported photon numbers"):
+        reck_input(4, 2)
 
 
 def test_all_theta_zero_reproduces_input():

@@ -262,8 +262,14 @@ def test_empty_configuration_rejected():
         verify_surjectivity(4, 1, set(), {0})
     with pytest.raises(ValueError):
         verify_surjectivity(4, 1, {4}, set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="photon number must be M or M-1"):
         verify_surjectivity(4, 1, {2}, {0})
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        verify_surjectivity(1, 1, {1}, {0})
+    with pytest.raises(ValueError, match=r"depth must be in \[1, 3\]"):
+        verify_surjectivity(4, 4, {4}, {0})
+    with pytest.raises(ValueError, match="parity variant"):
+        verify_surjectivity(4, 1, {4}, {0, 2})
 
 
 def test_multiplicities_track_preimage_counts():

@@ -1,23 +1,36 @@
-"""The benchmark tracer's boundaries must name functions of the package.
+"""The benchmark's calls into the package must resolve and succeed.
 
 `perfbench/spans.py` wraps package functions by module and attribute name,
-so renaming a traced function would otherwise only show up as a failing
-traced benchmark run.  The tracer module is loaded from its file and never
+and `perfbench/workloads.py` calls the package's public API, so renaming a
+traced function or changing a signature would otherwise only show up as a
+failing benchmark run.  Both modules are loaded from their files and never
 installed here.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(SPANS, "_perfbench_spans")
 
 
 def test_every_traced_boundary_resolves():
@@ -33,3 +46,14 @@ def test_every_traced_boundary_resolves():
             assert callable(vars(owner).get(method)), f"{name}: {attr}"
         else:
             assert callable(owner), f"{name}: {module_name}.{attr}"
+
+
+def test_every_workload_runs_a_smoke_unit():
+    workloads = _load(WORKLOADS, "_perfbench_workloads")
+    names = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert len(names) == 4
+    for name in names:
+        outcome = workloads.build(name, 0, True).unit()
+        assert outcome.attempted > 0 and outcome.failed == 0, (
+            name, outcome.errors)

@@ -88,8 +88,39 @@ def test_qubo_to_ising_one_variable():
 
 def test_qubo_to_ising_zero_matrix():
     ising = qubo_to_ising(np.zeros((3, 3)))
-    assert not any(ising.couplings.values())
+    assert not ising.couplings.any()
     assert not ising.fields.any() and ising.constant == 0.0
+
+
+def dict_ising_energies(couplings, fields, constant, bits):
+    """Oracle: the energies of a {(i, j): J_ij} dict, matrix built per call."""
+    j = np.zeros((len(fields), len(fields)))
+    for (a, b), val in couplings.items():
+        j[a, b] = val
+    s = 2.0 * np.asarray(bits, dtype=float) - 1.0
+    return (np.einsum("bi,ij,bj->b", s, j, s)
+            + np.einsum("bi,i->b", s, fields) + constant)
+
+
+def test_ising_energies_match_the_dict_einsum_bitwise():
+    rng = np.random.default_rng(41)
+    for dim in (2, 5, 9):
+        bits = all_bit_rows(dim)
+        half = QuboProblem(rng.normal(size=(dim, dim))).q / 2.0
+        ising = qubo_to_ising(2.0 * half)
+        i, j = np.triu_indices(dim, 1)
+        couplings = dict(zip(zip(i.tolist(), j.tolist()),
+                             half[i, j].tolist()))
+        assert np.array_equal(ising.energies(bits), dict_ising_energies(
+            couplings, ising.fields, ising.constant, bits))
+        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+        keep = rng.random(len(pairs)) < 0.5
+        couplings = {pair: float(rng.normal())
+                     for pair, kept in zip(pairs, keep) if kept}
+        fields, constant = rng.normal(size=dim), float(rng.normal())
+        ising = IsingProblem(couplings, fields, constant)
+        assert np.array_equal(ising.energies(bits), dict_ising_energies(
+            couplings, fields, constant, bits))
 
 
 def test_ising_validation():

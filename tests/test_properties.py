@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import (
-    CircuitSpec, QuantumState, TwoModeGate, apply_gate, reck_input,
-    schwinger_expectation,
+    CircuitSpec, QuantumState, TwoModeGate, apply_gate, build_reck_slices,
+    reck_input, schwinger_expectation,
 )
 from shallowboson.problems import (
     IsingProblem, MobiusProblem, QuboProblem, qubo_to_ising,
@@ -122,22 +122,23 @@ def test_gate_lists_are_unitary(case):
 
 @st.composite
 def chain_batches(draw):
-    """A depth-1 input, a batch of angle rows and one row index in it."""
+    """A depth-1 mesh, a batch of angle rows and one row index in it."""
     m = draw(st.integers(3, 7))
-    inp = reck_input(m, draw(st.sampled_from([m, m - 1])))
+    circ = build_reck_slices(m, 1, reck_input(m, draw(st.sampled_from(
+        [m, m - 1]))))
     # few distinct angle values, so rows share angles per gate
     angle = st.sampled_from([0.0, 0.7, np.pi / 2, 2.9, 4.4])
     row = st.lists(angle, min_size=m - 1, max_size=m - 1)
     thetas = draw(st.lists(row, min_size=1, max_size=6))
-    return inp, np.array(thetas), draw(st.integers(0, len(thetas) - 1))
+    return circ, np.array(thetas), draw(st.integers(0, len(thetas) - 1))
 
 
 @PROPERTY
 @given(chain_batches(), st.data())
 def test_chain_draws_of_a_row_ignore_the_rest_of_the_batch(case, data):
-    inp, thetas, r = case
+    circ, thetas, r = case
     seed = data.draw(st.integers(0, 2**32 - 1))
-    full = chain_sample_depth1_batch(inp, thetas, 40, seed)[r]
+    full = chain_sample_depth1_batch(circ, thetas, 40, seed)[r]
     # row r keeps its index, which picks its seeded stream; cut the batch
     # after it, reorder or replace the rows before it, append other rows
     order = list(range(r)) + list(range(r + 1, len(thetas)))
@@ -146,18 +147,18 @@ def test_chain_draws_of_a_row_ignore_the_rest_of_the_batch(case, data):
     fresh = data.draw(st.integers(0, 2))
     new_thetas = np.concatenate(
         [thetas[rows], np.full((fresh, thetas.shape[1]), 1.3)])
-    again = chain_sample_depth1_batch(inp, new_thetas, 40, seed)
+    again = chain_sample_depth1_batch(circ, new_thetas, 40, seed)
     assert np.array_equal(again[r], full)
 
 
 @PROPERTY
 @given(chain_batches(), st.integers(0, 1))
 def test_parity_masses_of_a_row_ignore_the_rest_of_the_batch(case, parity):
-    inp, thetas, r = case
-    full = depth1_parity_masses(inp, thetas, parity)
-    alone = depth1_parity_masses(inp, thetas[r:r + 1], parity)
+    circ, thetas, r = case
+    full = depth1_parity_masses(circ, thetas, parity)
+    alone = depth1_parity_masses(circ, thetas[r:r + 1], parity)
     assert np.array_equal(alone[0], full[r])
-    tail = depth1_parity_masses(inp, thetas[r:], parity)
+    tail = depth1_parity_masses(circ, thetas[r:], parity)
     assert np.array_equal(tail[0], full[r])
 
 

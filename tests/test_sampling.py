@@ -5,7 +5,8 @@ from scipy import stats
 import shallowboson.sampling as sampling
 from shallowboson.fock import enumerate_basis
 from shallowboson.interferometer import (
-    build_reck_slices, evolve, evolve_batch, reck_input, two_mode_block,
+    CircuitSpec, build_reck_slices, evolve, evolve_batch, reck_input,
+    two_mode_block,
 )
 from shallowboson.parity import coarse_grain, parity_bits
 from shallowboson.problems import MobiusProblem
@@ -15,9 +16,9 @@ from shallowboson.sampling import (
 )
 
 
-def chain_sample_depth1(input_pattern, thetas, n_samples, stream_seed):
+def chain_sample_depth1(circuit, thetas, n_samples, stream_seed):
     """One angle row through the batch sampler; shape (n_samples, M)."""
-    return chain_sample_depth1_batch(input_pattern, [thetas], n_samples,
+    return chain_sample_depth1_batch(circuit, [thetas], n_samples,
                                      stream_seed)[0]
 
 
@@ -161,7 +162,7 @@ def test_chain_sampler_matches_exact_distribution():
         state = evolve(circ, thetas)
         probs = state.probabilities()
         n_draws = 60_000
-        draws = chain_sample_depth1(circ.input, thetas, n_draws, 5)
+        draws = chain_sample_depth1(circ, thetas, n_draws, 5)
         ranks = state.basis.rank(draws)
         assert np.all(probs[ranks] > 0)  # never outside the support
         counts = np.bincount(ranks, minlength=len(probs))
@@ -172,14 +173,14 @@ def test_chain_sampler_matches_exact_distribution():
 def test_chain_sampler_deterministic():
     circ = build_reck_slices(6, 1, reck_input(6, 5))
     thetas = np.linspace(0.4, 2.0, len(circ.gates))
-    a = chain_sample_depth1(circ.input, thetas, 64, stream_seed=3)
-    b = chain_sample_depth1(circ.input, thetas, 64, stream_seed=3)
+    a = chain_sample_depth1(circ, thetas, 64, stream_seed=3)
+    b = chain_sample_depth1(circ, thetas, 64, stream_seed=3)
     assert np.array_equal(a, b)
 
 
 def test_chain_sampler_identity_angles():
     circ = build_reck_slices(5, 1, reck_input(5, 4))
-    out = chain_sample_depth1(circ.input, np.zeros(4), 16, stream_seed=0)
+    out = chain_sample_depth1(circ, np.zeros(4), 16, stream_seed=0)
     assert np.all(out == np.array(circ.input, dtype=np.uint16))
 
 
@@ -187,7 +188,7 @@ def test_chain_sampler_conserves_photons():
     circ = build_reck_slices(7, 1, reck_input(7, 7))
     rng = np.random.default_rng(12)
     thetas = rng.uniform(0, 2 * np.pi, 6)
-    out = chain_sample_depth1(circ.input, thetas, 200, stream_seed=1)
+    out = chain_sample_depth1(circ, thetas, 200, stream_seed=1)
     assert np.all(out.sum(axis=1) == 7)
 
 
@@ -195,8 +196,8 @@ def test_batch_shape_and_determinism():
     circ = build_reck_slices(5, 1, reck_input(5, 5))
     rng = np.random.default_rng(13)
     rows = rng.uniform(0, 2 * np.pi, (6, 4))
-    a = chain_sample_depth1_batch(circ.input, rows, 30, stream_seed=9)
-    b = chain_sample_depth1_batch(circ.input, rows, 30, stream_seed=9)
+    a = chain_sample_depth1_batch(circ, rows, 30, stream_seed=9)
+    b = chain_sample_depth1_batch(circ, rows, 30, stream_seed=9)
     assert a.shape == (6, 30, 5)
     assert np.array_equal(a, b)
 
@@ -205,23 +206,24 @@ def test_seed_sequence_object_reused_gives_same_draws():
     circ = build_reck_slices(5, 1, reck_input(5, 5))
     rows = np.random.default_rng(14).uniform(0, 2 * np.pi, (3, 4))
     seed = np.random.SeedSequence(5)
-    a = chain_sample_depth1_batch(circ.input, rows, 30, seed)
-    b = chain_sample_depth1_batch(circ.input, rows, 30, seed)
+    a = chain_sample_depth1_batch(circ, rows, 30, seed)
+    b = chain_sample_depth1_batch(circ, rows, 30, seed)
     assert np.array_equal(a, b)
     assert seed.n_children_spawned == 0
     # a fresh SeedSequence draws what its integer seed draws
     assert np.array_equal(
-        a, chain_sample_depth1_batch(circ.input, rows, 30, 5))
+        a, chain_sample_depth1_batch(circ, rows, 30, 5))
     # an advanced one continues where its own spawn() would
     seed.spawn(2)
-    advanced = chain_sample_depth1_batch(circ.input, rows[2:], 30, seed)
+    advanced = chain_sample_depth1_batch(circ, rows[2:], 30, seed)
     assert np.array_equal(advanced[0], a[2])
     assert seed.n_children_spawned == 2
 
 
 def test_batch_row_shape_validated():
-    with pytest.raises(ValueError):
-        chain_sample_depth1_batch((1, 1, 1), np.zeros((2, 3)), 10, 0)
+    with pytest.raises(ValueError, match="theta rows"):
+        chain_sample_depth1_batch(build_reck_slices(3, 1), np.zeros((2, 3)),
+                                  10, 0)
 
 
 def test_chain_sampler_matches_sort_grouped_oracle():
@@ -237,7 +239,8 @@ def test_chain_sampler_matches_sort_grouped_oracle():
             psis = rng.uniform(0, 2 * np.pi, rows.shape)
             psis[2] = psis[0]  # a duplicate (theta, psi) row
             for seed in (0, 31 + m):
-                drawn = chain_sample_depth1_batch(inp, rows, 120, seed)
+                drawn = chain_sample_depth1_batch(
+                    build_reck_slices(m, 1, inp), rows, 120, seed)
                 # the oracle's phases cannot move a draw
                 for phases in (None, psis):
                     expected = reference_chain_sample(inp, rows, 120, seed,
@@ -247,13 +250,16 @@ def test_chain_sampler_matches_sort_grouped_oracle():
 
 def test_chain_sampler_needs_a_sample():
     with pytest.raises(ValueError, match="need at least one sample"):
-        chain_sample_depth1_batch((1, 1, 1), np.zeros((2, 2)), 0, 0)
+        chain_sample_depth1_batch(build_reck_slices(3, 1), np.zeros((2, 2)),
+                                  0, 0)
     with pytest.raises(ValueError, match="need at least one sample"):
-        chain_sample_depth1_batch((1, 1, 1), np.zeros((0, 2)), 0, 0)
+        chain_sample_depth1_batch(build_reck_slices(3, 1), np.zeros((0, 2)),
+                                  0, 0)
 
 
 def test_chain_sampler_empty_batch():
-    out = chain_sample_depth1_batch((1, 1, 0), np.zeros((0, 2)), 5, 0)
+    out = chain_sample_depth1_batch(build_reck_slices(3, 1, (1, 1, 0)),
+                                    np.zeros((0, 2)), 5, 0)
     assert out.shape == (0, 5, 3) and out.dtype == np.uint16
 
 
@@ -284,10 +290,10 @@ def test_sampler_and_exact_pass_share_one_table(monkeypatch):
         return original(fresh, totals, thetas)
 
     monkeypatch.setattr(sampling, "gate_outcome_table", recording)
-    thetas = np.full((3, 4), 0.8)
-    chain_sample_depth1_batch((1, 1, 1, 1, 1), thetas, 20, 0)
+    circ, thetas = build_reck_slices(5, 1), np.full((3, 4), 0.8)
+    chain_sample_depth1_batch(circ, thetas, 20, 0)
     assert calls == [3] * 4  # one call per gate over the whole batch
-    depth1_parity_masses((1, 1, 1, 1, 1), thetas, 0)
+    depth1_parity_masses(circ, thetas, 0)
     assert calls == [3] * 8
 
 
@@ -309,7 +315,7 @@ def test_depth1_parity_masses_match_dense_oracle():
             thetas[2, 0] = 0.0  # an identity gate
             psis = rng.uniform(0, 2 * np.pi, thetas.shape)
             for parity in (0, 1):
-                masses = depth1_parity_masses(circ.input, thetas, parity)
+                masses = depth1_parity_masses(circ, thetas, parity)
                 # the oracle's phases cannot move a mass
                 for phases in (None, psis):
                     oracle = dense_parity_masses(circ, thetas, parity, phases)
@@ -321,14 +327,38 @@ def test_depth1_parity_masses_match_dense_oracle():
 
 
 def test_depth1_parity_masses_validation():
+    circ = build_reck_slices(3, 1)
     with pytest.raises(ValueError, match="parity variant"):
-        depth1_parity_masses((1, 1, 1), np.zeros((1, 2)), 2)
-    with pytest.raises(ValueError, match="theta batch"):
-        depth1_parity_masses((1, 1, 1), np.zeros((1, 3)), 0)
+        depth1_parity_masses(circ, np.zeros((1, 2)), 2)
+    with pytest.raises(ValueError, match="theta rows"):
+        depth1_parity_masses(circ, np.zeros((1, 3)), 0)
     # refused before anything of size 2^M is allocated
     with pytest.raises(ValueError, match="refusing"):
-        depth1_parity_masses(reck_input(21, 20), np.zeros((1, 20)), 0)
-    assert depth1_parity_masses((1, 1, 0), np.zeros((0, 2)), 1).shape == (0, 8)
+        depth1_parity_masses(build_reck_slices(21, 1, reck_input(21, 20)),
+                             np.zeros((1, 20)), 0)
+    assert depth1_parity_masses(build_reck_slices(3, 1, (1, 1, 0)),
+                                np.zeros((0, 2)), 1).shape == (0, 8)
+
+
+def test_depth1_engines_refuse_other_circuits():
+    deep = build_reck_slices(4, 2)
+    # the cascade's gates fired in the opposite order
+    reversed_ = CircuitSpec(4, 1, deep.gates[:3][::-1], deep.input)
+    for circ, match in ((deep, "got a depth-2 circuit of 5 gates"),
+                        (reversed_, "got a depth-1 circuit of 3 gates")):
+        thetas = np.zeros((1, len(circ.gates)))
+        with pytest.raises(ValueError, match=match):
+            chain_sample_depth1_batch(circ, thetas, 5, 0)
+        with pytest.raises(ValueError, match=match):
+            depth1_parity_masses(circ, thetas, 0)
+    shallow = build_reck_slices(4, 1)
+    for width in (2, 4, 5):
+        with pytest.raises(ValueError, match="theta rows"):
+            chain_sample_depth1_batch(shallow, np.zeros((1, width)), 5, 0)
+        with pytest.raises(ValueError, match="theta rows"):
+            depth1_parity_masses(shallow, np.zeros((1, width)), 0)
+    with pytest.raises(ValueError, match="theta rows"):
+        depth1_parity_masses(shallow, np.zeros(3), 0)
 
 
 def pairwise_spin_moments(input_pattern, thetas, parity):
@@ -394,7 +424,8 @@ def test_pairwise_oracle_matches_exact_masses():
             inp = reck_input(m, n)
             thetas = rng.uniform(0, 2 * np.pi, m - 1)
             for parity in (0, 1):
-                masses = depth1_parity_masses(inp, thetas[None], parity)[0]
+                masses = depth1_parity_masses(build_reck_slices(m, 1, inp),
+                                              thetas[None], parity)[0]
                 corr = pairwise_spin_moments(inp, thetas, parity)
                 assert abs(mobius_energy_from_correlations(problem, corr)
                            - masses @ energies) < 1e-12
@@ -409,7 +440,8 @@ def test_chain_sampler_mean_energy_at_70_modes():
         inp = reck_input(70, n)
         exact = mobius_energy_from_correlations(
             problem, pairwise_spin_moments(inp, thetas, parity))
-        shots = chain_sample_depth1_batch(inp, thetas[None], 4000, 7)[0]
+        shots = chain_sample_depth1_batch(build_reck_slices(70, 1, inp),
+                                          thetas[None], 4000, 7)[0]
         drawn = problem.energies(parity_bits(shots, parity))
         stderr = drawn.std(ddof=1) / np.sqrt(len(drawn))
         assert abs(drawn.mean() - exact) < 5 * stderr

@@ -173,6 +173,44 @@ def test_exact_depth1_builds_no_fock_state(monkeypatch):
     assert obj.value_batch(rows[1:3])[0].tolist() == energies[1:3].tolist()
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_exact_read_out_is_one_chunked_loop(monkeypatch, depth):
+    m = 5
+    obj = ParityObjective(_toy_problem(m, seed=4), m, 0, depth=depth)
+    rows = np.random.default_rng(8).uniform(0, 2 * np.pi,
+                                            (7, obj.num_parameters))
+    walks = []
+    original = solver.evolve_batch
+
+    def counting(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "evolve_batch", counting)
+    whole = obj.value_batch(rows)
+    dense = depth > 1
+    assert len(walks) == dense  # a whole stencil in one walk
+    # three rows of mass arrays per chunk: the same values from 3 chunks
+    row_bytes = 8 << m if dense else 16 * (m + 1) << m
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 3 * row_bytes)
+    chunked = obj.value_batch(rows)
+    assert len(walks) == 4 * dense
+    assert chunked[0].tolist() == whole[0].tolist()
+    assert chunked[1:] == whole[1:]
+
+
+def test_refused_depth1_mesh_builds_no_energy_table():
+    obj = ParityObjective(_toy_problem(21, seed=1), 20, 0, depth=1)
+    with pytest.raises(ValueError, match="refusing"):
+        obj.value_batch(np.zeros((1, obj.num_parameters)))
+    assert "_code_energies" not in vars(obj)
+
+
+def test_one_bit_problem_is_refused_by_the_mesh_check():
+    with pytest.raises(ValueError, match="at least 2 modes, got 1"):
+        run_variational(QuboProblem(np.ones((1, 1))), SolverConfig())
+
+
 class _QuadraticStub:
     """Deterministic stand-in objective with a known analytic gradient."""
 
