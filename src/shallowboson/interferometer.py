@@ -16,9 +16,15 @@ representation: the pair |p, m-p> is the spin-m/2 state with
 J_z = p - m/2, and the gate is exp(-i theta J_y) exp(-i psi J_z), the
 phase acting on the input index p.  One J_y eigenbasis is cached per m,
 with its eigenvalues set to the exact -m/2 ... m/2, so the blocks stay
-unitary to rounding at every photon total.  `two_mode_block` builds the
-whole block for `apply_gate`; `two_mode_block_column` builds one input
-column for many splitter angles at once, for the phase-free depth-1 chain.
+unitary to rounding at every photon total.  For `apply_gate` the
+eigenbases of totals 0..top are cached as one zero-padded stack, and one
+batched product builds the blocks of every total of a (theta, psi) as one
+read-only (T, T, T) stack, T = top + 1; the stacks are memoised in a
+bounded `lru_cache`, so a gate met again with the same angles, as on every
+branch of a shift stencil, builds nothing.  `two_mode_block` is the
+one-total case of that product, entry for entry the same as a slice of a
+stack; `two_mode_block_column` builds one input column for many splitter
+angles at once, for the phase-free depth-1 chain.
 
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
@@ -34,6 +40,7 @@ applications instead of 2G * G.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,6 +78,13 @@ def _spin_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(m + 1) - m / 2.0, vecs
 
 
+def _block_product(lams, vecs, adjoints, theta: float, psi: float):
+    """Blocks V e^{-i theta lam} V^dag diag(e^{-i psi lam}) of a stack of
+    eigenbases; zero-padded rows and columns stay zero."""
+    rotation = (vecs * np.exp(-1j * theta * lams)[:, None, :]) @ adjoints
+    return rotation * np.exp(-1j * psi * lams)[:, None, :]
+
+
 def two_mode_block(m: int, theta: float, psi: float) -> np.ndarray:
     """Fock-space block of the gate for two-mode photon total m.
 
@@ -80,8 +94,31 @@ def two_mode_block(m: int, theta: float, psi: float) -> np.ndarray:
     acts on the input index p.
     """
     lam, vecs = _spin_basis(m)
-    rotation = (vecs * np.exp(-1j * theta * lam)) @ vecs.conj().T
-    return rotation * np.exp(-1j * psi * lam)
+    return _block_product(lam[None], vecs[None], vecs.conj().T[None],
+                          theta, psi)[0]
+
+
+@lru_cache(maxsize=32)
+def _spin_table(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_spin_basis` of totals 0..top, zero-padded to T = top + 1: the
+    (T, T) eigenvalues, the (T, T, T) eigenbases and their adjoints."""
+    size = top + 1
+    lams = np.zeros((size, size))
+    vecs = np.zeros((size, size, size), dtype=complex)
+    for m in range(size):
+        lams[m, :m + 1], vecs[m, :m + 1, :m + 1] = _spin_basis(m)
+    return lams, vecs, vecs.conj().swapaxes(1, 2)
+
+
+@lru_cache(maxsize=64)
+def _block_stack(top: int, theta: float, psi: float) -> np.ndarray:
+    """Read-only (T, T, T) stack of the gate's blocks for photon totals
+    0..top: stack[m, :m+1, :m+1] is two_mode_block(m, theta, psi), the rest
+    is zero.  One batched product; across a shift stencil a gate meets at
+    most three angle pairs per sector."""
+    stack = _block_product(*_spin_table(top), theta, psi)
+    stack.flags.writeable = False
+    return stack
 
 
 def two_mode_block_column(m: int, p: int, thetas) -> np.ndarray:
@@ -114,6 +151,8 @@ class TwoModeGate:
     def __post_init__(self):
         if not 0 <= self.i < self.j:
             raise ValueError(f"gate modes must satisfy 0 <= i < j, got {self}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.psi)):
+            raise ValueError(f"gate angles must be finite, got {self}")
 
 
 @dataclass
@@ -203,7 +242,7 @@ class QuantumState:
         """Born-rule probabilities, aligned with `basis.patterns`."""
         probs = np.abs(self.vector) ** 2
         norm = np.sqrt(probs.sum())
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise RuntimeError(
                 f"state norm {norm:.3e} deviates beyond {_NORM_TOL}")
         return probs
@@ -211,7 +250,9 @@ class QuantumState:
 
 @lru_cache(maxsize=256)
 def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
-    """Gate-application index structures of one sector and mode pair."""
+    """Gate-application index structures of one sector and mode pair: the
+    sector order that groups each photon total's orbits, and the photon
+    totals with their [start, stop) spans in it, as lists of ints."""
     basis = enumerate_basis(num_modes, num_photons)
     pats = basis.patterns  # uint16; only the photon totals are widened
     u = pats[:, i]
@@ -224,25 +265,26 @@ def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
     m_sorted = m[order]
     m_values, starts, counts = np.unique(m_sorted, return_index=True,
                                          return_counts=True)
-    return order, m_values, starts, starts + counts
+    return (order, m_values.tolist(), starts.tolist(),
+            (starts + counts).tolist())
 
 
 def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
     """Evolve a state through one gate, grouping by two-mode photon total."""
     if gate.j >= state.basis.num_modes:
         raise ValueError(f"gate {gate} outside {state.basis.num_modes} modes")
-    if abs(state.norm() - 1.0) > _NORM_TOL:
+    norm = state.norm()
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise RuntimeError(
-            f"input state norm {state.norm():.3e} deviates beyond {_NORM_TOL}"
-        )
+            f"input state norm {norm:.3e} deviates beyond {_NORM_TOL}")
     order, m_values, starts, stops = _gate_orbits(*state.sector, gate.i,
                                                   gate.j)
+    stack = _block_stack(m_values[-1], float(gate.theta), float(gate.psi))
     new_vec = np.empty_like(state.vector)
     for m, s, e in zip(m_values, starts, stops):
         seg = order[s:e]
-        block = two_mode_block(int(m), gate.theta, gate.psi)
-        amps = state.vector[seg].reshape(-1, int(m) + 1)
-        new_vec[seg] = (amps @ block.T).ravel()
+        amps = state.vector[seg].reshape(-1, m + 1)
+        new_vec[seg] = (amps @ stack[m, :m + 1, :m + 1].T).ravel()
     return QuantumState(state.basis, new_vec)
 
 
@@ -254,13 +296,16 @@ def _angle_rows(circuit: CircuitSpec, theta_rows, psi_rows=None):
         raise ValueError(
             f"theta rows of shape {thetas.shape} for {num_gates} gates")
     if psi_rows is None:
-        return thetas, np.broadcast_to([g.psi for g in circuit.gates],
-                                       thetas.shape)
-    psis = np.asarray(psi_rows, dtype=float)
-    if psis.shape != thetas.shape:
-        raise ValueError(
-            f"psi rows of shape {psis.shape} for theta rows of shape "
-            f"{thetas.shape}")
+        psis = np.broadcast_to([g.psi for g in circuit.gates], thetas.shape)
+    else:
+        psis = np.asarray(psi_rows, dtype=float)
+        if psis.shape != thetas.shape:
+            raise ValueError(
+                f"psi rows of shape {psis.shape} for theta rows of shape "
+                f"{thetas.shape}")
+    for name, rows in (("theta", thetas), ("psi", psis)):
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{name} angles must be finite")
     return thetas, psis
 
 
@@ -347,7 +392,7 @@ def schwinger_expectation(circuit: CircuitSpec, thetas, coeffs: np.ndarray,
     m = circuit.num_modes
     if coeffs.shape != (m, m):
         raise ValueError(f"coefficient matrix must be {m}x{m}")
-    if np.max(np.abs(coeffs - coeffs.conj().T)) > _NORM_TOL:
+    if not np.max(np.abs(coeffs - coeffs.conj().T)) <= _NORM_TOL:
         raise ValueError("coefficient matrix must be Hermitian")
     v = single_particle_transfer(circuit, thetas, psis)
     w = v.conj().T  # U^dag a U = W a

@@ -70,7 +70,7 @@ def coarse_grain(patterns, probs=None, j: int = 0) -> np.ndarray:
                          "-bit limit of a dense mass vector")
     if probs is not None:
         probs = np.asarray(probs, dtype=float)
-        if abs(probs.sum() - 1.0) > _MASS_TOL:
+        if not abs(probs.sum() - 1.0) <= _MASS_TOL:
             raise ValueError(f"input masses sum to {probs.sum()!r}, "
                              f"expected 1 within {_MASS_TOL}")
     return np.bincount(parity_codes(patterns, j), weights=probs,

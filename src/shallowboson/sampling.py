@@ -63,7 +63,7 @@ def sample_patterns(patterns, probs, n_samples: int,
         raise ValueError(f"need one probability per row of a 2-D pattern "
                          f"array, got {probs.shape} and {patterns.shape}")
     total = probs.sum()
-    if abs(total - 1.0) > _MASS_TOL:
+    if not abs(total - 1.0) <= _MASS_TOL:
         raise ValueError(
             f"probabilities sum to {total!r}, expected 1 within {_MASS_TOL}"
         )

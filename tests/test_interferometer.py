@@ -147,6 +147,59 @@ def test_block_matches_convolution_oracle():
                 assert np.max(np.abs(phased - blocks[k][:, p])) < 1e-14
 
 
+@pytest.mark.parametrize("top", [0, 1, 2, 5, 8, 11, 15, 20])
+def test_block_stack_slices_are_the_blocks(top):
+    rng = np.random.default_rng(22 + top)
+    for theta, psi in rng.uniform(-2 * np.pi, 2 * np.pi, (4, 2)):
+        stack = interferometer._block_stack(top, theta, psi)
+        assert stack.shape == (top + 1,) * 3
+        for m in range(top + 1):
+            block = stack[m, :m + 1, :m + 1]
+            assert np.array_equal(block, two_mode_block(m, theta, psi))
+            gram = block.conj().T @ block
+            assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-12
+            assert not stack[m, m + 1:].any()
+            assert not stack[m, :, m + 1:].any()
+
+
+def test_cached_block_stack_is_read_only():
+    stack = interferometer._block_stack(4, 0.3, 1.2)
+    assert interferometer._block_stack(4, 0.3, 1.2) is stack
+    with pytest.raises(ValueError, match="read-only"):
+        stack[2, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        stack *= 2
+
+
+@pytest.mark.parametrize("m,depth", [(5, 2), (8, 2)])
+def test_stencil_walk_builds_one_stack_per_angle_pair(monkeypatch, m,
+                                                      depth):
+    circ = build_reck_slices(m, depth, reck_input(m, m - 1))
+    g = len(circ.gates)
+    rng = np.random.default_rng(31 + m)
+    base = rng.uniform(0, 2 * np.pi, g)
+    psis = np.tile(rng.uniform(0, 2 * np.pi, g), (2 * g, 1))
+    stencil = np.repeat(base[None, :], 2 * g, axis=0)
+    for k in range(g):
+        stencil[2 * k, k] += np.pi / 2
+        stencil[2 * k + 1, k] -= np.pi / 2
+    builds = []
+    build = interferometer._block_product
+
+    def counting(lams, vecs, adjoints, theta, psi):
+        builds.append((len(lams), theta, psi))
+        return build(lams, vecs, adjoints, theta, psi)
+
+    interferometer._block_stack.cache_clear()
+    monkeypatch.setattr(interferometer, "_block_product", counting)
+    assert len(list(evolve_batch(circ, stencil, psis))) == 2 * g
+    # every two-mode pair of the (m, m-1) sector reaches photon total m-1
+    wanted = {(m, theta, psi) for row, phases in zip(stencil, psis)
+              for theta, psi in zip(row.tolist(), phases.tolist())}
+    assert len(wanted) == 3 * g
+    assert sorted(builds) == sorted(wanted)
+
+
 def test_transfer_matrix_is_unitary():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -273,6 +326,38 @@ def test_probabilities_refuse_an_unnormalized_state():
         support(state)
 
 
+def test_nan_state_is_refused():
+    # abs(nan - 1) > tol is False: a NaN norm must fail the check
+    basis = enumerate_basis(3, 2)
+    state = QuantumState(basis, np.full(len(basis), np.nan, dtype=complex))
+    with pytest.raises(RuntimeError, match="norm nan"):
+        state.probabilities()
+    with pytest.raises(RuntimeError, match="norm nan"):
+        apply_gate(state, TwoModeGate(0, 1, 0.1, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_are_refused(bad):
+    circ = build_reck_slices(4, 2)
+    g = len(circ.gates)
+    good = np.full(g, 0.4)
+    broken = good.copy()
+    broken[2] = bad
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        evolve(circ, broken)
+    with pytest.raises(ValueError, match="psi angles must be finite"):
+        evolve(circ, good, broken)
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        list(evolve_batch(circ, [good, broken]))
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        single_particle_transfer(circ, broken)
+    with pytest.raises(ValueError, match="psi angles must be finite"):
+        schwinger_expectation(circ, good, np.eye(4), broken)
+    for theta, psi in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="gate angles must be finite"):
+            TwoModeGate(0, 1, theta, psi)
+
+
 def fock_space_expectation(state, coeffs):
     """Oracle: expectation of sum o_ij a_i^dag a_j by explicit ladder action."""
     m = state.basis.num_modes
@@ -329,6 +414,10 @@ def test_non_hermitian_observable_rejected():
         schwinger_expectation(circ, np.zeros(2), lopsided)
     with pytest.raises(ValueError):
         schwinger_expectation(circ, np.zeros(2), np.eye(2))
+    nan_entry = np.eye(3)
+    nan_entry[0, 1] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        schwinger_expectation(circ, np.zeros(2), nan_entry)
 
 
 def test_depth1_phase_binding_flagged_and_inert():
@@ -347,6 +436,47 @@ def test_single_particle_transfer_unitary():
     psis = rng.uniform(0, 2 * np.pi, len(circ.gates))
     v = single_particle_transfer(circ, thetas, psis)
     assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+
+
+def loop_apply_gate(state, gate):
+    """Oracle: one `two_mode_block` per photon total, built on every call."""
+    order, m_values, starts, stops = interferometer._gate_orbits(
+        *state.sector, gate.i, gate.j)
+    new_vec = np.empty_like(state.vector)
+    for m, s, e in zip(m_values, starts, stops):
+        seg = order[s:e]
+        block = two_mode_block(m, gate.theta, gate.psi)
+        amps = state.vector[seg].reshape(-1, m + 1)
+        new_vec[seg] = (amps @ block.T).ravel()
+    return QuantumState(state.basis, new_vec)
+
+
+def loop_evolve(circ, thetas, psis):
+    """Oracle: the circuit's gates through `loop_apply_gate` in order."""
+    basis = enumerate_basis(circ.num_modes, circ.num_photons)
+    state = QuantumState.from_pattern(basis, circ.input)
+    for gate, theta, psi in zip(circ.gates, thetas, psis):
+        state = loop_apply_gate(state, TwoModeGate(gate.i, gate.j, theta,
+                                                   psi))
+    return state.vector
+
+
+@pytest.mark.filterwarnings("ignore:phase angles on a depth-1")
+@pytest.mark.parametrize("m,depth", [
+    (m, depth) for m in range(4, 10) for depth in range(1, 4)])
+@pytest.mark.parametrize("sector", [0, 1])
+def test_stacked_blocks_evolve_like_the_block_loop(m, depth, sector):
+    circ = build_reck_slices(m, depth, reck_input(m, m - sector))
+    g = len(circ.gates)
+    rng = np.random.default_rng(1000 * m + 10 * depth + sector)
+    thetas, psis = rng.uniform(-2 * np.pi, 2 * np.pi, (2, 3, g))
+    thetas[1, : g // 2] = thetas[0, : g // 2]  # a shared prefix
+    psis[1, : g // 2] = psis[0, : g // 2]
+    oracles = [loop_evolve(circ, t, p) for t, p in zip(thetas, psis)]
+    for t, p, oracle in zip(thetas, psis, oracles):
+        assert np.array_equal(evolve(circ, t, p).vector, oracle)
+    for r, state in evolve_batch(circ, thetas, psis):
+        assert np.array_equal(state.vector, oracles[r])
 
 
 def _prefix_sharing_rows(rng, num_rows, num_gates):

@@ -103,6 +103,8 @@ def test_coarse_grain_preserves_mass():
 def test_coarse_grain_rejects_unnormalized():
     with pytest.raises(ValueError):
         coarse_grain([(1, 0)], [0.7], 0)
+    with pytest.raises(ValueError, match="sum to .*nan"):
+        coarse_grain([(1, 0), (0, 1)], [np.nan, 1.0], 0)
 
 
 def test_coarse_grain_refuses_wide_rows():

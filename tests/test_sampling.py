@@ -116,6 +116,13 @@ def test_unnormalized_distribution_rejected():
         sample_patterns([(1, 0), (0, 1)], [1.0], 10, stream_seed=0)
 
 
+def test_nan_distribution_rejected():
+    # abs(nan - 1) > tol is False: NaN masses must fail the check
+    patterns = enumerate_basis(4, 4).patterns
+    with pytest.raises(ValueError, match="sum to .*nan"):
+        sample_patterns(patterns, np.full(len(patterns), np.nan), 5, 0)
+
+
 def test_chi_square_goodness_of_fit():
     circ = build_reck_slices(4, 3, reck_input(4, 3))  # full 20-outcome sector
     rng = np.random.default_rng(10)
@@ -224,6 +231,17 @@ def test_batch_row_shape_validated():
     with pytest.raises(ValueError, match="theta rows"):
         chain_sample_depth1_batch(build_reck_slices(3, 1), np.zeros((2, 3)),
                                   10, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_depth1_engines_refuse_non_finite_rows(bad):
+    circ = build_reck_slices(4, 1)
+    rows = np.full((2, 3), 0.7)
+    rows[1, 1] = bad
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        chain_sample_depth1_batch(circ, rows, 10, 0)
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        depth1_parity_masses(circ, rows, 0)
 
 
 def test_chain_sampler_matches_sort_grouped_oracle():

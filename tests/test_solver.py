@@ -30,6 +30,20 @@ def test_exact_value_ignores_stream_seed():
     assert obj.value(angles, 1) == obj.value(angles, 999)
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("samples", [None, 40])
+def test_non_finite_angle_is_refused(depth, samples):
+    # a NaN angle once gave an exact value of nan with a false best
+    # (0.0, all zeros), and a sampled energy of 0.0
+    obj = ParityObjective(_toy_problem(6, seed=4), 6, 0, depth, samples)
+    angles = np.linspace(0.3, 1.9, obj.num_parameters)
+    angles[3] = np.nan
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        obj.value(angles, 0)
+    with pytest.raises(ValueError, match="theta angles must be finite"):
+        obj.shift_gradient(angles, 0)
+
+
 def test_all_zero_angles_observe_all_ones():
     problem = _toy_problem()
     obj = ParityObjective(problem, 4, 0, 1, samples=None)
