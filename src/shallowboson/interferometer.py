@@ -23,8 +23,11 @@ read-only (T, T, T) stack, T = top + 1; the stacks are memoised in a
 bounded `lru_cache`, so a gate met again with the same angles, as on every
 branch of a shift stencil, builds nothing.  `two_mode_block` is the
 one-total case of that product, entry for entry the same as a slice of a
-stack; `two_mode_block_column` builds one input column for many splitter
-angles at once, for the phase-free depth-1 chain.
+stack.  `_column_product` is its column twin for the phase-free depth-1
+engines: one input column of every total in a table, for many splitter
+angles in one contraction, and `two_mode_block_column` is its one-total
+case.  `apply_gate` checks the norm only of states the engine did not
+make itself.
 
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
@@ -121,22 +124,32 @@ def _block_stack(top: int, theta: float, psi: float) -> np.ndarray:
     return stack
 
 
+def _column_product(lams, vecs, p: int, thetas) -> np.ndarray:
+    """Column p of the phase-free blocks V e^{-i theta lam} V^dag of a
+    stack of eigenbases, for K splitter angles: entry [k, m, u] of the
+    (K, T, T) result is block m's [u, p] under thetas[k].
+
+    The angle axis leads and the sum runs over the contiguous last axis,
+    one reduction per entry, so a row does not depend on how many angles
+    share the call; a matmul would send a lone angle down numpy's
+    matrix-vector path, which rounds differently.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    weights = (np.exp(-1j * thetas[:, None, None] * lams)
+               * vecs[:, p, :].conj())
+    return (vecs * weights[:, :, None, :]).sum(axis=-1)
+
+
 def two_mode_block_column(m: int, p: int, thetas) -> np.ndarray:
     """Column p of the photon-total-m block for K splitter angles at once.
 
     Row k of the (K, m+1) result is two_mode_block(m, thetas[k], 0)[:, p],
     the image of the input |p, m-p>; a phase would only scale it by a unit
-    number.  A row does not depend on the other rows: a single angle is
-    padded to two, because numpy sends a one-row product down its
-    matrix-vector path, which rounds differently.
+    number.  The one-total case of `_column_product`: a row does not
+    depend on the other rows.
     """
     lam, vecs = _spin_basis(m)
-    thetas = np.asarray(thetas, dtype=float)
-    count = len(thetas)
-    if count == 1:
-        thetas = np.repeat(thetas, 2)
-    columns = (np.exp(-1j * thetas[:, None] * lam) * vecs[p].conj()) @ vecs.T
-    return columns[:count]
+    return _column_product(lam[None], vecs[None], p, thetas)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -217,13 +230,19 @@ def build_reck_slices(num_modes: int, depth: int,
 
 
 class QuantumState:
-    """Normalized state of an (M, n) sector, dense over the sector basis."""
+    """Normalized state of an (M, n) sector, dense over the sector basis.
+
+    States made by `from_pattern` or `apply_gate` are unit by construction
+    and marked so: `apply_gate` checks the norm of any other state before
+    it evolves it, and `probabilities` checks every state it reads out.
+    """
 
     def __init__(self, basis: SectorBasis, vector: np.ndarray):
         if vector.shape != (basis.size,):
             raise ValueError("state vector does not match the basis size")
         self.basis = basis
         self.vector = vector
+        self._unit = False
 
     @property
     def sector(self) -> tuple[int, int]:
@@ -233,7 +252,9 @@ class QuantumState:
     def from_pattern(cls, basis: SectorBasis, pattern) -> "QuantumState":
         vec = np.zeros(basis.size, dtype=complex)
         vec[basis.index(pattern)] = 1.0
-        return cls(basis, vec)
+        state = cls(basis, vec)
+        state._unit = True
+        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
@@ -273,10 +294,11 @@ def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
     """Evolve a state through one gate, grouping by two-mode photon total."""
     if gate.j >= state.basis.num_modes:
         raise ValueError(f"gate {gate} outside {state.basis.num_modes} modes")
-    norm = state.norm()
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise RuntimeError(
-            f"input state norm {norm:.3e} deviates beyond {_NORM_TOL}")
+    if not state._unit:
+        norm = state.norm()
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise RuntimeError(
+                f"input state norm {norm:.3e} deviates beyond {_NORM_TOL}")
     order, m_values, starts, stops = _gate_orbits(*state.sector, gate.i,
                                                   gate.j)
     stack = _block_stack(m_values[-1], float(gate.theta), float(gate.psi))
@@ -285,7 +307,9 @@ def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
         seg = order[s:e]
         amps = state.vector[seg].reshape(-1, m + 1)
         new_vec[seg] = (amps @ stack[m, :m + 1, :m + 1].T).ravel()
-    return QuantumState(state.basis, new_vec)
+    out = QuantumState(state.basis, new_vec)
+    out._unit = True  # a unitary image of a unit state
+    return out
 
 
 def _angle_rows(circuit: CircuitSpec, theta_rows, psi_rows=None):

@@ -8,14 +8,16 @@ its measured count collapses the carried mode to a definite Fock state, so
 a chain of two-mode blocks samples exactly.  A single slice commutes its
 phases past the detectors, so the chain takes splitter angles alone.
 `gate_outcome_table` gives the outcome probabilities of one gate for every
-(angle, photon total) that occurs, from one `two_mode_block_column` call
-per photon total.  The sampler reads its cumulative sum: each shot's
+(angle, photon total) that occurs, from one contraction over the cached
+eigenbasis table of the photon totals (`interferometer._column_product`).
+The sampler reads its cumulative sum: each shot's
 outcome is the number of entries of its CDF row that do not exceed its
 uniform draw.
 
 The same table drives `depth1_parity_masses`, the exact parity-bit
 distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
-carried photon count) that never enumerates a Fock sector.
+carried photon count), one pair of batched matmuls per gate, that never
+enumerates a Fock sector.
 
 An explicit distribution is a pattern array with an aligned probability
 vector, for a sector `basis.patterns` with `state.probabilities()` in
@@ -26,13 +28,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interferometer import (_angle_rows, build_reck_slices,
-                             two_mode_block_column)
+from .interferometer import (_angle_rows, _column_product, _spin_table,
+                             build_reck_slices)
 
 _MASS_TOL = 1e-9
-# One row of the exact depth-1 pass ends on 2^M (n+1) floats; meshes beyond
-# M = n = 20 (176 MB per array) are refused.
+# The exact depth-1 pass is sized in units of 2^M (n+1) floats per row (its
+# last gate holds 3/4 of one); meshes beyond M = n = 20 (176 MB per unit)
+# are refused.
 _MASS_ENTRIES_CAP = 21 << 20
+# `gate_outcome_table` builds its columns in chunks of angles whose
+# product stays below this many bytes.
+_PRODUCT_BYTES = 1 << 24
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -85,11 +91,17 @@ def gate_outcome_table(fresh: int, totals, thetas):
     (K, T, T) table, T = max(totals) + 1, and each row's angle index k.
     """
     angles, row_code = np.unique(thetas, return_inverse=True)
-    span = int(max(totals)) + 1
-    table = np.zeros((len(angles), span, span))
-    for t in totals:
-        columns = two_mode_block_column(int(t), fresh, angles)
-        table[:, t, :t + 1] = np.abs(columns) ** 2
+    totals = np.asarray(totals, dtype=np.int64)
+    top = int(totals.max())
+    lams, vecs, _ = _spin_table(top)
+    lams, vecs = lams[totals], vecs[totals]
+    table = np.zeros((len(angles), top + 1, top + 1))
+    # the product holds one complex (T, T) block per angle and total
+    step = max(1, _PRODUCT_BYTES // vecs.nbytes)
+    for start in range(0, len(angles), step):
+        chunk = slice(start, start + step)
+        table[chunk, totals] = np.abs(_column_product(
+            lams, vecs, fresh, angles[chunk])) ** 2
     return table, row_code
 
 
@@ -168,11 +180,15 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     `gate_outcome_table` of its row's angle, split by the parity of the
     frozen count.  The final carry is mode 0, the top bit.
 
-    The pass holds the mass before and after a gate, 2^M (n+1) floats per
-    row at the last gate, so memory grows as 16 (n+1) 2^M bytes per row;
-    callers bound it by passing rows in chunks.  Every product is an
-    einsum over one row's own arrays, so a row's masses are bit-identical
-    whatever other rows share the call.
+    A gate is two batched matmuls, one per value b of the frozen bit, each
+    written into the half of a preallocated output whose codes carry that
+    bit; the bit sits ahead of the prefix, so nothing is transposed or
+    copied.  The last gate holds its input and its output mass,
+    3 2^(M-2) (n+1) floats or 6 (n+1) 2^M bytes per row; with the tables,
+    16 (n+1) 2^M bytes per row bound the pass, and callers bound it by
+    passing rows in chunks.  Each matmul multiplies one row's own
+    matrices, of shapes that do not depend on the batch, so a row's masses
+    are bit-identical whatever other rows share the call.
     """
     if parity not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {parity}")
@@ -196,9 +212,14 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
         carries = n + 1 - fresh
         table = table[:, fresh:]
         frozen_bit = ((levels[:carries, None] + fresh - levels) & 1) ^ parity
-        split = np.stack([table * (frozen_bit == b) for b in (0, 1)], axis=1)
-        mass = np.einsum("rkc,rbcu->rbku", mass[:, :, :carries],
-                         split[row_code]).reshape(rows, 2 << g, n + 1)
+        steps = table[row_code]
+        new = np.empty((rows, 2, 1 << g, n + 1))
+        for b in (0, 1):
+            np.matmul(mass[:, :, :carries], steps * (frozen_bit == b),
+                      out=new[:, b])
+        mass = new.reshape(rows, 2 << g, n + 1)
     top_bit = (levels & 1) ^ parity
-    fold = np.stack([top_bit == b for b in (0, 1)], axis=1).astype(float)
-    return np.einsum("rkc,cb->rbk", mass, fold).reshape(rows, 2 ** m)
+    out = np.empty((rows, 2, 1 << (m - 1)))
+    for b in (0, 1):
+        np.matmul(mass, (top_bit == b).astype(float), out=out[:, b])
+    return out.reshape(rows, 1 << m)

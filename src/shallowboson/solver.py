@@ -135,9 +135,11 @@ class ParityObjective:
     per evaluation (chain sampling at depth 1, categorical sampling over
     the canonical-order probability vector otherwise).
 
-    Exact depth 1 needs 16 (n+1) 2^M bytes per angle row at its last
-    gate (176 MB of mass at M = n = 20, twice that in flight), and
-    `depth1_parity_masses` refuses meshes beyond M = 20.
+    Exact depth 1 holds the input and output mass of its last gate,
+    6 (n+1) 2^M bytes per angle row (132 MB at M = n = 20); rows are read
+    out in chunks budgeted at 16 (n+1) 2^M bytes each, which covers the
+    outcome tables too, and `depth1_parity_masses` refuses meshes beyond
+    M = 20.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -251,7 +253,9 @@ class ParityObjective:
         """Energy and lowest observed bit string of every row."""
         energies = np.empty(len(rows))
         best = np.empty(len(rows), dtype=np.int64)
-        # a depth-1 row holds 2 (n+1) mass arrays in flight, a dense row one
+        # a dense row holds one array of 2^M floats; a depth-1 row holds
+        # 3/4 (n+1) of them at its last gate, budgeted as 2 (n+1) with the
+        # outcome tables
         row_bytes = 8 << self.num_modes
         if self.depth == 1:
             row_bytes *= 2 * (self.num_photons + 1)

@@ -93,8 +93,7 @@ def test_block_unitarity_all_small_sectors():
 
 
 def test_block_column_rows_ignore_the_batch():
-    # one angle would take numpy's matrix-vector path, which rounds
-    # differently from the same angle inside a batch
+    # a row must not depend on how many angles share the call
     rng = np.random.default_rng(5)
     for m in range(0, 71):
         thetas, _ = rng.uniform(0, 2 * np.pi, (2, 40))

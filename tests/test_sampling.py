@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -297,6 +299,64 @@ def test_gate_outcome_table_is_the_squared_block_column():
                         t, thetas[r], psis[r])[:, fresh]) ** 2
                 assert np.max(np.abs(table[row_code[r], t] - expected)
                               ) < 1e-14
+
+
+def test_gate_outcome_table_rows_ignore_the_batch(monkeypatch):
+    # a lone angle must not take another rounding path than a batch
+    rng = np.random.default_rng(41)
+    for fresh in (0, 1):
+        for top in range(fresh, 71):
+            thetas = rng.uniform(0, 2 * np.pi, 40)
+            totals = sorted({fresh, (fresh + top) // 2, top})
+            batch, row_code = gate_outcome_table(fresh, totals, thetas)
+            for k in range(40):
+                alone, _ = gate_outcome_table(fresh, totals, thetas[k:k + 1])
+                assert np.array_equal(alone[0], batch[row_code[k]])
+            if top % 7 == 0:
+                # nor on the chunks of 3 angles a memory cap cuts it into
+                with monkeypatch.context() as patch:
+                    patch.setattr(sampling, "_PRODUCT_BYTES",
+                                  3 * 16 * len(totals) * (top + 1) ** 2)
+                    chunked, _ = gate_outcome_table(fresh, totals, thetas)
+                assert np.array_equal(chunked, batch)
+
+
+def test_depth1_parity_masses_rows_ignore_the_batch():
+    rng = np.random.default_rng(43)
+    for m in range(2, 13):
+        for n in (m, m - 1):
+            circ = build_reck_slices(m, 1, reck_input(m, n))
+            thetas = rng.uniform(0, 2 * np.pi, (21, m - 1))
+            thetas[10:, 0] = thetas[0, 0]  # rows sharing a gate's angle
+            for parity in (0, 1):
+                alone = np.concatenate([
+                    depth1_parity_masses(circ, thetas[r:r + 1], parity)
+                    for r in range(21)])
+                for size in (2, 3, 21):
+                    for s in range(0, 21, size):
+                        batch = depth1_parity_masses(
+                            circ, thetas[s:s + size], parity)
+                        assert np.array_equal(batch, alone[s:s + size])
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_depth1_parity_masses_memory_bound(rows):
+    m = n = 14
+    circ = build_reck_slices(m, 1, reck_input(m, n))
+    thetas = np.random.default_rng(47).uniform(0, 2 * np.pi, (rows, m - 1))
+    depth1_parity_masses(circ, thetas, 0)  # fill the eigenbasis caches
+    tracemalloc.start()
+    try:
+        depth1_parity_masses(circ, thetas, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the outcome tables of one gate: one complex (n+1, n+1) block per
+    # photon total and distinct angle
+    tables = rows * 16 * (n + 1) ** 3
+    assert peak <= rows * 16 * (n + 1) * 2 ** m + tables  # the budget
+    # the last gate's input and output mass, and no copy of either
+    assert peak <= rows * 6 * (n + 1) * 2 ** m + tables
 
 
 def test_sampler_and_exact_pass_share_one_table(monkeypatch):
