@@ -243,8 +243,7 @@ def cmd_enumerate(args) -> int:
                      "delta2": spec.delta2},
             "count": len(basis), "closed_form": closed_form,
         }
-        (out_dir / "enumeration.json").write_text(
-            json.dumps(doc, sort_keys=True) + "\n")
+        _write_json(out_dir / "enumeration.json", doc)
     return 0
 
 
@@ -276,9 +275,8 @@ def cmd_lattice(args) -> int:
               for k in args.count_bk or ()]
     out_dir = _output_dir(args)
     (out_dir / "lattice.txt").write_text(export_lattice_text(lattice, ceiling))
-    (out_dir / "lattice.json").write_text(
-        json.dumps(export_lattice_json(lattice, ceiling), sort_keys=True)
-        + "\n")
+    _write_json(out_dir / "lattice.json",
+                export_lattice_json(lattice, ceiling))
     print(f"vertices = {len(lattice)}  cover edges = "
           f"{len(lattice.cover_edges)}")
     for k, general, unit in counts:

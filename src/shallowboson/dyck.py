@@ -2,12 +2,13 @@
 
 A Dyck path of length k runs from height delta1 to height delta2 in unit
 up/down steps and never dips below zero.  The closed-form count is the
-ballot-style difference of two binomials.  Enumeration unranks the
-lexicographically ordered words in fixed-size blocks of rows from a table
-of completion counts, one vectorised step per column.  The staircase
-image of a Dyck word lives on the grid whose x axis counts detectors and
-whose y axis counts cumulative detected photons, which is the form used
-to enumerate reachable detection patterns of sliced meshes.
+ballot-style difference of two binomials.  Words are rows of 0/1 steps
+(1 = U, 0 = D).  Enumeration unranks the lexicographically ordered words
+in fixed-size blocks of rows from a table of completion counts, one
+vectorised step per column.  The staircase image of a Dyck word lives on
+the grid whose x axis counts detectors and whose y axis counts cumulative
+detected photons, which is the form used to enumerate reachable
+detection patterns of sliced meshes.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from math import comb
 import numpy as np
 
 # rows unranked per block: bounds each call's temporaries to a few
-# hundred kilobytes whatever the family size
+# hundred kilobytes whatever the family size (the output itself is
+# count x k bytes)
 _BLOCK_ROWS = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
-_D, _U, _NL = ord("D"), ord("U"), ord("\n")
 
 
 @dataclass(frozen=True)
@@ -63,23 +64,24 @@ def catalan_number(m: int) -> int:
     return comb(2 * m, m) * 2 // (2 + 2 * m)
 
 
-def enumerate_dyck_paths(spec: DyckSpec) -> list[str]:
-    """All U/D words of the family, in lexicographic order (D < U).
+def enumerate_dyck_paths(spec: DyckSpec) -> np.ndarray:
+    """All words of the family, in lexicographic order (D < U).
 
-    Row r of the ordered family is unranked column by column: at height h
-    with s steps left the word continues with D iff r is below the number
-    of completions after that D, else with U, and r drops by that number.
-    Raises ValueError if a completion count does not fit int64.
+    Words are returned as one (count, k) uint8 array of step rows, 1 for
+    U and 0 for D.  Row r of the ordered family is unranked column by
+    column: at height h with s steps left the word continues with D iff r
+    is below the number of completions after that D, else with U, and r
+    drops by that number.  Raises ValueError if a completion count does
+    not fit int64.
     """
     table = _completion_table(spec)
     k = spec.k
     total = int(table[k, spec.delta1 + 1])
-    paths: list[str] = []
+    words = np.empty((total, k), dtype=np.uint8)
     for start in range(0, total, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, total - start)
-        rank = np.arange(start, start + rows, dtype=np.int64)
-        height = np.full(rows, spec.delta1, dtype=np.int64)
-        buf = np.empty((rows, k + 1), dtype=np.uint8)  # one word per row
+        stop = min(start + _BLOCK_ROWS, total)
+        rank = np.arange(start, stop, dtype=np.int64)
+        height = np.full(stop - start, spec.delta1, dtype=np.int64)
         for col in range(k):
             # table column `height` holds the completions after a D step
             down = table[k - col - 1][height]
@@ -87,13 +89,8 @@ def enumerate_dyck_paths(spec: DyckSpec) -> list[str]:
             np.subtract(rank, down, out=rank, where=up)
             height += up
             height -= ~up
-            buf[:, col] = up
-        buf *= _U - _D
-        buf += _D
-        buf[:, k] = _NL
-        # the trailing newline is cut so that split yields `rows` words
-        paths.extend(str(buf.reshape(-1)[:-1].data, "ascii").split("\n"))
-    return paths
+            words[start:stop, col] = up
+    return words
 
 
 def _completion_table(spec: DyckSpec) -> np.ndarray:
@@ -120,22 +117,19 @@ def _completion_table(spec: DyckSpec) -> np.ndarray:
     return table.view(np.int64)
 
 
-def dyck_heights(word: str, spec: DyckSpec) -> list[int]:
-    """Height profile of a word, validating the never-below-zero rule."""
-    if len(word) != spec.k:
+def dyck_heights(word, spec: DyckSpec) -> np.ndarray:
+    """(k+1,) height profile of a step row, validating the family rules."""
+    word = np.asarray(word)
+    if word.shape != (spec.k,):
         raise ValueError(
-            f"word length {len(word)} does not match k={spec.k}"
+            f"word shape {word.shape} does not match k={spec.k}"
         )
-    heights = [spec.delta1]
-    for step in word:
-        if step == "U":
-            heights.append(heights[-1] + 1)
-        elif step == "D":
-            heights.append(heights[-1] - 1)
-        else:
-            raise ValueError(f"invalid step {step!r} in Dyck word")
-        if heights[-1] < 0:
-            raise ValueError(f"word {word} dips below zero")
+    if not np.isin(word, (0, 1)).all():
+        raise ValueError(f"steps must be 0 (D) or 1 (U), got {word}")
+    steps = 2 * word.astype(np.int64) - 1
+    heights = spec.delta1 + np.concatenate(([0], np.cumsum(steps)))
+    if heights.min() < 0:
+        raise ValueError(f"word {word} dips below zero")
     if heights[-1] != spec.delta2:
         raise ValueError(
             f"word {word} ends at height {heights[-1]}, expected "
@@ -144,52 +138,44 @@ def dyck_heights(word: str, spec: DyckSpec) -> list[int]:
     return heights
 
 
-def staircase_path(word: str, spec: DyckSpec) -> list[tuple[int, int]]:
-    """Map a Dyck word to its staircase path.
+def staircase_path(word, spec: DyckSpec) -> np.ndarray:
+    """Map a Dyck step row to its (k+1, 2) staircase points.
 
     The affine image of the reflect-and-rotate transform: the point after
     t steps is (#U so far, #D so far), i.e. U becomes a unit step right
     (advance one detector) and D a unit step up (one detected photon).
     """
-    dyck_heights(word, spec)  # validates length, heights and end point
-    points = [(0, 0)]
-    x = y = 0
-    for step in word:
-        if step == "U":
-            x += 1
-        else:
-            y += 1
-        points.append((x, y))
-    return points
+    dyck_heights(word, spec)  # validates length, steps, heights, end point
+    up = np.asarray(word, dtype=np.int64)
+    moves = np.stack([up, 1 - up], axis=1)
+    return np.concatenate([np.zeros((1, 2), np.int64), moves.cumsum(axis=0)])
 
 
-def staircase_to_word(points: list[tuple[int, int]], spec: DyckSpec) -> str:
+def staircase_to_word(points, spec: DyckSpec) -> np.ndarray:
     """Inverse of :func:`staircase_path`; round-trips exactly."""
-    word = []
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if (x1 - x0, y1 - y0) == (1, 0):
-            word.append("U")
-        elif (x1 - x0, y1 - y0) == (0, 1):
-            word.append("D")
-        else:
-            raise ValueError(f"not a staircase step: {(x0, y0)} -> {(x1, y1)}")
-    joined = "".join(word)
-    dyck_heights(joined, spec)
-    return joined
+    points = np.asarray(points, dtype=np.int64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be (n, 2), got shape {points.shape}")
+    moves = np.diff(points, axis=0)
+    right = (moves == (1, 0)).all(axis=1)
+    bad = ~right & ~(moves == (0, 1)).all(axis=1)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"not a staircase step: {points[t].tolist()} -> "
+                         f"{points[t + 1].tolist()}")
+    word = right.astype(np.uint8)
+    dyck_heights(word, spec)
+    return word
 
 
-def staircase_endpoint_heights(points: list[tuple[int, int]], spec: DyckSpec
-                               ) -> tuple[int, int]:
+def staircase_endpoint_heights(points, spec: DyckSpec) -> tuple[int, int]:
     """Recover (delta1, delta2) from a staircase path of the given family.
 
     The Dyck height after t steps is delta1 + x_t - y_t, so the start and
     end heights follow from pure coordinate arithmetic.
     """
-    x0, y0 = points[0]
-    x1, y1 = points[-1]
-    start = spec.delta1 + x0 - y0
-    end = spec.delta1 + x1 - y1
-    return start, end
+    (x0, y0), (x1, y1) = np.asarray(points)[[0, -1]].tolist()
+    return spec.delta1 + x0 - y0, spec.delta1 + x1 - y1
 
 
 def catalan_dyck_spec(num_modes: int, num_photons: int, depth: int) -> DyckSpec:

@@ -47,9 +47,10 @@ class SectorBasis:
         self.num_modes = num_modes
         self.num_photons = num_photons
         self.size = size
-        self.patterns = _enumerate_patterns(num_modes, num_photons)
-        # binom table used by the vectorized ranking formula
+        # binom table used by the enumeration and the ranking formula
         self._binom = _binom_table(num_photons + num_modes, num_modes)
+        self.patterns = _enumerate_patterns(num_modes, num_photons,
+                                            self._binom)
 
     def __len__(self) -> int:
         return self.size
@@ -105,15 +106,16 @@ def _binom_table(max_n: int, max_k: int) -> np.ndarray:
     return table
 
 
-def _enumerate_patterns(num_modes: int, num_photons: int) -> np.ndarray:
+def _enumerate_patterns(num_modes: int, num_photons: int,
+                        binom: np.ndarray) -> np.ndarray:
     """All weak compositions in reverse-lexicographic order, column by column.
 
     Rows sharing a prefix are contiguous.  A prefix with r photons left
     continues with r, r-1, ..., 0 in the next mode, and value v spans as
     many rows as there are compositions of r - v into the modes after it.
+    `binom` is _binom_table(num_photons + num_modes, num_modes).
     """
     size = sector_size(num_modes, num_photons)
-    binom = _binom_table(num_photons + num_modes, num_modes)
     out = np.empty((size, num_modes), dtype=np.uint16)
     left = np.array([num_photons], dtype=np.int64)  # photons left per prefix
     for d in range(num_modes - 1):

@@ -379,14 +379,14 @@ def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
                         range(len(thetas)), 0)
 
 
-def support(state: QuantumState, tol: float = 0.0) -> np.ndarray:
-    """Pattern rows carrying probability above `tol`, in canonical order.
+def support(state: QuantumState) -> np.ndarray:
+    """Pattern rows carrying positive probability, in canonical order.
 
     Unreachable patterns keep exactly zero amplitude under the blockwise
-    evolution (their orbits never receive mass), so strict positivity is
-    the right default; raise `tol` to trim near-zero entries instead.
+    evolution (their orbits never receive mass), so strict positivity
+    separates them without a tolerance.
     """
-    return state.basis.patterns[state.probabilities() > tol]
+    return state.basis.patterns[state.probabilities() > 0]
 
 
 def single_particle_transfer(circuit: CircuitSpec, thetas, psis=None

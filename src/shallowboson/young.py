@@ -12,7 +12,8 @@ from diagrams are index-reversed relative to circuit patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -52,36 +53,52 @@ def pattern_to_ferrers(pattern) -> Diagram:
     return tuple(cols)
 
 
-@dataclass
+@dataclass(eq=False)
 class YoungLattice:
-    """All diagrams contained in mu, with single-box cover edges."""
+    """All diagrams contained in mu, with single-box cover edges.
+
+    `vertices` is a (V, len(mu)) int64 array, one diagram per row, sorted
+    by (size, columns); `cover_edges` is an (E, 2) array of (lower, upper)
+    vertex indices.  Membership goes through :meth:`vertex_index` alone.
+    """
 
     mu: Diagram
-    vertices: list[Diagram]
-    cover_edges: list[tuple[Diagram, Diagram]]
-    _vertex_set: set[Diagram] = field(repr=False, default_factory=set)
-
-    def __post_init__(self):
-        if not self._vertex_set:
-            self._vertex_set = set(self.vertices)
+    vertices: np.ndarray
+    cover_edges: np.ndarray
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __contains__(self, diagram) -> bool:
-        return tuple(diagram) in self._vertex_set
+        row = np.asarray(diagram, dtype=np.int64)
+        return (row.shape == (len(self.mu),)
+                and self.vertex_index(row[None])[0] >= 0)
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex byte records in sorted order, and the index of each."""
+        records = _records(self.vertices)
+        order = np.argsort(records)
+        return records[order], order
+
+    def vertex_index(self, rows) -> np.ndarray:
+        """Vertex index of each len(mu)-column row, -1 for a non-vertex."""
+        table, order = self._index
+        found = _records(rows)
+        at = np.searchsorted(table, found).clip(max=len(table) - 1)
+        return np.where(table[at] == found, order[at], -1)
 
     def meet(self, a: Diagram, b: Diagram) -> Diagram:
-        return tuple(min(x, y) for x, y in zip(a, b))
+        return tuple(np.minimum(a, b).tolist())
 
     def join(self, a: Diagram, b: Diagram) -> Diagram:
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(np.maximum(a, b).tolist())
 
     def top(self) -> Diagram:
-        return max(self.vertices, key=lambda v: (sum(v), v))
+        return tuple(max(self.vertices.tolist(), key=lambda v: (sum(v), v)))
 
     def bottom(self) -> Diagram:
-        return min(self.vertices, key=lambda v: (sum(v), v))
+        return tuple(min(self.vertices.tolist(), key=lambda v: (sum(v), v)))
 
 
 def young_lattice(mu) -> YoungLattice:
@@ -90,19 +107,23 @@ def young_lattice(mu) -> YoungLattice:
     k = len(bound)
     # column by column: each prefix continues with every value from its
     # last column up to the bound (no recursive closure, so no cycle)
-    vertices: list[Diagram] = [()]
-    for col, top in enumerate(bound):
-        vertices = [v + (c,) for v in vertices
-                    for c in range(v[-1] if col else 0, top + 1)]
-    vertices.sort(key=lambda v: (sum(v), v))
-    vset = set(vertices)
-    edges = []
-    for v in vertices:
-        for c in range(k):
-            grown = v[:c] + (v[c] + 1,) + v[c + 1:]
-            if grown in vset:
-                edges.append((v, grown))
-    return YoungLattice(bound, vertices, edges, vset)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for top in bound:
+        spans = top + 1 - last
+        ends = np.cumsum(spans)
+        last = np.repeat(last + spans - ends, spans) + np.arange(ends[-1])
+        rows = np.column_stack([np.repeat(rows, spans, axis=0), last])
+    # rows are lexicographic already; a stable sort puts size first
+    rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    lattice = YoungLattice(bound, rows, np.empty((0, 2), dtype=np.int64))
+    # one lookup per column keeps every temporary the size of `rows`
+    upper = np.empty((len(rows), k), dtype=np.int64)
+    for c, step in enumerate(np.eye(k, dtype=np.int64)):
+        upper[:, c] = lattice.vertex_index(rows + step)
+    lower, column = np.nonzero(upper >= 0)
+    lattice.cover_edges = np.column_stack([lower, upper[lower, column]])
+    return lattice
 
 
 def catalan_mu(num_modes: int, num_photons: int, depth: int) -> Diagram:
@@ -150,11 +171,12 @@ def vertex_to_pattern(vertex: Diagram, num_photons: int) -> tuple[int, ...]:
     differenced, and index-reversed (detectors are counted from the far
     end of the mode axis).
     """
-    if vertex and vertex[-1] > num_photons:
+    cols = tuple(int(v) for v in vertex)
+    if cols and cols[-1] > num_photons:
         raise ValueError(
-            f"vertex {vertex} exceeds the photon ceiling {num_photons}"
+            f"vertex {cols} exceeds the photon ceiling {num_photons}"
         )
-    diffs = ferrers_to_pattern((0,) + tuple(vertex) + (num_photons,))
+    diffs = ferrers_to_pattern((0,) + cols + (num_photons,))
     return diffs[::-1]
 
 
@@ -225,19 +247,16 @@ def count_boolean_sublattices(lattice: YoungLattice, k: int,
     a time over a (sets x pieces) candidate matrix: a piece joins a set
     if its support is disjoint from the set's and every new subset sum is
     a vertex.  Membership is exact for any vertex set and any width: each
-    sum is looked up by binary search among the sorted vertex rows, seen
-    as byte records, and must equal the row found.  No sum is skipped on
-    the strength of join-closure, which a hand-built vertex set may lack.
-    Sets are extended in chunks, depth first, so that each candidate
-    matrix holds about _CANDIDATES entries.
+    sum is looked up with :meth:`YoungLattice.vertex_index`.  No sum is
+    skipped on the strength of join-closure, which a hand-built vertex set
+    may lack.  Sets are extended in chunks, depth first, so that each
+    candidate matrix holds about _CANDIDATES entries.
     """
     if k < 1:
         raise ValueError(f"Boolean order must be >= 1, got {k}")
-    vertices = np.array(lattice.vertices, dtype=np.int64).reshape(
-        len(lattice.vertices), len(lattice.mu))
+    vertices = lattice.vertices
     if len(vertices) < 2:
         return 0  # no vertex lies above another
-    table = np.sort(_records(vertices))
     total = 0
     for bottom in vertices:
         delta = vertices - bottom
@@ -246,7 +265,7 @@ def count_boolean_sublattices(lattice: YoungLattice, k: int,
             size == 1 if unit_boxes else size > 0)
         pieces = delta[keep]
         if len(pieces) >= k:
-            total += _count_piece_sets(table, bottom, pieces, k)
+            total += _count_piece_sets(lattice, bottom, pieces, k)
     return total
 
 
@@ -258,12 +277,14 @@ def _records(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     record = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    if not rows.shape[1]:  # zero-width rows have no bytes to view
+        return np.zeros(len(rows), dtype=record)
     return rows.view(record).reshape(len(rows))
 
 
-def _count_piece_sets(table: np.ndarray, bottom: np.ndarray,
+def _count_piece_sets(lattice: YoungLattice, bottom: np.ndarray,
                       pieces: np.ndarray, k: int) -> int:
-    """k-sets of pieces with disjoint supports and all subset sums in table.
+    """k-sets of pieces with disjoint supports and all subset sums vertices.
 
     A partial set is the (2^j, width) array of its subset sums (bottom
     first), its last piece index and its packed support; sets are kept in
@@ -281,9 +302,8 @@ def _count_piece_sets(table: np.ndarray, bottom: np.ndarray,
         candidate &= ~(used[:, None, :] & support).any(axis=2)
         sets, new = np.nonzero(candidate)
         grown = sums[sets] + pieces[new][:, None, :]
-        found = _records(grown.reshape(-1, width))
-        at = np.searchsorted(table, found).clip(max=len(table) - 1)
-        ok = (table[at] == found).reshape(grown.shape[:2]).all(axis=1)
+        found = lattice.vertex_index(grown.reshape(-1, width))
+        ok = (found >= 0).reshape(grown.shape[:2]).all(axis=1)
         if sums.shape[1] << 1 == 1 << k:  # the grown sets have k pieces
             count += int(np.count_nonzero(ok))
             continue
@@ -320,29 +340,22 @@ def ordinal_sum_decomposition(lattice: YoungLattice) -> OrdinalSumDecomposition:
     vertex.  A single-vertex lattice decomposes into nothing; a failed
     subset check stops with a residual flag and the partial factor list.
     """
-    vset = lattice._vertex_set
-    bottom = lattice.bottom()
-    current = lattice.top()
-    width = len(lattice.mu)
+    bottom, current = np.array([lattice.bottom(), lattice.top()],
+                               dtype=np.int64)
     factors: list[int] = []
-    while current != bottom:
-        removable = [
-            c for c in range(width)
-            if current[:c] + (current[c] - 1,) + current[c + 1:] in vset
-        ]
-        if not removable:
-            return OrdinalSumDecomposition(factors, True, current)
-        for subset in product((0, 1), repeat=len(removable)):
-            probe = list(current)
-            for flag, c in zip(subset, removable):
-                probe[c] -= flag
-            if tuple(probe) not in vset:
-                return OrdinalSumDecomposition(factors, True, current)
-        factors.append(len(removable))
-        lowered = list(current)
-        for c in removable:
-            lowered[c] -= 1
-        current = tuple(lowered)
+    while (current != bottom).any():
+        lowered = current - np.eye(len(lattice.mu), dtype=np.int64)
+        removable = np.flatnonzero(lattice.vertex_index(lowered) >= 0)
+        # every subset of the removable layer, the full layer last
+        r = len(removable)
+        subsets = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
+        probes = np.repeat(current[None, :], 1 << r, axis=0)
+        probes[:, removable] -= subsets
+        if not r or (lattice.vertex_index(probes) < 0).any():
+            return OrdinalSumDecomposition(factors, True,
+                                           tuple(current.tolist()))
+        factors.append(r)
+        current = probes[-1]
     return OrdinalSumDecomposition(factors, False)
 
 
@@ -368,9 +381,8 @@ def export_lattice_json(lattice: YoungLattice, num_photons: int | None = None
     """Labelled vertices (diagram, pattern, bits) and indexed cover edges."""
     ceiling = num_photons if num_photons is not None else (
         lattice.mu[-1] if lattice.mu else 0)
-    index = {v: t for t, v in enumerate(lattice.vertices)}
     vertices = []
-    for v in lattice.vertices:
+    for v in lattice.vertices.tolist():
         pattern = vertex_to_pattern(v, ceiling)
         vertices.append({
             "diagram": list(v),
@@ -380,5 +392,5 @@ def export_lattice_json(lattice: YoungLattice, num_photons: int | None = None
     return {
         "mu": list(lattice.mu),
         "vertices": vertices,
-        "edges": [[index[a], index[b]] for a, b in lattice.cover_edges],
+        "edges": lattice.cover_edges.tolist(),
     }

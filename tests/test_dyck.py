@@ -1,5 +1,6 @@
 import gc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -38,6 +39,12 @@ def _extend_paths(paths, word, steps_left, height, d2):
     word.pop()
 
 
+def as_step_rows(words, k):
+    """Oracle words as (count, k) uint8 step rows, 1 for U and 0 for D."""
+    return np.array([[step == "U" for step in word] for word in words],
+                    dtype=np.uint8).reshape(len(words), k)
+
+
 @st.composite
 def dyck_specs(draw, max_k=14, max_delta=8):
     k = draw(st.integers(0, max_k))
@@ -66,7 +73,8 @@ def test_parity_mismatch_rejected():
 
 
 def test_single_path_family():
-    assert enumerate_dyck_paths(DyckSpec(2, 0, 0)) == ["UD"]
+    words = enumerate_dyck_paths(DyckSpec(2, 0, 0))
+    assert words.dtype == np.uint8 and words.tolist() == [[1, 0]]
 
 
 def test_enumeration_matches_closed_form():
@@ -77,8 +85,9 @@ def test_enumeration_matches_closed_form():
                     continue
                 spec = DyckSpec(k, d1, d2)
                 paths = enumerate_dyck_paths(spec)
-                assert len(paths) == dyck_count(spec)
-                assert paths == sorted(paths)
+                assert paths.shape == (dyck_count(spec), k)
+                rows = paths.tolist()
+                assert rows == sorted(rows)
 
 
 @PROPERTY
@@ -89,13 +98,17 @@ def test_enumeration_matches_closed_form():
 @example(DyckSpec(4, 7, 3))   # delta1 > k, one word
 @example(DyckSpec(14, 8, 8))
 def test_enumeration_equals_recursive_oracle(spec):
-    assert enumerate_dyck_paths(spec) == recursive_dyck_paths(spec)
+    words = enumerate_dyck_paths(spec)
+    assert words.dtype == np.uint8
+    assert np.array_equal(
+        words, as_step_rows(recursive_dyck_paths(spec), spec.k))
 
 
 def test_enumeration_spans_several_blocks():
     # C_10 = 16,796 words: more rows than one unranking block holds
     spec = DyckSpec(20, 0, 0)
-    assert enumerate_dyck_paths(spec) == recursive_dyck_paths(spec)
+    assert np.array_equal(enumerate_dyck_paths(spec),
+                          as_step_rows(recursive_dyck_paths(spec), 20))
 
 
 @pytest.mark.parametrize("spec", [DyckSpec(70, 0, 0), DyckSpec(130, 0, 0)])
@@ -123,7 +136,7 @@ def test_catalan_special_case():
 def test_words_never_dip_below_zero():
     for word in enumerate_dyck_paths(DyckSpec(8, 1, 1)):
         heights = dyck_heights(word, DyckSpec(8, 1, 1))
-        assert min(heights) >= 0
+        assert heights.shape == (9,) and heights.min() >= 0
         assert heights[0] == 1 and heights[-1] == 1
 
 
@@ -131,32 +144,60 @@ def test_staircase_round_trip():
     spec = DyckSpec(8, 0, 0)
     for word in enumerate_dyck_paths(spec):
         points = staircase_path(word, spec)
-        assert staircase_to_word(points, spec) == word
+        assert points.shape == (9, 2)
+        assert np.array_equal(staircase_to_word(points, spec), word)
 
 
 def test_staircase_of_reference_word():
     spec = DyckSpec(8, 0, 0)
-    points = staircase_path("UUDDUDUD", spec)
-    assert points[0] == (0, 0)
-    assert points[-1] == (4, 4)
+    points = staircase_path(as_step_rows(["UUDDUDUD"], 8)[0], spec).tolist()
+    assert points[0] == [0, 0]
+    assert points[-1] == [4, 4]
     # U advances a detector, D records a photon
-    assert points[2] == (2, 0)
-    assert points[4] == (2, 2)
+    assert points[2] == [2, 0]
+    assert points[4] == [2, 2]
 
 
 def test_staircase_endpoints_recover_heights():
     for spec in (DyckSpec(7, 2, 1), DyckSpec(6, 1, 1), DyckSpec(9, 3, 2)):
         for word in enumerate_dyck_paths(spec)[:10]:
             points = staircase_path(word, spec)
-            assert staircase_endpoint_heights(points, spec) == (
-                spec.delta1, spec.delta2)
+            heights = staircase_endpoint_heights(points, spec)
+            assert heights == (spec.delta1, spec.delta2)
+            assert all(type(h) is int for h in heights)
 
 
 def test_invalid_word_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match k=3"):
         staircase_path("UDX", DyckSpec(3, 1, 2))
-    with pytest.raises(ValueError):
-        staircase_path("DDUU", DyckSpec(4, 1, 1))
+    with pytest.raises(ValueError, match="dips below zero"):
+        staircase_path([0, 0, 1, 1], DyckSpec(4, 1, 1))
+
+
+@pytest.mark.parametrize("word,spec,message", [
+    ([1, 0, 1], DyckSpec(4, 1, 1), r"shape \(3,\) does not match k=4"),
+    ([[1, 0], [0, 1]], DyckSpec(4, 1, 1), "does not match k=4"),
+    ([1, 2, 0, 0], DyckSpec(4, 1, 1), "steps must be 0"),
+    ([0, 0, 1, 1], DyckSpec(4, 1, 1), "dips below zero"),
+    ([1, 1, 1, 0], DyckSpec(4, 1, 1), "ends at height 3, expected 1"),
+])
+def test_dyck_heights_refusals(word, spec, message):
+    with pytest.raises(ValueError, match=message):
+        dyck_heights(np.array(word), spec)
+
+
+@pytest.mark.parametrize("points,spec,message", [
+    ([[0, 0], [1, 1], [1, 2]], DyckSpec(2, 0, 0),
+     r"not a staircase step: \[0, 0\] -> \[1, 1\]"),
+    ([[0, 0], [2, 0]], DyckSpec(1, 0, 1), "not a staircase step"),
+    ([0, 1, 1, 1], DyckSpec(2, 0, 0), r"must be \(n, 2\)"),
+    ([[0, 0], [1, 0]], DyckSpec(2, 0, 0), "does not match k=2"),
+    ([[0, 0], [0, 1], [1, 1]], DyckSpec(2, 0, 0), "dips below zero"),
+    ([[0, 0], [1, 0], [2, 0]], DyckSpec(2, 0, 0), "ends at height 2"),
+])
+def test_staircase_to_word_refusals(points, spec, message):
+    with pytest.raises(ValueError, match=message):
+        staircase_to_word(points, spec)
 
 
 @pytest.mark.parametrize("m,n,depth,expected", [

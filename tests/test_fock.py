@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from shallowboson.fock import (
-    SectorBasis, _enumerate_patterns, enumerate_basis, sector_size,
+    SectorBasis, _binom_table, _enumerate_patterns, enumerate_basis,
+    sector_size,
 )
 
 
@@ -120,7 +121,7 @@ def recursive_patterns(num_modes, num_photons):
 def test_column_enumeration_matches_recursion():
     for m in range(1, 9):
         for n in range(0, 9):
-            got = _enumerate_patterns(m, n)
+            got = _enumerate_patterns(m, n, _binom_table(n + m, m))
             want = recursive_patterns(m, n)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (m, n)

@@ -57,3 +57,17 @@ def test_every_workload_runs_a_smoke_unit():
         outcome = workloads.build(name, 0, True).unit()
         assert outcome.attempted > 0 and outcome.failed == 0, (
             name, outcome.errors)
+
+
+def test_census_unit_passes_in_full():
+    # the full-size census also checks the recorded Boolean counts of
+    # catalan_lattice(6, 6, 1) and (6, 6, 2) in perfbench/references.json
+    workloads = _load(WORKLOADS, "_perfbench_workloads")
+    census = workloads.build("census-lattice", 0, False)
+    labels = [label for label, _ in census.checks()]
+    for label in ("B3 in catalan_lattice(6, 6, 1)",
+                  "B2 in catalan_lattice(6, 6, 2)"):
+        assert f"{label} (regression reference)" in labels
+    outcome = census.unit()
+    assert outcome.attempted == len(labels)
+    assert outcome.failed == 0, outcome.errors

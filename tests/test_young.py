@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from shallowboson.dyck import catalan_dyck_spec, catalan_number, dyck_count
 from shallowboson.fock import enumerate_basis
 from shallowboson.young import (
-    box_bitstring_apply, catalan_basis, catalan_lattice, catalan_mu,
-    count_boolean_sublattices, export_lattice_json, export_lattice_text,
-    ferrers_to_pattern, ordinal_sum_decomposition, parity_distinctness_check,
-    pattern_to_ferrers, vertex_to_pattern, young_lattice,
+    YoungLattice, box_bitstring_apply, catalan_basis, catalan_lattice,
+    catalan_mu, count_boolean_sublattices, export_lattice_json,
+    export_lattice_text, ferrers_to_pattern, ordinal_sum_decomposition,
+    parity_distinctness_check, pattern_to_ferrers, vertex_to_pattern,
+    young_lattice,
 )
 
 
@@ -23,6 +24,12 @@ PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
 
 def _pattern_set(patterns):
     return set(map(tuple, patterns.tolist()))
+
+
+def hand_built(mu, vertices):
+    """A lattice from listed diagrams, in the given row order, no edges."""
+    return YoungLattice(mu, np.array(vertices, dtype=np.int64),
+                        np.empty((0, 2), dtype=np.int64))
 
 
 def recursive_catalan_basis(num_modes, num_photons, depth):
@@ -75,8 +82,9 @@ def test_first_differences_require_leading_zero():
 
 def test_round_trip_over_lattice_vertices():
     lattice = young_lattice((2, 3, 4))
-    for vertex in lattice.vertices:
-        extended = (0,) + vertex
+    assert lattice.vertices.shape == (28, 3)
+    for vertex in lattice.vertices.tolist():
+        extended = (0,) + tuple(vertex)
         assert pattern_to_ferrers(ferrers_to_pattern(extended)) == extended
 
 
@@ -91,7 +99,9 @@ def test_lattice_sizes(mu, size):
 
 def test_lattice_cover_edges_differ_by_one_box():
     lattice = young_lattice((2, 3))
-    for low, high in lattice.cover_edges:
+    assert lattice.cover_edges.shape == (11, 2)
+    for a, b in lattice.cover_edges.tolist():
+        low, high = lattice.vertices[a].tolist(), lattice.vertices[b].tolist()
         assert sum(high) - sum(low) == 1
         assert all(h - l in (0, 1) for l, h in zip(low, high))
 
@@ -212,7 +222,7 @@ def test_box_bitstrings_realize_half_the_qubit_basis(m):
 def incomparable_pairs(lattice):
     """Oracle: B_2 sublattices are exactly the incomparable vertex pairs."""
     count = 0
-    for a, b in combinations(lattice.vertices, 2):
+    for a, b in combinations(lattice.vertices.tolist(), 2):
         le = all(x <= y for x, y in zip(a, b))
         ge = all(x >= y for x, y in zip(a, b))
         if not le and not ge:
@@ -227,12 +237,13 @@ def recursive_boolean_count(lattice, k, unit_boxes=False):
     a piece of disjoint column support whose sums with every subset sum
     chosen so far are all vertices.
     """
-    vset = lattice._vertex_set
+    vertices = [tuple(v) for v in lattice.vertices.tolist()]
+    vset = set(vertices)
     width = len(lattice.mu)
     total = 0
-    for bottom in lattice.vertices:
+    for bottom in vertices:
         pieces = []
-        for v in lattice.vertices:
+        for v in vertices:
             if v == bottom:
                 continue
             delta = tuple(a - b for a, b in zip(v, bottom))
@@ -302,14 +313,13 @@ def test_boolean_count_ignores_zero_columns(k, unit_boxes):
 
 
 def test_boolean_count_checks_every_subset_sum():
-    from shallowboson.young import YoungLattice
     # two disjoint single boxes above (0, 0, 1) whose union is missing: a
     # hand-built vertex set need not be join-closed, so the sum is checked
     vertices = [(0, 0, 1), (0, 0, 2), (0, 1, 1)]
-    broken = YoungLattice((0, 1, 2), vertices, [], set(vertices))
+    broken = hand_built((0, 1, 2), vertices)
     assert count_boolean_sublattices(broken, 2) == 0
     closed = vertices + [(0, 1, 2)]
-    square = YoungLattice((0, 1, 2), closed, [], set(closed))
+    square = hand_built((0, 1, 2), closed)
     assert count_boolean_sublattices(square, 2) == 1
     assert recursive_boolean_count(broken, 2) == 0
     assert recursive_boolean_count(square, 2) == 1
@@ -373,10 +383,8 @@ def test_ordinal_sum_multiplicities():
 
 
 def test_ordinal_sum_residual_on_broken_chain():
-    from shallowboson.young import YoungLattice
     # bottom and top with no single-box path between them
-    vertices = [(0, 0), (1, 1)]
-    broken = YoungLattice((1, 1), vertices, [], set(vertices))
+    broken = hand_built((1, 1), [(1, 1), (0, 0)])
     decomposition = ordinal_sum_decomposition(broken)
     assert decomposition.residual
     assert decomposition.factors == []
@@ -402,3 +410,50 @@ def test_exports_carry_three_labels():
     assert len(doc["vertices"]) == 28
     assert all(len(v["pattern"]) == 4 for v in doc["vertices"])
     assert all(len(e) == 2 for e in doc["edges"])
+
+
+def test_vertex_index_of_vertices_and_non_vertices():
+    lattice = young_lattice((1, 2))
+    assert lattice.vertices.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1],
+                                         [1, 2]]
+    assert lattice.vertex_index(lattice.vertices).tolist() == [0, 1, 2, 3, 4]
+    # decreasing columns, beyond the bound, negative, too tall
+    rows = np.array([[1, 0], [0, 3], [-1, 0], [2, 2]])
+    assert lattice.vertex_index(rows).tolist() == [-1, -1, -1, -1]
+    assert (1, 1) in lattice and (1, 0) not in lattice
+    assert (0, 1, 1) not in lattice  # another width is never a vertex
+
+
+def test_vertex_index_on_a_hand_built_lattice():
+    # rows out of (size, columns) order, and not join-closed
+    lattice = hand_built((0, 1, 2), [(0, 1, 1), (0, 0, 2), (0, 0, 1)])
+    assert lattice.vertex_index(np.array([
+        (0, 0, 1), (0, 1, 1), (0, 0, 2), (0, 1, 2)])).tolist() == [
+            2, 0, 1, -1]
+    assert lattice.top() == (0, 1, 1) and lattice.bottom() == (0, 0, 1)
+    assert lattice.join((0, 0, 2), (0, 1, 1)) not in lattice
+
+
+def test_empty_bound_has_one_empty_vertex():
+    lattice = young_lattice(())
+    assert lattice.vertices.shape == (1, 0)
+    assert lattice.cover_edges.shape == (0, 2)
+    assert lattice.vertex_index(np.empty((2, 0), dtype=np.int64)).tolist() \
+        == [0, 0]
+    assert () in lattice and (0,) not in lattice
+    assert lattice.top() == lattice.bottom() == ()
+    assert ordinal_sum_decomposition(lattice).factors == []
+    assert export_lattice_json(lattice)["vertices"] == [
+        {"diagram": [], "pattern": [0], "bits": "0"}]
+
+
+def test_vertex_index_on_the_wide_chain():
+    # vertex t of the chain is t zeros followed by ones
+    lattice = young_lattice((1,) * 64)
+    chain = np.tril(np.ones((65, 64), dtype=np.int64), -1)[:, ::-1]
+    assert np.array_equal(lattice.vertices, chain)
+    assert lattice.vertex_index(chain).tolist() == list(range(65))
+    assert lattice.cover_edges.tolist() == [[t, t + 1] for t in range(64)]
+    off = chain[1:63].copy()
+    off[:, 0] = 1  # a 1 ahead of the row's zeros: never a vertex
+    assert (lattice.vertex_index(off) == -1).all()
