@@ -29,8 +29,8 @@ from .problems import (
 )
 from .solver import SolverConfig, run_variational
 from .young import (
-    young_lattice, catalan_basis, catalan_mu,
-    count_boolean_sublattices, export_lattice_text, export_lattice_json,
+    young_lattice, young_lattice_size, catalan_basis, catalan_mu,
+    count_boolean_sublattices, export_lattice_json, lattice_text,
 )
 from .verify import SUITES
 
@@ -263,20 +263,24 @@ def cmd_lattice(args) -> int:
             raise UsageError(f"bad --sector: {exc}")
     else:
         raise UsageError("one of --mu or --sector is required")
-    expected = np.prod([float(c + 1) for c in mu]) if mu else 1.0
-    if expected > _LATTICE_VERTEX_LIMIT:
-        raise UsageError(
-            f"lattice may exceed {_LATTICE_VERTEX_LIMIT} vertices; refusing"
-        )
+    # a bound holds (0, ..., 0, h) for each h <= max(mu), and the count
+    # takes O(len(mu) * max(mu)) steps, so a taller bound is not counted
+    if max(mu, default=0) >= _LATTICE_VERTEX_LIMIT:
+        raise UsageError(f"lattice has more than {_LATTICE_VERTEX_LIMIT} "
+                         "vertices; refusing")
+    size = young_lattice_size(mu)
+    if size > _LATTICE_VERTEX_LIMIT:
+        raise UsageError(f"lattice has {size} vertices, more than "
+                         f"{_LATTICE_VERTEX_LIMIT}; refusing")
     lattice = young_lattice(mu)
     # counted before any output, so that a bad order writes nothing
     counts = [(k, count_boolean_sublattices(lattice, k),
                count_boolean_sublattices(lattice, k, unit_boxes=True))
               for k in args.count_bk or ()]
     out_dir = _output_dir(args)
-    (out_dir / "lattice.txt").write_text(export_lattice_text(lattice, ceiling))
-    _write_json(out_dir / "lattice.json",
-                export_lattice_json(lattice, ceiling))
+    doc = export_lattice_json(lattice, ceiling)
+    (out_dir / "lattice.txt").write_text(lattice_text(doc))
+    _write_json(out_dir / "lattice.json", doc)
     print(f"vertices = {len(lattice)}  cover edges = "
           f"{len(lattice.cover_edges)}")
     for k, general, unit in counts:

@@ -70,6 +70,8 @@ def coarse_grain(patterns, probs=None, j: int = 0) -> np.ndarray:
                          "-bit limit of a dense mass vector")
     if probs is not None:
         probs = np.asarray(probs, dtype=float)
+        if (probs < 0).any():
+            raise ValueError("input masses must be non-negative")
         if not abs(probs.sum() - 1.0) <= _MASS_TOL:
             raise ValueError(f"input masses sum to {probs.sum()!r}, "
                              f"expected 1 within {_MASS_TOL}")

@@ -20,8 +20,9 @@ carried photon count), one pair of batched matmuls per gate, that never
 enumerates a Fock sector.
 
 An explicit distribution is a pattern array with an aligned probability
-vector, for a sector `basis.patterns` with `state.probabilities()` in
-canonical order.  Both sampling routes return uint16 pattern rows.
+vector: a sector `basis.patterns` with `state.probabilities()` in
+canonical order, or the 2^M parity bit strings with their code masses.
+Both sampling routes return uint16 rows.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def sample_patterns(patterns, probs, n_samples: int,
     if patterns.ndim != 2 or probs.shape != (len(patterns),):
         raise ValueError(f"need one probability per row of a 2-D pattern "
                          f"array, got {probs.shape} and {patterns.shape}")
+    if (probs < 0).any():
+        raise ValueError("probabilities must be non-negative")
     total = probs.sum()
     if not abs(total - 1.0) <= _MASS_TOL:
         raise ValueError(

@@ -3,10 +3,10 @@
 A run performs four independent gradient descents, one per combination
 of photon sector (n = M or M-1) and parity variant (j = 0 or 1), each
 with its own seeded angle initialization, and tracks the best bit string
-ever observed across every evaluation.  Objectives are evaluated either
-exactly (full output distribution) or from N_s seeded samples; every
-shifted parameter vector draws fresh samples, while the states of one
-batch of vectors share their common gate prefixes (`evolve_batch`).
+ever observed across every evaluation.  Objectives are exact or the mean
+of N_s fresh seeded bit strings per parameter vector; sampled depth 1
+chain-samples patterns, every other row reads the (2^M,) code masses of
+its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ class ParityObjective:
     depth >= 2; one slice commutes them past the detectors.  Exact mode
     reduces each row's masses over all 2^M parity bit strings against the
     energy of every bit string: the carry-chain pass at depth 1, the dense
-    state coarse-grained at depth >= 2.  Sampled mode draws N_s patterns
-    per evaluation (chain sampling at depth 1, categorical sampling over
-    the canonical-order probability vector otherwise).
+    state coarse-grained at depth >= 2.  Sampled mode draws N_s bit
+    strings per row: parity bits of chain-sampled patterns at depth 1,
+    inverse-CDF draws over the same 2^M masses at depth >= 2.
 
     Exact depth 1 holds the input and output mass of its last gate,
     6 (n+1) 2^M bytes per angle row (132 MB at M = n = 20); rows are read
@@ -183,10 +183,10 @@ class ParityObjective:
         """Per-row objectives plus the best observed (energy, bit string).
 
         The best is taken over all rows, the first row on ties.  Exact
-        rows are reduced from their full parity-bit distributions;
-        stream_seed is unused.  Sampled rows each draw from an independent
-        child stream of stream_seed.  Either way results are identical
-        whether rows are evaluated batched or one at a time.
+        rows reduce their parity-bit masses; stream_seed is unused.
+        Sampled rows each draw from an independent child stream of
+        stream_seed, at depth >= 2 from those masses.  Either way results
+        are identical whether rows are evaluated batched or one at a time.
         """
         rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
         if rows.shape[1] != self.num_parameters:
@@ -195,19 +195,18 @@ class ParityObjective:
             )
         if self.samples is None:
             return self._exact_batch(rows)
-        n_s = self.samples
-        thetas, phases = self._split(rows)
+        n_s, m = self.samples, self.num_modes
         if self.depth == 1:
-            pats = chain_sample_depth1_batch(self.circuit, thetas, n_s,
-                                             stream_seed)
+            flat = parity_bits(chain_sample_depth1_batch(
+                self.circuit, self._split(rows)[0], n_s, stream_seed),
+                self.parity).reshape(-1, m)
         else:
+            bits = codes_to_bits(np.arange(1 << m), m).astype(np.uint16)
             children = as_seed_sequence(stream_seed).spawn(len(rows))
-            pats = np.empty((len(rows), n_s, self.num_modes), np.uint16)
-            for r, state in evolve_batch(self.circuit, thetas, phases):
-                pats[r] = sample_patterns(state.basis.patterns,
-                                          state.probabilities(), n_s,
-                                          children[r])
-        flat = parity_bits(pats, self.parity).reshape(-1, self.num_modes)
+            flat = np.concatenate([
+                sample_patterns(bits, masses, n_s, child)
+                for masses, child in zip(self._masses(rows), children)
+            ]).astype(np.int64)
         e_flat = self.problem.energies(flat)
         e_rows = e_flat.reshape(rows.shape[0], n_s)
         energies = e_rows.mean(axis=1)

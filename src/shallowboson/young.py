@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -124,6 +124,18 @@ def young_lattice(mu) -> YoungLattice:
     lower, column = np.nonzero(upper >= 0)
     lattice.cover_edges = np.column_stack([lower, upper[lower, column]])
     return lattice
+
+
+def young_lattice_size(mu) -> int:
+    """Vertex count of `young_lattice(mu)`, without building it.
+
+    A DP over columns: ends[h] counts the diagrams of the columns so far
+    whose last column has height h, so it takes O(len(mu) * mu[-1]) steps.
+    """
+    ends = [1]  # the empty diagram
+    for top in _validate_diagram(mu):
+        ends = list(accumulate(ends + [0] * (top + 1 - len(ends))))
+    return sum(ends)
 
 
 def catalan_mu(num_modes: int, num_photons: int, depth: int) -> Diagram:
@@ -359,14 +371,10 @@ def ordinal_sum_decomposition(lattice: YoungLattice) -> OrdinalSumDecomposition:
     return OrdinalSumDecomposition(factors, False)
 
 
-def export_lattice_text(lattice: YoungLattice, num_photons: int | None = None
-                        ) -> str:
-    """Graph description: one labelled vertex per line plus cover edges.
-
-    Each vertex carries the three labels of :func:`export_lattice_json`
-    (diagram, detection pattern, parity bit string of the pattern).
-    """
-    doc = export_lattice_json(lattice, num_photons)
+def lattice_text(doc: dict) -> str:
+    """Graph description of an :func:`export_lattice_json` document: one
+    labelled vertex per line (diagram, detection pattern, parity bit
+    string of the pattern) plus cover edges."""
     lines = [
         f"vertex {t} diagram={','.join(map(str, v['diagram']))} "
         f"pattern={','.join(map(str, v['pattern']))} bits={v['bits']}"
@@ -374,6 +382,12 @@ def export_lattice_text(lattice: YoungLattice, num_photons: int | None = None
     ]
     lines += [f"edge {a} {b}" for a, b in doc["edges"]]
     return "\n".join(lines) + "\n"
+
+
+def export_lattice_text(lattice: YoungLattice, num_photons: int | None = None
+                        ) -> str:
+    """:func:`lattice_text` of the lattice's labelled document."""
+    return lattice_text(export_lattice_json(lattice, num_photons))
 
 
 def export_lattice_json(lattice: YoungLattice, num_photons: int | None = None

@@ -116,16 +116,22 @@ def test_solve_qubo_missing_file(tmp_path, capsys):
     assert "not found" in err
 
 
-def test_solve_qubo_replay_identical(tmp_path, capsys):
+_REPLAY_MATRIX = np.array([[-1.0, 0.2, 0.1], [0.2, -0.5, 0.3],
+                           [0.1, 0.3, -0.2]])
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_solve_qubo_replay_identical(tmp_path, capsys, depth):
     matrix_path = tmp_path / "q.csv"
-    np.savetxt(matrix_path, np.array([[-1.0, 0.2], [0.2, -0.5]]),
+    # a depth-d mesh needs at least d + 1 modes
+    np.savetxt(matrix_path, _REPLAY_MATRIX[:depth + 1, :depth + 1],
                delimiter=",")
     outputs = []
     for sub in ("a", "b"):
         out_dir = tmp_path / sub
         code, _, _ = run_cli(
             capsys, "solve-qubo", "--matrix", str(matrix_path), "--samples",
-            "32", "--iterations", "5", "--seed", "11",
+            "32", "--iterations", "5", "--seed", "11", "--depth", str(depth),
             "--output", str(out_dir))
         assert code == 0
         outputs.append((out_dir / "qubo_result.json").read_bytes())
@@ -415,6 +421,23 @@ def test_lattice_empty_mu(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "lattice", "--mu", "0",
                            "--output", str(tmp_path))
     assert code == 0 and "vertices = 1" in out
+
+
+def test_lattice_accepts_a_long_bound_with_few_vertices(capsys, tmp_path):
+    # 21 vertices, although the product of (mu_c + 1) is 2^20
+    code, out, _ = run_cli(capsys, "lattice", "--mu", ",".join(["1"] * 20),
+                           "--output", str(tmp_path))
+    assert code == 0 and "vertices = 21 " in out
+
+
+def test_lattice_refusal_states_the_vertex_count(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "lattice", "--mu", ",".join(["30"] * 10),
+                           "--output", str(tmp_path))
+    assert code == 2 and "847660528 vertices" in err
+    code, _, err = run_cli(capsys, "lattice", "--mu", "0,5000000",
+                           "--output", str(tmp_path))
+    assert code == 2 and "more than 1000000 vertices" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lattice_refuses_oversized(capsys, tmp_path):

@@ -107,6 +107,12 @@ def test_coarse_grain_rejects_unnormalized():
         coarse_grain([(1, 0), (0, 1)], [np.nan, 1.0], 0)
 
 
+def test_coarse_grain_rejects_negative_masses():
+    # the masses sum to 1, and the grained vector would hold -0.5
+    with pytest.raises(ValueError, match="non-negative"):
+        coarse_grain([(1, 0), (0, 1)], [1.5, -0.5], 0)
+
+
 def test_coarse_grain_refuses_wide_rows():
     # a 27-mode row would need a 2^27 vector; refused before allocating
     for probs in (None, [1.0]):

@@ -118,6 +118,12 @@ def test_unnormalized_distribution_rejected():
         sample_patterns([(1, 0), (0, 1)], [1.0], 10, stream_seed=0)
 
 
+def test_negative_probability_rejected():
+    # the masses sum to 1, and the inverse CDF would draw only (1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_patterns([(1, 0), (0, 1)], [1.5, -0.5], 10, stream_seed=0)
+
+
 def test_nan_distribution_rejected():
     # abs(nan - 1) > tol is False: NaN masses must fail the check
     patterns = enumerate_basis(4, 4).patterns

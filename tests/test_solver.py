@@ -12,6 +12,7 @@ from shallowboson.interferometer import (
 )
 from shallowboson.parity import coarse_grain, codes_to_bits
 from shallowboson.problems import QuboProblem, benchmark_qubo6
+from shallowboson.sampling import sample_patterns
 from shallowboson.solver import (
     ParityObjective, SolverConfig, finite_difference_gradient,
     gradient_step, run_variational,
@@ -63,17 +64,54 @@ def test_sampled_all_zero_angles_single_bitstring():
     assert energy == pytest.approx(expected, abs=1e-12)
 
 
-def test_sampled_converges_to_exact():
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sampled_converges_to_exact(depth):
     problem = _toy_problem(5, seed=3)
-    angles = np.linspace(0.4, 2.2, 4)
-    exact = ParityObjective(problem, 5, 0, 1, samples=None).value(angles)[0]
+    exact_objective = ParityObjective(problem, 5, 0, depth, samples=None)
+    angles = np.linspace(0.4, 2.2, exact_objective.num_parameters)
+    exact = exact_objective.value(angles)[0]
     deviations = []
     for n_s in (100, 1000, 10000):
-        obj = ParityObjective(problem, 5, 0, 1, samples=n_s)
+        obj = ParityObjective(problem, 5, 0, depth, samples=n_s)
         sampled = obj.value(angles, 12345)[0]
         deviations.append(abs(sampled - exact))
     assert deviations[2] < deviations[0]
     assert deviations[2] < 0.05
+
+
+class _RecordingProblem:
+    """A problem that keeps every bit array its energies are asked for."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.num_bits = problem.num_bits
+        self.seen = []
+
+    def energies(self, bits):
+        self.seen.append(np.array(bits))
+        return self.problem.energies(bits)
+
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_sampled_depth2_draws_from_code_masses(phases):
+    problem = _RecordingProblem(_toy_problem(5, seed=6))
+    n_s = 50
+    obj = ParityObjective(problem, 4, 1, depth=2, samples=n_s,
+                          optimize_phases=phases)
+    rows = np.random.default_rng(9).uniform(0, 2 * np.pi,
+                                            (4, obj.num_parameters))
+    energies, _, _ = obj.value_batch(rows, np.random.SeedSequence(17))
+    (drawn,) = problem.seen
+    drawn = drawn.reshape(len(rows), n_s, 5)
+    code_bits = codes_to_bits(np.arange(32), 5).astype(np.uint16)
+    children = np.random.SeedSequence(17).spawn(len(rows))
+    g = obj.num_gates
+    for row, child, got, energy in zip(rows, children, drawn, energies):
+        state = evolve(obj.circuit, row[:g], row[g:] if phases else None)
+        masses = coarse_grain(state.basis.patterns, state.probabilities(), 1)
+        expected = sample_patterns(code_bits, masses, n_s, child)
+        assert np.array_equal(got, expected)
+        assert energy == problem.problem.energies(expected).mean()
 
 
 def test_sampled_depth2_batch_matches_rows_alone():

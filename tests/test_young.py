@@ -12,9 +12,9 @@ from shallowboson.fock import enumerate_basis
 from shallowboson.young import (
     YoungLattice, box_bitstring_apply, catalan_basis, catalan_lattice,
     catalan_mu, count_boolean_sublattices, export_lattice_json,
-    export_lattice_text, ferrers_to_pattern, ordinal_sum_decomposition,
-    parity_distinctness_check, pattern_to_ferrers, vertex_to_pattern,
-    young_lattice,
+    export_lattice_text, ferrers_to_pattern, lattice_text,
+    ordinal_sum_decomposition, parity_distinctness_check, pattern_to_ferrers,
+    vertex_to_pattern, young_lattice, young_lattice_size,
 )
 
 
@@ -95,6 +95,26 @@ def test_round_trip_over_lattice_vertices():
 ])
 def test_lattice_sizes(mu, size):
     assert len(young_lattice(mu)) == size
+    assert young_lattice_size(mu) == size
+
+
+@pytest.mark.parametrize("mu", [
+    (), (0,), (0, 0), (1,) * 20, (0, 0, 3, 3), (2, 2, 4, 4), (1, 2, 3, 5),
+    (3, 3, 3), (0, 1, 1, 4, 6)])
+def test_lattice_size_counts_the_built_lattice(mu):
+    assert young_lattice_size(mu) == len(young_lattice(mu))
+
+
+def test_lattice_size_of_a_rectangle_is_a_binomial():
+    # non-decreasing k-tuples in [0, h]: C(h + k, k), without a build
+    assert young_lattice_size((15,) * 8) == comb(23, 8) == 490_314
+    assert young_lattice_size((30,) * 10) == comb(40, 10) == 847_660_528
+
+
+@pytest.mark.parametrize("mu", [(3, 2), (-1, 2)])
+def test_lattice_size_validates_the_bound(mu):
+    with pytest.raises(ValueError, match="diagram columns"):
+        young_lattice_size(mu)
 
 
 def test_lattice_cover_edges_differ_by_one_box():
@@ -407,6 +427,7 @@ def test_exports_carry_three_labels():
     assert text.count("vertex ") == 28
     assert "pattern=" in text and "bits=" in text and "diagram=" in text
     doc = export_lattice_json(lattice, 4)
+    assert lattice_text(doc) == text
     assert len(doc["vertices"]) == 28
     assert all(len(v["pattern"]) == 4 for v in doc["vertices"])
     assert all(len(e) == 2 for e in doc["edges"])
