@@ -29,10 +29,24 @@ _MASS_TOL = 1e-9
 _MAX_DENSE_WIDTH = 26  # a 2^26 float vector is 512 MiB
 
 
-def parity_bits(patterns, j: int = 0) -> np.ndarray:
-    """Vectorised parity map: one int64 bit row per pattern row."""
+def _check_variant(j) -> None:
     if j not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {j}")
+
+
+def _check_masses(probs) -> None:
+    """Refuse a mass vector with a negative entry or a sum off 1."""
+    probs = np.asarray(probs, dtype=float)
+    if (probs < 0).any():
+        raise ValueError("masses must be non-negative")
+    if not abs(probs.sum() - 1.0) <= _MASS_TOL:
+        raise ValueError(f"masses sum to {float(probs.sum())!r}, "
+                         f"expected 1 within {_MASS_TOL}")
+
+
+def parity_bits(patterns, j: int = 0) -> np.ndarray:
+    """Vectorised parity map: one int64 bit row per pattern row."""
+    _check_variant(j)
     return ((np.asarray(patterns) & 1) ^ j).astype(np.int64)
 
 
@@ -40,8 +54,7 @@ def parity_codes(patterns, j: int = 0) -> np.ndarray:
     """Integer code of each pattern's parity bits, first mode most
     significant, built one mode column at a time without an int64 bit
     matrix of the whole pattern array."""
-    if j not in (0, 1):
-        raise ValueError(f"parity variant must be 0 or 1, got {j}")
+    _check_variant(j)
     patterns = np.asarray(patterns)
     width = patterns.shape[-1]
     if width > 63:
@@ -69,12 +82,7 @@ def coarse_grain(patterns, probs=None, j: int = 0) -> np.ndarray:
         raise ValueError(f"{width}-bit strings exceed the {_MAX_DENSE_WIDTH}"
                          "-bit limit of a dense mass vector")
     if probs is not None:
-        probs = np.asarray(probs, dtype=float)
-        if (probs < 0).any():
-            raise ValueError("input masses must be non-negative")
-        if not abs(probs.sum() - 1.0) <= _MASS_TOL:
-            raise ValueError(f"input masses sum to {probs.sum()!r}, "
-                             f"expected 1 within {_MASS_TOL}")
+        _check_masses(probs)
     return np.bincount(parity_codes(patterns, j), weights=probs,
                        minlength=1 << width)
 

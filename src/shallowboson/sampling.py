@@ -8,11 +8,10 @@ its measured count collapses the carried mode to a definite Fock state, so
 a chain of two-mode blocks samples exactly.  A single slice commutes its
 phases past the detectors, so the chain takes splitter angles alone.
 `gate_outcome_table` gives the outcome probabilities of one gate for every
-(angle, photon total) that occurs, from one contraction over the cached
-eigenbasis table of the photon totals (`interferometer._column_product`).
-The sampler reads its cumulative sum: each shot's
-outcome is the number of entries of its CDF row that do not exceed its
-uniform draw.
+(angle, photon total) that occurs, by one `interferometer._column_product`
+over the eigenbasis table `_spin_table`.  The sampler reads its cumulative
+sum: each shot's outcome is the number of entries of its CDF row that do
+not exceed its uniform draw.
 
 The same table drives `depth1_parity_masses`, the exact parity-bit
 distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
@@ -31,8 +30,8 @@ import numpy as np
 
 from .interferometer import (_angle_rows, _column_product, _spin_table,
                              build_reck_slices)
+from .parity import _check_masses, _check_variant
 
-_MASS_TOL = 1e-9
 # The exact depth-1 pass is sized in units of 2^M (n+1) floats per row (its
 # last gate holds 3/4 of one); meshes beyond M = n = 20 (176 MB per unit)
 # are refused.
@@ -69,13 +68,7 @@ def sample_patterns(patterns, probs, n_samples: int,
     if patterns.ndim != 2 or probs.shape != (len(patterns),):
         raise ValueError(f"need one probability per row of a 2-D pattern "
                          f"array, got {probs.shape} and {patterns.shape}")
-    if (probs < 0).any():
-        raise ValueError("probabilities must be non-negative")
-    total = probs.sum()
-    if not abs(total - 1.0) <= _MASS_TOL:
-        raise ValueError(
-            f"probabilities sum to {total!r}, expected 1 within {_MASS_TOL}"
-        )
+    _check_masses(probs)
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)
     rng = np.random.default_rng(stream_seed)
@@ -193,8 +186,7 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     matrices, of shapes that do not depend on the batch, so a row's masses
     are bit-identical whatever other rows share the call.
     """
-    if parity not in (0, 1):
-        raise ValueError(f"parity variant must be 0 or 1, got {parity}")
+    _check_variant(parity)
     theta_rows = _depth1_thetas(circuit, theta_rows)
     m, n, inp = circuit.num_modes, circuit.num_photons, circuit.input
     if (n + 1) << m > _MASS_ENTRIES_CAP:

@@ -70,7 +70,7 @@ class YoungLattice:
         return len(self.vertices)
 
     def __contains__(self, diagram) -> bool:
-        row = np.asarray(diagram, dtype=np.int64)
+        row = np.asarray(diagram)
         return (row.shape == (len(self.mu),)
                 and self.vertex_index(row[None])[0] >= 0)
 
@@ -84,6 +84,11 @@ class YoungLattice:
     def vertex_index(self, rows) -> np.ndarray:
         """Vertex index of each len(mu)-column row, -1 for a non-vertex."""
         table, order = self._index
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":  # int64 values or no vertex
+            rows = rows.astype(float)
+            ok = ((np.floor(rows) == rows) & (abs(rows) < 2.0 ** 63)).all(1)
+            rows = np.where(ok[:, None], rows, -1)  # no diagram column is -1
         found = _records(rows)
         at = np.searchsorted(table, found).clip(max=len(table) - 1)
         return np.where(table[at] == found, order[at], -1)

@@ -474,6 +474,28 @@ def test_verify_unknown_suite(capsys, tmp_path):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "dyck-counts"),
+    ("enumerate", "3", "3", "1"),
+    ("lattice", "--mu", "1,2"),
+    ("solve-qubo", "--matrix", "MATRIX", "--iterations", "1"),
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_unusable_output_path_is_one_usage_error(tmp_path, capsys, argv,
+                                                 below):
+    # --output names an existing file, or a directory below one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    matrix = tmp_path / "q.csv"
+    matrix.write_text("1,-2,0\n-2,1,3\n0,3,-1\n")
+    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
+    output = taken / "sub" if below else taken
+    code, _, err = run_cli(capsys, *argv, "--output", str(output))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(output) in err and "Traceback" not in err
+
+
 def test_output_env_var(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SHALLOWBOSON_OUTPUT", str(env_dir))

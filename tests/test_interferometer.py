@@ -161,6 +161,39 @@ def test_block_stack_slices_are_the_blocks(top):
             assert not stack[m, :, m + 1:].any()
 
 
+def test_spin_table_totals_do_not_depend_on_top():
+    # two_mode_block(m) reads total m of _spin_table(m | 7), and the
+    # stacks and depth-1 tables read it from tables of other tops
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for top in range(21):
+        table = interferometer._spin_table(top)
+        for m in range(top + 1):
+            part = np.s_[:m + 1, :m + 1, :m + 1]
+            small = interferometer._spin_table(m)
+            assert same_bits(table[0][part[:2]], small[0])
+            assert same_bits(table[1][part], small[1])
+            assert same_bits(table[2][part], small[2])
+        lams, vecs, adjoints = table
+        for m in range(top + 1):
+            assert np.array_equal(lams[m, :m + 1], np.arange(m + 1) - m / 2)
+            assert not lams[m, m + 1:].any()
+            assert not vecs[m, m + 1:].any() and not vecs[m, :, m + 1:].any()
+            assert np.array_equal(adjoints[m], vecs[m].conj().T)
+
+
+def test_a_sweep_over_totals_builds_few_tables():
+    # one table serves eight totals, so a sweep over 71 totals stays well
+    # inside the 32-entry table cache instead of rebuilding per call
+    interferometer._spin_table.cache_clear()
+    for _ in range(2):
+        for m in range(71):
+            two_mode_block(m, 0.3, 0.1)
+            two_mode_block_column(m, 0, [0.3])
+    assert interferometer._spin_table.cache_info().misses == 9
+
+
 def test_cached_block_stack_is_read_only():
     stack = interferometer._block_stack(4, 0.3, 1.2)
     assert interferometer._block_stack(4, 0.3, 1.2) is stack

@@ -10,7 +10,7 @@ from shallowboson.interferometer import (
     CircuitSpec, build_reck_slices, evolve, evolve_batch, reck_input,
     two_mode_block,
 )
-from shallowboson.parity import coarse_grain, parity_bits
+from shallowboson.parity import coarse_grain, parity_bits, parity_codes
 from shallowboson.problems import MobiusProblem
 from shallowboson.sampling import (
     as_seed_sequence, chain_sample_depth1_batch, depth1_parity_masses,
@@ -129,6 +129,39 @@ def test_nan_distribution_rejected():
     patterns = enumerate_basis(4, 4).patterns
     with pytest.raises(ValueError, match="sum to .*nan"):
         sample_patterns(patterns, np.full(len(patterns), np.nan), 5, 0)
+
+
+@pytest.mark.parametrize("probs", [[1.5, -0.5], [0.5, np.nan], [0.5, 0.6]])
+def test_mass_checks_share_one_message(probs):
+    patterns = np.array([[1, 0], [0, 1]])
+    with pytest.raises(ValueError) as sampled:
+        sample_patterns(patterns, probs, 5, 0)
+    with pytest.raises(ValueError) as grained:
+        coarse_grain(patterns, probs, 0)
+    assert str(sampled.value) == str(grained.value)
+
+
+def test_mass_message_prints_a_plain_float():
+    patterns = np.array([[1, 0], [0, 1]])
+    for probs in ([np.inf, 0.0], np.array([np.inf, 0.0])):
+        for call in (lambda: sample_patterns(patterns, probs, 5, 0),
+                     lambda: coarse_grain(patterns, probs, 0)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value).startswith("masses sum to inf, expected 1")
+
+
+def test_parity_variant_checks_share_one_message():
+    patterns = np.array([[1, 0, 2]])
+    circ = build_reck_slices(3, 1)
+    messages = set()
+    for call in (lambda: parity_bits(patterns, 2),
+                 lambda: parity_codes(patterns, 2),
+                 lambda: depth1_parity_masses(circ, np.zeros((1, 2)), 2)):
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {"parity variant must be 0 or 1, got 2"}
 
 
 def test_chi_square_goodness_of_fit():

@@ -445,6 +445,17 @@ def test_vertex_index_of_vertices_and_non_vertices():
     assert (0, 1, 1) not in lattice  # another width is never a vertex
 
 
+def test_non_integral_rows_are_not_vertices():
+    lattice = young_lattice((2, 3))
+    assert (1.5, 2) not in lattice and (1.0, 2.0) in lattice
+    vertex = int(lattice.vertex_index(np.array([[1, 2]]))[0])
+    rows = np.array([[1.7, 2.2], [1.0, 2.0], [1.0, 2.5], [np.nan, 1.0],
+                     [np.inf, 1.0], [-np.inf, 0.0], [1e300, 1.0]])
+    assert lattice.vertex_index(rows).tolist() == [
+        -1, vertex, -1, -1, -1, -1, -1]
+    assert lattice.vertex_index(np.empty((0, 2))).tolist() == []
+
+
 def test_vertex_index_on_a_hand_built_lattice():
     # rows out of (size, columns) order, and not join-closed
     lattice = hand_built((0, 1, 2), [(0, 1, 1), (0, 0, 2), (0, 0, 1)])
