@@ -44,9 +44,16 @@ class UsageError(Exception):
 
 
 def _output_dir(args) -> Path:
-    base = args.output or os.environ.get(_OUTPUT_ENV) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, checked before any work but not made.
+
+    It must be a directory or lie below one, and that directory must be
+    writable; commands make it only when they write.
+    """
+    path = Path(args.output or os.environ.get(_OUTPUT_ENV) or ".")
+    base = next(p for p in (path, *path.parents) if p.exists())
+    if not base.is_dir() or not os.access(base, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write output to {path}: {base} is not a "
+                         f"writable directory")
     return path
 
 
@@ -136,11 +143,12 @@ def _write_result(out_dir: Path, stem: str, result, extra: dict) -> Path:
 
 
 def cmd_solve_qubo(args) -> int:
+    out_dir = _output_dir(args)
     matrix = _read_input(args.matrix, "matrix", _parse_matrix)
     problem = QuboProblem(matrix)
     config = _solver_config(args)
     result = run_variational(problem, config)
-    out_dir = _output_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     extra = {"problem": {"kind": "qubo", "matrix": matrix.tolist()}}
     if problem.num_bits <= 20:
         e_min, argmin, lowest = brute_force_min(problem)
@@ -157,11 +165,12 @@ def cmd_solve_qubo(args) -> int:
 
 
 def cmd_solve_mobius(args) -> int:
+    out_dir = _output_dir(args)
     problem = MobiusProblem(args.n, args.ja, args.jb)
     analytic = mobius_min(problem)  # J_a <= 0 surfaces as a usage error
     config = _solver_config(args)
     result = run_variational(problem, config)
-    out_dir = _output_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     extra = {
         "problem": {"kind": "mobius", "n": args.n, "j_a": args.ja,
                     "j_b": args.jb},
@@ -179,6 +188,7 @@ def _parse_moments(p: Path) -> tuple[np.ndarray, ...]:
 
 
 def cmd_solve_portfolio(args) -> int:
+    out_dir = _output_dir(args)
     if args.prices:
         # the header fixes the column count; the date column is dropped
         mu, sigma = portfolio_returns_from_prices(_read_input(
@@ -196,7 +206,7 @@ def cmd_solve_portfolio(args) -> int:
     cloud = random_portfolio_cloud(problem, args.random_baseline,
                                    config.master_seed)
     run = run_portfolio(problem, config, gammas)
-    out_dir = _output_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     run.write_frontier_csv(out_dir / "frontier.csv")
     for gamma, result in run.results.items():
         _write_result(out_dir, f"portfolio_gamma_{gamma:g}", result, {
@@ -219,6 +229,7 @@ def cmd_solve_portfolio(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    out_dir = _output_dir(args) if args.output else None
     spec = catalan_dyck_spec(args.M, args.n, args.depth)
     closed_form = dyck_count(spec)
     if closed_form > _LATTICE_VERTEX_LIMIT:
@@ -234,8 +245,8 @@ def cmd_enumerate(args) -> int:
     print(f"count = {len(basis)}")
     print(f"path family: k={spec.k}, delta1={spec.delta1}, "
           f"delta2={spec.delta2}; closed form = {closed_form}")
-    if args.output:
-        out_dir = _output_dir(args)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
         doc = {
             "M": args.M, "n": args.n, "depth": args.depth,
             "patterns": patterns,
@@ -248,6 +259,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    out_dir = _output_dir(args)
     if args.mu:
         try:
             mu = tuple(int(c) for c in args.mu.split(","))
@@ -277,7 +289,7 @@ def cmd_lattice(args) -> int:
     counts = [(k, count_boolean_sublattices(lattice, k),
                count_boolean_sublattices(lattice, k, unit_boxes=True))
               for k in args.count_bk or ()]
-    out_dir = _output_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     doc = export_lattice_json(lattice, ceiling)
     (out_dir / "lattice.txt").write_text(lattice_text(doc))
     _write_json(out_dir / "lattice.json", doc)
@@ -295,10 +307,11 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from "
             f"{sorted(SUITES)}"
         )
+    out_dir = _output_dir(args)
     report = SUITES[args.suite]()
     all_passed = all(item["passed"] for item in report)
     doc = {"suite": args.suite, "checks": report, "all_passed": all_passed}
-    out_dir = _output_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"verify_{args.suite}.json"
     _write_json(path, doc)
     for item in report:

@@ -3,12 +3,14 @@
 A Dyck path of length k runs from height delta1 to height delta2 in unit
 up/down steps and never dips below zero.  The closed-form count is the
 ballot-style difference of two binomials.  Words are rows of 0/1 steps
-(1 = U, 0 = D).  Enumeration unranks the lexicographically ordered words
-in fixed-size blocks of rows from a table of completion counts, one
-vectorised step per column.  The staircase image of a Dyck word lives on
-the grid whose x axis counts detectors and whose y axis counts cumulative
-detected photons, which is the form used to enumerate reachable
-detection patterns of sliced meshes.
+(1 = U, 0 = D).  Enumeration meets in the middle: the few valid first
+halves and the second-half family of each height a first half ends at
+are unranked from tables of completion counts as integer codes, one
+vectorised step per column, and the ordered family is assembled from
+the two code tables in fixed-size blocks of rows.  The staircase image
+of a Dyck word lives on the grid whose x axis counts detectors and whose
+y axis counts cumulative detected photons, which is the form used to
+enumerate reachable detection patterns of sliced meshes.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from math import comb
 
 import numpy as np
 
-# rows unranked per block: bounds each call's temporaries to a few
-# hundred kilobytes whatever the family size (the output itself is
-# count x k bytes)
+# rows assembled per block: bounds each block's temporaries to about a
+# megabyte whatever the family size (the output itself is count x k
+# bytes, the half tables O(k 2^(k/2)) codes)
 _BLOCK_ROWS = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -68,46 +70,102 @@ def enumerate_dyck_paths(spec: DyckSpec) -> np.ndarray:
     """All words of the family, in lexicographic order (D < U).
 
     Words are returned as one (count, k) uint8 array of step rows, 1 for
-    U and 0 for D.  Row r of the ordered family is unranked column by
-    column: at height h with s steps left the word continues with D iff r
-    is below the number of completions after that D, else with U, and r
-    drops by that number.  Raises ValueError if a completion count does
-    not fit int64.
+    U and 0 for D.  A word is read as a binary number, U = 1 and the
+    first step most significant, so numeric order is lexicographic order.
+    The word splits into a prefix of a = k // 2 steps and a suffix of
+    b = k - a steps.  The prefixes that reach a height from which delta2
+    can still be reached are unranked in order, and so is, in one
+    batched pass, the suffix family of each height a prefix ends at.
+    Row r of a family is unranked column by column: at height h with s
+    steps left the word continues with D iff r is below the number of
+    completions after that D, else with U, and r drops by that number.
+    Both halves are left-aligned uint64 codes, so the half tables hold
+    O(k 2^(k/2)) codes for a family of up to 2^k words.  The family is
+    each prefix followed by every suffix of its end height: blocks of
+    rows take their prefixes by one np.repeat and their suffixes by one
+    index gather, and np.unpackbits turns each row's 128-bit code into
+    its k steps.  Raises ValueError if a completion count does not fit
+    int64.
     """
-    table = _completion_table(spec)
-    k = spec.k
-    total = int(table[k, spec.delta1 + 1])
-    words = np.empty((total, k), dtype=np.uint8)
-    for start in range(0, total, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, total)
-        rank = np.arange(start, stop, dtype=np.int64)
-        height = np.full(stop - start, spec.delta1, dtype=np.int64)
-        for col in range(k):
-            # table column `height` holds the completions after a D step
-            down = table[k - col - 1][height]
-            up = rank >= down
-            np.subtract(rank, down, out=rank, where=up)
-            height += up
-            height -= ~up
-            words[start:stop, col] = up
+    k, d1 = spec.k, spec.delta1
+    a = k // 2
+    b = k - a
+    target = np.zeros(max(d1, spec.delta2) + k + 2, dtype=np.uint64)
+    target[spec.delta2 + 1] = 1
+    table = _completion_table(spec, target, k)
+    words = np.empty((int(table[k, d1 + 1]), k), dtype=np.uint8)
+    # prefixes: a steps from delta1 to any height that b steps complete
+    heads = _completion_table(spec, table[b] > 0, a)
+    count = int(heads[a, d1 + 1])
+    prefix, end = _unrank(heads, np.arange(count, dtype=np.int64),
+                          np.full(count, d1, dtype=np.int64))
+    # suffixes: the family of each end height, the families concatenated
+    heights, family = np.unique(end, return_inverse=True)
+    sizes = table[b, heights + 1]
+    offsets = np.cumsum(sizes) - sizes
+    suffix, _ = _unrank(table[:b + 1],
+                        np.arange(sizes.sum()) - np.repeat(offsets, sizes),
+                        np.repeat(heights, sizes))
+    # output rows of each prefix, and the suffix index less the row index
+    spans = table[b, end + 1]
+    stops = np.cumsum(spans)
+    shift = offsets[family] - (stops - spans)
+    # a row's code: its first 64 steps, then the rest, big-endian
+    code = np.empty((min(len(words), _BLOCK_ROWS), 2), dtype=">u8")
+    lead, trail = np.uint64(a), np.uint64(64 - a)
+    for start in range(0, len(words), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(words))
+        # the prefixes holding rows start to stop - 1, and their rows here
+        lo, hi = np.searchsorted(stops, (start, stop - 1), side="right")
+        at = slice(lo, hi + 1)
+        rows = (np.minimum(stops[at], stop)
+                - np.maximum(stops[at] - spans[at], start))
+        tail = suffix[np.repeat(shift[at], rows) + np.arange(start, stop)]
+        block = code[:stop - start]
+        block[:, 0] = np.repeat(prefix[at], rows) | tail >> lead
+        block[:, 1] = tail << trail
+        words[start:stop] = np.unpackbits(block.view(np.uint8), axis=1,
+                                          count=k)
     return words
 
 
-def _completion_table(spec: DyckSpec) -> np.ndarray:
-    """int64 table[s, h + 1]: words of s steps from height h to delta2.
+def _unrank(table: np.ndarray, rank: np.ndarray, height: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Left-aligned uint64 codes of the words of the given ranks.
 
-    Only words that never go below zero count; column 0 stands for height
+    Word r from height h is the r-th of those counted by table[s, h + 1],
+    s = len(table) - 1 steps; returns the codes and the end heights.
+    `rank` and `height` are updated in place.
+    """
+    steps = len(table) - 1
+    code = np.zeros(len(rank), dtype=np.uint64)
+    for col in range(steps):
+        # table column `height` holds the completions after a D step
+        down = table[steps - col - 1][height]
+        up = rank >= down
+        np.subtract(rank, down, out=rank, where=up)
+        height += up
+        height -= ~up
+        code <<= np.uint64(1)
+        code |= up
+    return code << np.uint64(64 - steps), height
+
+
+def _completion_table(spec: DyckSpec, target: np.ndarray, steps: int
+                      ) -> np.ndarray:
+    """int64 table[s, h + 1]: words of s <= steps steps from height h.
+
+    Only words that never go below zero and stop at a height flagged in
+    `target` (indexed like a table row) count; column 0 stands for height
     -1 and stays 0.  Heights stop at max(delta1, delta2) + k: paths that
     would climb above are dropped, which leaves exact every entry a word
     of the family can reach.  Rows are summed in uint64, which holds the
     sum of two int64 entries, and a row with an entry beyond int64 is
     refused before it is used, so the table never wraps around.
     """
-    k, d2 = spec.k, spec.delta2
-    width = max(spec.delta1, d2) + k + 2
-    table = np.zeros((k + 1, width), dtype=np.uint64)
-    table[0, d2 + 1] = 1
-    for s in range(1, k + 1):
+    table = np.zeros((steps + 1, len(target)), dtype=np.uint64)
+    table[0] = target
+    for s in range(1, steps + 1):
         table[s, 1:-1] = table[s - 1, :-2] + table[s - 1, 2:]
         if table[s].max() > _INT64_MAX:
             raise ValueError(

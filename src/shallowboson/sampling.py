@@ -54,6 +54,12 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _check_samples(n_samples: int) -> None:
+    """The sample count every sampler refuses below one."""
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+
+
 def sample_patterns(patterns, probs, n_samples: int,
                     stream_seed) -> np.ndarray:
     """Draw n_samples i.i.d. rows of `patterns`, row k with mass probs[k].
@@ -61,8 +67,7 @@ def sample_patterns(patterns, probs, n_samples: int,
     Inverse-CDF over the rows in the order given; identical seeds give
     identical draws.  Returns uint16 rows of shape (n_samples, M).
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    _check_samples(n_samples)
     patterns = np.asarray(patterns, dtype=np.uint16)
     probs = np.asarray(probs, dtype=float)
     if patterns.ndim != 2 or probs.shape != (len(patterns),):
@@ -123,8 +128,7 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     from an independent seeded stream, so results do not depend on
     batching.  Returns uint16 patterns of shape (R, n_samples, M).
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    _check_samples(n_samples)
     theta_rows = _depth1_thetas(circuit, theta_rows)
     m, inp = circuit.num_modes, circuit.input
     rows = theta_rows.shape[0]

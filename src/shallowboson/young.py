@@ -13,7 +13,7 @@ from diagrams are index-reversed relative to circuit patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 
 import numpy as np
@@ -162,17 +162,34 @@ def catalan_basis(num_modes: int, num_photons: int, depth: int
     sector are returned as a uint16 array of shape (count, M) in
     canonical (reverse-lexicographic) sector order.  The count equals the
     closed-form staircase-path count of catalan_dyck_spec(M, n, depth).
+
+    The smallest depth that reaches each row of the sector is computed
+    once per (M, n) and cached; a call keeps the rows whose reach depth
+    is at most `depth` by one gather of whole rows viewed as byte
+    records, so the result is a fresh array, never a view of the sector.
     """
     m, n = num_modes, num_photons
     catalan_dyck_spec(m, n, depth)  # validates
     patterns = enumerate_basis(m, n).patterns
-    # running prefix sum, one column at a time: no (rows, M) temporaries
-    keep = np.ones(len(patterns), dtype=bool)
-    prefix = np.zeros(len(patterns), dtype=np.int32)
-    for d in range(m - 1):
+    rows = _records(patterns, patterns.dtype)[_reach_depth(m, n) <= depth]
+    return rows.view(patterns.dtype).reshape(len(rows), m)
+
+
+@lru_cache(maxsize=64)
+def _reach_depth(num_modes: int, num_photons: int) -> np.ndarray:
+    """uint8 smallest reaching depth, max(0, max_d (d+1) - prefix_d), of
+    each row of the (M, n) sector (read-only)."""
+    patterns = enumerate_basis(num_modes, num_photons).patterns
+    # running prefix sum, one column at a time: no (rows, M) temporaries;
+    # int8 holds every value, as enumerable sectors have M, n <= 14
+    reach = np.zeros(len(patterns), dtype=np.int8)
+    prefix = np.zeros(len(patterns), dtype=np.int8)
+    for d in range(num_modes - 1):
         prefix += patterns[:, d]
-        keep &= prefix >= (d + 1) - depth
-    return patterns[keep]
+        np.maximum(reach, (d + 1) - prefix, out=reach)
+    reach = reach.view(np.uint8)  # non-negative: the same bytes
+    reach.flags.writeable = False
+    return reach
 
 
 def catalan_lattice(num_modes: int, num_photons: int, depth: int
@@ -286,13 +303,14 @@ def count_boolean_sublattices(lattice: YoungLattice, k: int,
     return total
 
 
-def _records(rows: np.ndarray) -> np.ndarray:
-    """View int64 rows as opaque byte records.
+def _records(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """View rows, cast to `dtype`, as opaque byte records.
 
     Records are equal iff the rows are; they sort and search in one byte
-    order, which is all a binary-search membership test needs.
+    order, which is all a binary-search membership test needs, and a
+    gather of records moves whole rows at once.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=dtype)
     record = np.dtype((np.void, rows.itemsize * rows.shape[1]))
     if not rows.shape[1]:  # zero-width rows have no bytes to view
         return np.zeros(len(rows), dtype=record)

@@ -496,6 +496,45 @@ def test_unusable_output_path_is_one_usage_error(tmp_path, capsys, argv,
     assert str(output) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "dyck-counts"),
+    ("solve-qubo", "--matrix", "MATRIX", "--iterations", "1"),
+    ("solve-mobius", "--n", "4", "--iterations", "1"),
+    ("solve-portfolio", "--moments", "MOMENTS", "--iterations", "1"),
+    ("lattice", "--mu", "1,2", "--count-bk", "1"),
+], ids=lambda argv: argv[0])
+def test_unusable_output_path_is_refused_before_any_work(tmp_path, capsys,
+                                                         monkeypatch, argv):
+    import shallowboson.cli as cli
+    import shallowboson.problems as problems
+
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started before the output path check")
+
+    monkeypatch.setitem(cli.SUITES, "dyck-counts", work)
+    monkeypatch.setattr(cli, "run_variational", work)
+    monkeypatch.setattr(problems, "run_variational", work)
+    monkeypatch.setattr(cli, "young_lattice", work)
+    matrix = tmp_path / "q.csv"
+    matrix.write_text("1,-2\n-2,1\n")
+    problem = synthetic_portfolio(2, seed=3)
+    moments = _write_moments(tmp_path, {
+        "mu": problem.mu.tolist(), "sigma": problem.sigma.tolist()})
+    inputs = {"MATRIX": str(matrix), "MOMENTS": str(moments)}
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    output = taken / "out"
+    code, out, err = run_cli(capsys, *(inputs.get(a, a) for a in argv),
+                             "--output", str(output))
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert str(output) in err
+    assert taken.read_text() == "" and not output.exists()
+    assert calls == []
+
+
 def test_output_env_var(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SHALLOWBOSON_OUTPUT", str(env_dir))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shallowboson import dyck
 from shallowboson.dyck import (
     DyckSpec, catalan_dyck_spec, catalan_number, dyck_count, dyck_heights,
     enumerate_dyck_paths, staircase_endpoint_heights, staircase_path,
@@ -97,6 +98,8 @@ def test_enumeration_matches_closed_form():
 @example(DyckSpec(2, 5, 1))   # empty: delta1 > k and delta2 out of reach
 @example(DyckSpec(4, 7, 3))   # delta1 > k, one word
 @example(DyckSpec(14, 8, 8))
+@example(DyckSpec(69, 69, 0))  # the largest accepted family: 69 D steps
+@example(DyckSpec(20, 1, 3))   # 90,440 words, several blocks
 def test_enumeration_equals_recursive_oracle(spec):
     words = enumerate_dyck_paths(spec)
     assert words.dtype == np.uint8
@@ -109,6 +112,17 @@ def test_enumeration_spans_several_blocks():
     spec = DyckSpec(20, 0, 0)
     assert np.array_equal(enumerate_dyck_paths(spec),
                           as_step_rows(recursive_dyck_paths(spec), 20))
+
+
+@pytest.mark.parametrize("spec", [
+    DyckSpec(12, 2, 2), DyckSpec(11, 0, 3), DyckSpec(13, 5, 0),
+    DyckSpec(1, 0, 1), DyckSpec(0, 2, 2),
+])
+def test_blocks_split_prefixes_and_suffix_families(monkeypatch, spec):
+    # blocks of 5 rows: prefixes straddle blocks and span whole blocks
+    monkeypatch.setattr(dyck, "_BLOCK_ROWS", 5)
+    assert np.array_equal(enumerate_dyck_paths(spec),
+                          as_step_rows(recursive_dyck_paths(spec), spec.k))
 
 
 @pytest.mark.parametrize("spec", [DyckSpec(70, 0, 0), DyckSpec(130, 0, 0)])

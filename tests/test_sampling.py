@@ -316,6 +316,18 @@ def test_chain_sampler_needs_a_sample():
                                   0, 0)
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+@pytest.mark.parametrize("draw", [
+    lambda n: sample_patterns([[1, 0], [0, 1]], [0.5, 0.5], n, 0),
+    lambda n: chain_sample_depth1_batch(build_reck_slices(3, 1),
+                                        np.zeros((2, 2)), n, 0),
+], ids=["sample_patterns", "chain_sample_depth1_batch"])
+def test_samplers_share_one_sample_count_check(draw, n_samples):
+    with pytest.raises(ValueError,
+                       match=f"^need at least one sample, got {n_samples}$"):
+        draw(n_samples)
+
+
 def test_chain_sampler_empty_batch():
     out = chain_sample_depth1_batch(build_reck_slices(3, 1, (1, 1, 0)),
                                     np.zeros((0, 2)), 5, 0)

@@ -70,6 +70,40 @@ def test_catalan_basis_equals_recursive_oracle():
                 assert np.all(np.diff(ranker.rank(basis)) > 0)
 
 
+def column_loop_catalan_basis(num_modes, num_photons, depth):
+    """Oracle: the sector filtered by a running prefix sum per column."""
+    patterns = enumerate_basis(num_modes, num_photons).patterns
+    keep = np.ones(len(patterns), dtype=bool)
+    prefix = np.zeros(len(patterns), dtype=np.int32)
+    for d in range(num_modes - 1):
+        prefix += patterns[:, d]
+        keep &= prefix >= (d + 1) - depth
+    return patterns[keep]
+
+
+def test_catalan_basis_equals_column_loop_oracle():
+    for m in range(2, 12):
+        for n in (m, m - 1):
+            for depth in range(1, m):
+                basis = catalan_basis(m, n, depth)
+                want = column_loop_catalan_basis(m, n, depth)
+                assert basis.dtype == want.dtype
+                assert basis.shape == want.shape
+                assert basis.tobytes() == want.tobytes(), (m, n, depth)
+
+
+def test_catalan_basis_results_are_fresh_arrays():
+    sector = enumerate_basis(5, 5).patterns.copy()
+    first = catalan_basis(5, 5, 4)  # depth M-1 reaches the whole sector
+    assert np.array_equal(first, sector)
+    want = catalan_basis(5, 5, 2)
+    first[:] = 7
+    catalan_basis(5, 5, 2)[:] = 7
+    assert np.array_equal(catalan_basis(5, 5, 4), sector)
+    assert np.array_equal(catalan_basis(5, 5, 2), want)
+    assert np.array_equal(enumerate_basis(5, 5).patterns, sector)
+
+
 def test_first_differences_example():
     assert ferrers_to_pattern((0, 0, 2, 3, 4)) == (0, 2, 1, 1)
     assert ferrers_to_pattern((0, 0, 0, 0)) == (0, 0, 0)
