@@ -8,15 +8,15 @@ Boolean factors from the top down.
 """
 
 from shallowboson import (
-    catalan_lattice, count_boolean_sublattices, export_lattice_text,
-    ordinal_sum_decomposition, young_lattice,
+    catalan_lattice, count_boolean_sublattices, export_lattice_json,
+    lattice_text, ordinal_sum_decomposition, young_lattice,
 )
 
 lattice = catalan_lattice(4, 4, 1)
 print(f"depth-1 lattice of (M=4, n=4): {len(lattice)} vertices, "
       f"{len(lattice.cover_edges)} cover edges")
 print("\nfirst vertices with their three labels:")
-for line in export_lattice_text(lattice, 4).splitlines()[:6]:
+for line in lattice_text(export_lattice_json(lattice, 4)).splitlines()[:6]:
     print(" ", line)
 
 print("\nBoolean sublattice census:")

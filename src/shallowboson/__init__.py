@@ -25,7 +25,7 @@ from .young import (
     YoungLattice, young_lattice, ferrers_to_pattern, pattern_to_ferrers,
     catalan_basis, catalan_mu, catalan_lattice, vertex_to_pattern,
     box_bitstring_apply, parity_distinctness_check, count_boolean_sublattices,
-    ordinal_sum_decomposition, export_lattice_text, export_lattice_json,
+    ordinal_sum_decomposition, export_lattice_json, lattice_text,
 )
 from .sampling import sample_patterns, chain_sample_depth1_batch
 from .solver import (
@@ -54,7 +54,7 @@ __all__ = [
     "pattern_to_ferrers", "catalan_basis", "catalan_mu", "catalan_lattice",
     "vertex_to_pattern", "box_bitstring_apply", "parity_distinctness_check",
     "count_boolean_sublattices", "ordinal_sum_decomposition",
-    "export_lattice_text", "export_lattice_json", "sample_patterns",
+    "export_lattice_json", "lattice_text", "sample_patterns",
     "chain_sample_depth1_batch", "SolverConfig", "SolverResult",
     "ParityObjective", "finite_difference_gradient", "gradient_step",
     "run_variational", "QuboProblem", "IsingProblem", "MobiusProblem",

@@ -2,8 +2,11 @@
 
 A detection pattern is an M-tuple of non-negative photon counts summing to
 the sector photon number n (a weak M-composition of n).  The canonical
-ordering is reverse-lexicographic on the count tuples, so (n, 0, ..., 0)
-always has index 0 and the ordering is stable across runs and platforms.
+order is the recursion that reads a pattern as the first differences of a
+staircase path: first count v = n, n-1, ..., 0, then the narrower sector
+of n - v photons.  It is reverse-lexicographic, so (n, 0, ..., 0) always
+has index 0, and stable across runs and platforms; one read-only uint16
+array, filled in place by the recursion, holds it.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ class SectorBasis:
         self.num_modes = num_modes
         self.num_photons = num_photons
         self.size = size
-        # binom table used by the enumeration and the ranking formula
+        # binom table of the ranking formula
         self._binom = _binom_table(num_photons + num_modes, num_modes)
-        self.patterns = _enumerate_patterns(num_modes, num_photons,
-                                            self._binom)
+        self.patterns = _enumerate_patterns(num_modes, num_photons)
+        self.patterns.flags.writeable = False
 
     def __len__(self) -> int:
         return self.size
@@ -106,27 +109,27 @@ def _binom_table(max_n: int, max_k: int) -> np.ndarray:
     return table
 
 
-def _enumerate_patterns(num_modes: int, num_photons: int,
-                        binom: np.ndarray) -> np.ndarray:
-    """All weak compositions in reverse-lexicographic order, column by column.
-
-    Rows sharing a prefix are contiguous.  A prefix with r photons left
-    continues with r, r-1, ..., 0 in the next mode, and value v spans as
-    many rows as there are compositions of r - v into the modes after it.
-    `binom` is _binom_table(num_photons + num_modes, num_modes).
-    """
+def _enumerate_patterns(num_modes: int, num_photons: int) -> np.ndarray:
+    """All weak compositions in canonical order, filled in place by the
+    recursion: the last rows of the sector, whose leading counts are 0,
+    hold the (w, n) sector in their last w columns, grown for w = 1..M.
+    Its rows of first count v are the (w - 1, n) rows of first count >= v,
+    the first sector_size(w - 1, n - v), with v moved from that count into
+    the new column: one slice copy per v.  The v = 0 block is the
+    (w - 1, n) sector itself, already in place."""
     size = sector_size(num_modes, num_photons)
-    out = np.empty((size, num_modes), dtype=np.uint16)
-    left = np.array([num_photons], dtype=np.int64)  # photons left per prefix
-    for d in range(num_modes - 1):
-        after = num_modes - 1 - d  # modes after column d
-        spans = left + 1
-        ends = np.cumsum(spans)
-        first = np.repeat(left, spans)
-        value = first - (np.arange(ends[-1]) - np.repeat(ends - spans, spans))
-        left = first - value
-        out[:, d] = np.repeat(value, binom[left + after - 1, after - 1])
-    out[:, -1] = left
+    out = np.zeros((size, num_modes), dtype=np.uint16)
+    out[-1, -1] = num_photons  # the one-mode sector
+    for w in range(2, num_modes + 1):
+        col = num_modes - w  # the new column
+        narrower = out[size - sector_size(w - 1, num_photons):, col + 1:]
+        row = size - sector_size(w, num_photons)
+        for v in range(num_photons, 0, -1):
+            block = out[row:row + sector_size(w - 1, num_photons - v)]
+            block[:, col + 1:] = narrower[:len(block)]
+            block[:, col + 1] -= v
+            block[:, col] = v
+            row += len(block)
     return out
 
 

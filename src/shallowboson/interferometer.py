@@ -70,9 +70,9 @@ def two_mode_transfer(theta: float, psi: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _spin_table(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_y eigenvalues (T, T), eigenbases (T, T, T) and their adjoints of
-    the totals m = 0..top, zero-padded to T = top + 1; totals up to m equal
-    `_spin_table(m)`'s bit for bit.  J_y = (J_+ - J_-) / 2i with
+    """Read-only J_y eigenvalues (T, T), eigenbases (T, T, T) and their
+    adjoints of the totals m = 0..top, zero-padded to T = top + 1; totals
+    up to m equal `_spin_table(m)`'s bit for bit.  J_y = (J_+ - J_-) / 2i with
     <p+1| J_+ |p> = sqrt((p+1)(m-p)) for J_+ = a_i^dag a_j has the exact
     spectrum -m/2 ... m/2, so lam is set to that; the unit gaps between
     eigenvalues keep V well conditioned."""
@@ -84,7 +84,10 @@ def _spin_table(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lams[m, :m + 1] = np.arange(m + 1) - m / 2.0
         vecs[m, :m + 1, :m + 1] = np.linalg.eigh(
             np.diag(step, -1) - np.diag(step, 1))[1]
-    return lams, vecs, vecs.conj().swapaxes(1, 2)
+    adjoints = vecs.conj().swapaxes(1, 2)
+    lams.flags.writeable = vecs.flags.writeable = False
+    adjoints.flags.writeable = False
+    return lams, vecs, adjoints
 
 
 def _block_product(lams, vecs, adjoints, theta: float, psi: float):
@@ -269,8 +272,8 @@ class QuantumState:
 @lru_cache(maxsize=256)
 def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
     """Gate-application index structures of one sector and mode pair: the
-    sector order that groups each photon total's orbits, and the photon
-    totals with their [start, stop) spans in it, as lists of ints."""
+    read-only sector order that groups each photon total's orbits, and the
+    photon totals with their [start, stop) spans in it, as lists of ints."""
     basis = enumerate_basis(num_modes, num_photons)
     pats = basis.patterns  # uint16; only the photon totals are widened
     u = pats[:, i]
@@ -280,6 +283,7 @@ def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
     reps[:, j] = m
     rep_rank = basis.rank(reps)
     order = np.lexsort((u, rep_rank, m))
+    order.flags.writeable = False
     m_sorted = m[order]
     m_values, starts, counts = np.unique(m_sorted, return_index=True,
                                          return_counts=True)

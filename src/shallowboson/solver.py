@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, asdict, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,12 +167,6 @@ class ParityObjective:
                 np.arange(s, min(s + _CODE_CHUNK, size)), m)), dtype=float)
             for s in range(0, size, _CODE_CHUNK)])
 
-    @cached_property
-    def _pattern_codes(self) -> np.ndarray:
-        """Parity code of every pattern of the dense sector, in its order."""
-        basis = enumerate_basis(self.num_modes, self.num_photons)
-        return parity_codes(basis.patterns, self.parity)
-
     def value(self, angles, stream_seed=None):
         """Objective value plus the best observed (energy, bit string)."""
         energies, best_e, best_b = self.value_batch(
@@ -242,9 +236,9 @@ class ParityObjective:
         if self.depth == 1:
             return depth1_parity_masses(self.circuit, thetas, self.parity)
         masses = np.empty((len(rows), 1 << self.num_modes))
+        codes = _sector_codes(self.num_modes, self.num_photons, self.parity)
         for r, state in evolve_batch(self.circuit, thetas, phases):
-            masses[r] = np.bincount(self._pattern_codes,
-                                    weights=state.probabilities(),
+            masses[r] = np.bincount(codes, weights=state.probabilities(),
                                     minlength=1 << self.num_modes)
         return masses
 
@@ -271,6 +265,16 @@ class ParityObjective:
         code = best[int(np.argmin(e_codes[best]))]
         return energies, float(e_codes[code]), tuple(
             int(b) for b in codes_to_bits([code], self.num_modes)[0])
+
+
+@lru_cache(maxsize=4)
+def _sector_codes(num_modes: int, num_photons: int, parity: int):
+    """Read-only parity codes of the (M, n) sector's patterns, in its order;
+    the descents of a depth >= 2 run read four, two sectors by two variants."""
+    basis = enumerate_basis(num_modes, num_photons)
+    codes = parity_codes(basis.patterns, parity)
+    codes.flags.writeable = False
+    return codes
 
 
 def gradient_step(angles, gradient, eta: float) -> np.ndarray:

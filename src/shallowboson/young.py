@@ -407,12 +407,6 @@ def lattice_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_lattice_text(lattice: YoungLattice, num_photons: int | None = None
-                        ) -> str:
-    """:func:`lattice_text` of the lattice's labelled document."""
-    return lattice_text(export_lattice_json(lattice, num_photons))
-
-
 def export_lattice_json(lattice: YoungLattice, num_photons: int | None = None
                         ) -> dict:
     """Labelled vertices (diagram, pattern, bits) and indexed cover edges."""

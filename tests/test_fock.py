@@ -1,12 +1,13 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
 from shallowboson.fock import (
-    SectorBasis, _binom_table, _enumerate_patterns, enumerate_basis,
-    sector_size,
+    SectorBasis, _enumerate_patterns, enumerate_basis, sector_size,
 )
+from shallowboson.young import catalan_basis
 
 
 def recursive_count(num_modes, num_photons):
@@ -121,7 +122,35 @@ def recursive_patterns(num_modes, num_photons):
 def test_column_enumeration_matches_recursion():
     for m in range(1, 9):
         for n in range(0, 9):
-            got = _enumerate_patterns(m, n, _binom_table(n + m, m))
+            got = _enumerate_patterns(m, n)
             want = recursive_patterns(m, n)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(10, 10), (11, 10)])
+def test_wide_sectors_match_recursion(m, n):
+    assert np.array_equal(_enumerate_patterns(m, n), recursive_patterns(m, n))
+
+
+def test_sector_build_traces_only_its_patterns():
+    # the recursion fills its output in place: no sector-sized temporaries
+    tracemalloc.start()
+    try:
+        basis = SectorBasis(11, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * basis.patterns.nbytes
+
+
+def test_cached_patterns_are_read_only():
+    # a write into the shared rows once reached every later caller
+    with pytest.raises(ValueError):
+        enumerate_basis(3, 3).patterns[0, 0] = 7
+    assert np.array_equal(enumerate_basis(3, 3).patterns,
+                          recursive_patterns(3, 3))
+    rows = catalan_basis(3, 3, 2)
+    assert rows.flags.writeable
+    rows[0, 0] = 7
+    assert catalan_basis(3, 3, 2)[0].tolist() == [3, 0, 0]

@@ -4,6 +4,8 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import shallowboson as sb
 
 
@@ -50,3 +52,38 @@ def test_removed_names_stay_removed():
     for name in names:
         for module in modules:
             assert not resolves(module, name), f"{module.__name__}.{name}"
+
+
+# every functools.lru_cache of the package, with sample arguments
+DECLARED_CACHES = {
+    "shallowboson.fock.enumerate_basis": (3, 3),
+    "shallowboson.interferometer._spin_table": (7,),
+    "shallowboson.interferometer._block_stack": (7, 0.3, 0.2),
+    "shallowboson.interferometer._gate_orbits": (4, 3, 0, 1),
+    "shallowboson.young._reach_depth": (4, 4),
+    "shallowboson.solver._sector_codes": (4, 4, 0),
+}
+
+
+def returned_arrays(value):
+    if isinstance(value, sb.SectorBasis):
+        return [value.patterns]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in returned_arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def test_declared_caches_hand_out_read_only_arrays():
+    # a cache hands the same result to every caller: none may write into it
+    caches = {}
+    for info in pkgutil.iter_modules(sb.__path__):
+        module = importlib.import_module(f"shallowboson.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    assert set(caches) == set(DECLARED_CACHES)
+    for name, args in DECLARED_CACHES.items():
+        arrays = returned_arrays(caches[name](*args))
+        assert arrays, name
+        for array in arrays:
+            assert not array.flags.writeable, name

@@ -10,8 +10,10 @@ import shallowboson.solver as solver
 from shallowboson.interferometer import (
     build_reck_slices, evolve, reck_input, schwinger_expectation,
 )
-from shallowboson.parity import coarse_grain, codes_to_bits
-from shallowboson.problems import QuboProblem, benchmark_qubo6
+from shallowboson.parity import coarse_grain, codes_to_bits, parity_codes
+from shallowboson.problems import (
+    QuboProblem, benchmark_qubo6, run_portfolio, synthetic_portfolio,
+)
 from shallowboson.sampling import sample_patterns
 from shallowboson.solver import (
     ParityObjective, SolverConfig, finite_difference_gradient,
@@ -536,3 +538,23 @@ def test_curves_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "config_tag,iteration,energy,best_energy"
     assert len(lines) == 1 + 4 * 3
+
+
+def test_sector_codes_are_built_once_per_sector_and_parity():
+    # three gammas, four descents each, read the same four code arrays
+    solver._sector_codes.cache_clear()
+    config = SolverConfig(depth=2, samples=20, max_iterations=2)
+    run_portfolio(synthetic_portfolio(4, seed=3), config, [0.5, 1.0, 2.0])
+    assert solver._sector_codes.cache_info().misses == 4
+    for n in (4, 3):
+        patterns = fock.enumerate_basis(4, n).patterns
+        for j in (0, 1):
+            codes = solver._sector_codes(4, n, j)
+            assert not codes.flags.writeable
+            assert np.array_equal(codes, parity_codes(patterns, j))
+    assert solver._sector_codes.cache_info().misses == 4
+    objective = ParityObjective(_toy_problem(), 4, 0, 2, samples=20)
+    objective.value(np.zeros(objective.num_parameters), 0)
+    sector = len(fock.enumerate_basis(4, 4))
+    assert not any(isinstance(v, np.ndarray) and len(v) == sector
+                   for v in vars(objective).values())

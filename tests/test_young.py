@@ -12,7 +12,7 @@ from shallowboson.fock import enumerate_basis
 from shallowboson.young import (
     YoungLattice, box_bitstring_apply, catalan_basis, catalan_lattice,
     catalan_mu, count_boolean_sublattices, export_lattice_json,
-    export_lattice_text, ferrers_to_pattern, lattice_text,
+    ferrers_to_pattern, lattice_text,
     ordinal_sum_decomposition, parity_distinctness_check, pattern_to_ferrers,
     vertex_to_pattern, young_lattice, young_lattice_size,
 )
@@ -457,7 +457,7 @@ def test_ordinal_sum_depth1_general():
 
 def test_exports_carry_three_labels():
     lattice = catalan_lattice(4, 4, 1)
-    text = export_lattice_text(lattice, 4)
+    text = lattice_text(export_lattice_json(lattice, 4))
     assert text.count("vertex ") == 28
     assert "pattern=" in text and "bits=" in text and "diagram=" in text
     doc = export_lattice_json(lattice, 4)
