@@ -29,8 +29,8 @@ from .young import (
 )
 from .sampling import sample_patterns, chain_sample_depth1_batch
 from .solver import (
-    SolverConfig, SolverResult, ParityObjective, finite_difference_gradient,
-    gradient_step, run_variational,
+    SolverConfig, SolverResult, ParityObjective, gradient_step,
+    run_variational,
 )
 from .problems import (
     QuboProblem, IsingProblem, MobiusProblem, PortfolioProblem,
@@ -56,7 +56,7 @@ __all__ = [
     "count_boolean_sublattices", "ordinal_sum_decomposition",
     "export_lattice_json", "lattice_text", "sample_patterns",
     "chain_sample_depth1_batch", "SolverConfig", "SolverResult",
-    "ParityObjective", "finite_difference_gradient", "gradient_step",
+    "ParityObjective", "gradient_step",
     "run_variational", "QuboProblem", "IsingProblem", "MobiusProblem",
     "PortfolioProblem", "qubo_to_ising", "mobius_min", "brute_force_min",
     "benchmark_qubo6", "benchmark_qubo11", "portfolio_returns_from_prices",

@@ -21,6 +21,8 @@ Pattern = tuple[int, ...]
 # Practical cap: dense enumeration above this is refused outright (it
 # also keeps every pattern index far inside int64).
 _ENUMERATION_CAP = 50_000_000
+# Patterns store photon counts as uint16.
+_MAX_PHOTONS = np.iinfo(np.uint16).max
 
 
 def sector_size(num_modes: int, num_photons: int) -> int:
@@ -35,13 +37,18 @@ def sector_size(num_modes: int, num_photons: int) -> int:
 class SectorBasis:
     """All detection patterns of an (M, n) sector in canonical order.
 
-    Patterns are stored as one uint16 row per basis state.  Lookup in both
+    Patterns are stored as one uint16 row per basis state, so sectors of
+    more than 65535 photons are refused.  Lookup in both
     directions (pattern -> index, index -> pattern) is exact and
     round-trips over the whole sector.
     """
 
     def __init__(self, num_modes: int, num_photons: int):
         size = sector_size(num_modes, num_photons)
+        if num_photons > _MAX_PHOTONS:
+            raise ValueError(
+                f"sector ({num_modes}, {num_photons}) holds more photons "
+                f"than a uint16 pattern entry stores ({_MAX_PHOTONS})")
         if size > _ENUMERATION_CAP:
             raise ValueError(
                 f"sector ({num_modes}, {num_photons}) has {size} patterns, "

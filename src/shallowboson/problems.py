@@ -22,16 +22,18 @@ _CHUNK = 1 << 18
 
 
 class QuboProblem:
-    """Quadratic binary program min x^T Q x; Q symmetrized on input."""
+    """Quadratic binary program min x^T Q x; Q symmetrized on input and
+    kept as a private read-only copy."""
 
     def __init__(self, q: np.ndarray):
-        q = np.asarray(q, dtype=float)
+        q = np.array(q, dtype=float)  # a private copy, read-only below
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"Q must be square, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
             raise ValueError("Q has non-finite entries")
         if np.max(np.abs(q - q.T)) > 1e-12:
             q = (q + q.T) / 2.0
+        q.flags.writeable = False
         self.q = q
         self.num_bits = q.shape[0]
 
@@ -43,11 +45,11 @@ class QuboProblem:
 class IsingProblem:
     """H = sum_{i<j} J_ij s_i s_j + sum_k h_k s_k + const over s = +-1;
     `couplings` is J as an upper-triangular matrix, from an {(i, j): J_ij}
-    dict."""
+    dict; it and `fields` are private read-only copies."""
 
     def __init__(self, couplings: dict[tuple[int, int], float],
                  fields: np.ndarray, constant: float = 0.0):
-        self.fields = np.asarray(fields, dtype=float)
+        self.fields = np.array(fields, dtype=float)
         self.num_bits = self.fields.shape[0]
         self.couplings = np.zeros((self.num_bits, self.num_bits))
         for (i, j), val in couplings.items():
@@ -58,6 +60,7 @@ class IsingProblem:
         if not np.isfinite([*self.fields, *self.couplings.ravel(),
                             self.constant]).all():
             raise ValueError("fields, couplings or constant are non-finite")
+        self.fields.flags.writeable = self.couplings.flags.writeable = False
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
         s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0

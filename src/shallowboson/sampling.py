@@ -16,7 +16,11 @@ not exceed its uniform draw.
 The same table drives `depth1_parity_masses`, the exact parity-bit
 distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
 carried photon count), one pair of batched matmuls per gate, that never
-enumerates a Fock sector.
+enumerates a Fock sector.  Its tables of every gate come from one
+`gate_outcome_table` call per distinct `fresh` photon count.
+`depth1_shift_masses` gives the masses of the 2(M-1) shift-rule rows of
+one angle vector from that forward pass of the base row and one backward
+sweep, gate by gate, never holding more than one gate's two rows.
 
 An explicit distribution is a pattern array with an aligned probability
 vector: a sector `basis.patterns` with `state.probabilities()` in
@@ -25,6 +29,8 @@ Both sampling routes return uint16 rows.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -168,6 +174,71 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     return out
 
 
+def _depth1_tables(circuit, theta_rows, parity: int):
+    """Outcome tables of every gate of the exact depth-1 passes.
+
+    Entry g of the returned list pairs gate g's table, split by its frozen
+    bit, with each row's index k into it: for carry c in and u out,
+    table[k, b, c, u] is `gate_outcome_table`[k, c + fresh, u] when the
+    c + fresh - u photons left in the frozen mode give parity bit b, and
+    0 otherwise.  The gates of one `fresh` count share one call over all
+    their rows' angles; a table row does not depend on the others, so
+    the call's batch leaves it bit-identical.  Refuses meshes beyond
+    M = n = 20.
+    """
+    _check_variant(parity)
+    theta_rows = _depth1_thetas(circuit, theta_rows)
+    m, n = circuit.num_modes, circuit.num_photons
+    if (n + 1) << m > _MASS_ENTRIES_CAP:
+        raise ValueError(
+            f"exact depth-1 masses of {m} modes and {n} photons need "
+            f"{(n + 1) << m} floats per row, refusing more than "
+            f"{_MASS_ENTRIES_CAP}")
+    rows = theta_rows.shape[0]
+    levels = np.arange(n + 1)
+    fresh = [circuit.input[gate.i] for gate in circuit.gates]
+    tables = [None] * len(fresh)
+    for count in sorted(set(fresh)):
+        gates = [g for g, f in enumerate(fresh) if f == count]
+        table, codes = gate_outcome_table(count, range(count, n + 1),
+                                          theta_rows[:, gates].ravel())
+        # a carry above n - fresh never occurs
+        frozen = (levels[:n + 1 - count, None] + count - levels) & 1
+        split = table[:, None, count:] * (frozen ^ parity == [[[0]], [[1]]])
+        codes = codes.reshape(rows, len(gates))
+        for col, g in enumerate(gates):
+            tables[g] = split, codes[:, col]
+    return tables
+
+
+def _forward_masses(circuit, tables, rows: int):
+    """Yield mass[r, prefix code, carry] before each gate, then after the
+    last one: shape (R, 2^g, n+1) ahead of gate g, (R, 2^(M-1), n+1) at
+    the end.  Gate g writes each value b of its frozen bit into the half
+    of a preallocated output whose codes carry that bit, by one batched
+    matmul of each row's own matrices; the bit sits ahead of the prefix,
+    so nothing is transposed or copied."""
+    n = circuit.num_photons
+    mass = np.zeros((rows, 1, n + 1))
+    mass[:, 0, circuit.input[-1]] = 1.0
+    for g, (table, codes) in enumerate(tables):
+        yield mass
+        steps = table[codes]
+        carries = steps.shape[2]
+        new = np.empty((rows, 2, 1 << g, n + 1))
+        for b in (0, 1):
+            np.matmul(mass[:, :, :carries], steps[:, b], out=new[:, b])
+        mass = new.reshape(rows, 2 << g, n + 1)
+    yield mass
+
+
+def _top_bit(n: int, parity: int) -> np.ndarray:
+    """(2, n+1) indicator that a final carry of u photons in mode 0 gives
+    the top parity bit b."""
+    return ((np.arange(n + 1) & 1) ^ parity == np.arange(2)[:, None]
+            ).astype(float)
+
+
 def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     """Exact parity-bit distribution of a depth-1 mesh, per angle row.
 
@@ -177,48 +248,71 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     of `circuit` freezes mode j = M-1-g, the bit of weight 2^g, so a pass
     carries mass[r, prefix code, carry] over the g frozen bits so far and
     the photon count of the carried mode; each gate multiplies it by the
-    `gate_outcome_table` of its row's angle, split by the parity of the
-    frozen count.  The final carry is mode 0, the top bit.
+    outcome table of its row's angle, split by the parity of the frozen
+    count.  The final carry is mode 0, the top bit.
 
-    A gate is two batched matmuls, one per value b of the frozen bit, each
-    written into the half of a preallocated output whose codes carry that
-    bit; the bit sits ahead of the prefix, so nothing is transposed or
-    copied.  The last gate holds its input and its output mass,
+    The last gate holds its input and its output mass,
     3 2^(M-2) (n+1) floats or 6 (n+1) 2^M bytes per row; with the tables,
     16 (n+1) 2^M bytes per row bound the pass, and callers bound it by
     passing rows in chunks.  Each matmul multiplies one row's own
     matrices, of shapes that do not depend on the batch, so a row's masses
     are bit-identical whatever other rows share the call.
     """
-    _check_variant(parity)
-    theta_rows = _depth1_thetas(circuit, theta_rows)
-    m, n, inp = circuit.num_modes, circuit.num_photons, circuit.input
-    if (n + 1) << m > _MASS_ENTRIES_CAP:
-        raise ValueError(
-            f"exact depth-1 masses of {m} modes and {n} photons need "
-            f"{(n + 1) << m} floats per row, refusing more than "
-            f"{_MASS_ENTRIES_CAP}")
-    rows = theta_rows.shape[0]
-    levels = np.arange(n + 1)
-    mass = np.zeros((rows, 1, n + 1))
-    mass[:, 0, inp[-1]] = 1.0
-    for g, gate in enumerate(circuit.gates):
-        fresh = inp[gate.i]
-        table, row_code = gate_outcome_table(
-            fresh, range(fresh, n + 1), theta_rows[:, g])
-        # table[k, c, u] for carry c in and u out; a carry above n - fresh
-        # never occurs
-        carries = n + 1 - fresh
-        table = table[:, fresh:]
-        frozen_bit = ((levels[:carries, None] + fresh - levels) & 1) ^ parity
-        steps = table[row_code]
-        new = np.empty((rows, 2, 1 << g, n + 1))
-        for b in (0, 1):
-            np.matmul(mass[:, :, :carries], steps * (frozen_bit == b),
-                      out=new[:, b])
-        mass = new.reshape(rows, 2 << g, n + 1)
-    top_bit = (levels & 1) ^ parity
-    out = np.empty((rows, 2, 1 << (m - 1)))
+    tables = _depth1_tables(circuit, theta_rows, parity)
+    rows = np.shape(theta_rows)[0]
+    for mass in _forward_masses(circuit, tables, rows):
+        pass  # keep the mass after the last gate
+    top_bit = _top_bit(circuit.num_photons, parity)
+    out = np.empty((rows, 2, 1 << (circuit.num_modes - 1)))
     for b in (0, 1):
-        np.matmul(mass, (top_bit == b).astype(float), out=out[:, b])
-    return out.reshape(rows, 1 << m)
+        np.matmul(mass, top_bit[b], out=out[:, b])
+    return out.reshape(rows, 1 << circuit.num_modes)
+
+
+def depth1_shift_masses(circuit, thetas, parity: int):
+    """Exact parity masses of the shift-rule stencil of one depth-1 row.
+
+    Returns an iterator of (g, masses) over the gates g = M-2, ..., 0:
+    masses[0] is the `depth1_parity_masses` row of `thetas` with angle g
+    raised by pi/2, masses[1] with it lowered by pi/2, up to summation
+    order.  A shifted row differs from the base row only in gate g's
+    table, so its masses contract the base row's forward mass ahead of
+    gate g, gate g's shifted table split by its frozen bit, and
+    after[s, u], the probability that the base row's later gates give the
+    bits above gate g the code s from carry u.  One forward sweep keeps
+    the mass ahead of every gate; one backward sweep folds gate g into
+    `after` once its rows are out.  Every gate writes its rows into one
+    (2, 2^M) buffer, which the next gate overwrites; the forward masses
+    and `after` hold at most 2^(M-1) (n+1) floats each.  Refuses the
+    meshes `depth1_parity_masses` refuses, at the call.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    tables = _depth1_tables(
+        circuit, [thetas, thetas + np.pi / 2, thetas - np.pi / 2], parity)
+    return _shift_sweep(circuit, tables, parity)
+
+
+def _shift_sweep(circuit, tables, parity: int):
+    """The sweeps of `depth1_shift_masses` over its checked tables; a
+    generator of its own, so that bad input raises at the call."""
+    base = [(table, codes[:1]) for table, codes in tables]
+    forward = list(itertools.islice(_forward_masses(circuit, base, 1),
+                                    len(tables)))
+    after = _top_bit(circuit.num_photons, parity)
+    out = np.empty(2 << circuit.num_modes)
+    for g in reversed(range(len(tables))):
+        table, codes = tables[g]
+        ahead = forward.pop()[0]
+        steps = table[codes, :, :, :after.shape[1]]
+        carries = steps.shape[2]
+        # masses[shift, code above gate g, bit of gate g, prefix code]
+        masses = out.reshape(2, len(after), 2, 1 << g)
+        for b in (0, 1):
+            np.matmul(after, (ahead[:, :carries] @ steps[1:, b])
+                      .swapaxes(1, 2), out=masses[:, :, b])
+        yield g, out.reshape(2, -1)
+        if g:
+            folded = np.empty((len(after), 2, carries))
+            for b in (0, 1):
+                np.matmul(after, steps[0, b].T, out=folded[:, b])
+            after = folded.reshape(-1, carries)

@@ -7,6 +7,9 @@ ever observed across every evaluation.  Objectives are exact or the mean
 of N_s fresh seeded bit strings per parameter vector; sampled depth 1
 chain-samples patterns, every other row reads the (2^M,) code masses of
 its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
+An exact depth-1 shift-rule stencil reads its rows gate by gate from
+`depth1_shift_masses`, one forward and one backward sweep of the base
+row, instead of one carry-chain pass per shifted row.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
 from .parity import Bits, codes_to_bits, parity_bits, parity_codes
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
-                       depth1_parity_masses, sample_patterns)
+                       depth1_parity_masses, depth1_shift_masses,
+                       sample_patterns)
 
 _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
@@ -139,7 +143,9 @@ class ParityObjective:
     6 (n+1) 2^M bytes per angle row (132 MB at M = n = 20); rows are read
     out in chunks budgeted at 16 (n+1) 2^M bytes each, which covers the
     outcome tables too, and `depth1_parity_masses` refuses meshes beyond
-    M = 20.
+    M = 20.  Its shift stencil stays within one such budget: it holds the
+    base row's forward masses, one backward table and one gate's two rows
+    of 2^M masses, about 8 (n+1) 2^M + 16 2^M bytes.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -211,18 +217,24 @@ class ParityObjective:
     def shift_gradient(self, angles, stream_seed=None):
         """Shift-rule gradient plus the best observed (energy, bit string).
 
-        Component k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 from one
-        `value_batch` call over 2p rows: row 2k shifts parameter k up,
-        row 2k+1 down, and sampled rows draw from those child streams.
+        Component k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 over 2p
+        rows, row 2k shifting parameter k up and row 2k+1 down; the best is
+        taken over all rows, the first row on ties.  Exact depth 1 reads
+        the rows gate by gate from `depth1_shift_masses`, a phase row
+        being the base row; every other stencil is one `value_batch` call,
+        and sampled rows draw from its child streams.
         """
         angles = np.asarray(angles, dtype=float)
         p = self.num_parameters
         if angles.shape != (p,):
             raise ValueError(
                 f"expected {p} parameters, got shape {angles.shape}")
-        shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
-        energies, best_e, best_b = self.value_batch(angles + shifts,
-                                                    stream_seed)
+        if self.samples is None and self.depth == 1:
+            energies, best_e, best_b = self._exact_stencil(angles)
+        else:
+            shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
+            energies, best_e, best_b = self.value_batch(angles + shifts,
+                                                        stream_seed)
         return (energies[0::2] - energies[1::2]) / 2.0, best_e, best_b
 
     def _split(self, rows):
@@ -256,11 +268,36 @@ class ParityObjective:
         for start in range(0, len(rows), step):
             chunk = slice(start, start + step)
             # masses first: a refused mesh builds no 2^M energy table
-            masses = self._masses(rows[chunk])
-            e_codes = self._code_energies
-            energies[chunk] = np.einsum("rk,k->r", masses, e_codes)
-            best[chunk] = np.argmin(
-                np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
+            energies[chunk], best[chunk] = self._reduce(
+                self._masses(rows[chunk]))
+        return self._observed(energies, best)
+
+    def _exact_stencil(self, angles):
+        """`_exact_batch` of the depth-1 shift stencil of `angles`, one
+        gate's two rows of masses at a time."""
+        gates = self.num_gates
+        energies = np.empty(2 * self.num_parameters)
+        best = np.empty(len(energies), dtype=np.int64)
+        for g, masses in depth1_shift_masses(self.circuit, angles[:gates],
+                                             self.parity):
+            energies[2 * g:2 * g + 2], best[2 * g:2 * g + 2] = (
+                self._reduce(masses))
+        if self.optimize_phases:
+            energies[2 * gates:], best[2 * gates:] = self._reduce(
+                self._masses(angles[None]))
+        return self._observed(energies, best)
+
+    def _reduce(self, masses):
+        """Energy and lowest supported code of each row of (R, 2^M)
+        masses."""
+        e_codes = self._code_energies
+        return (np.einsum("rk,k->r", masses, e_codes),
+                np.argmin(np.where(masses > _SUPPORT_TOL, e_codes, np.inf),
+                          axis=1))
+
+    def _observed(self, energies, best):
+        """`energies`, and the lowest (energy, bit string) among the rows'
+        codes `best`, the first row on ties."""
         e_codes = self._code_energies
         code = best[int(np.argmin(e_codes[best]))]
         return energies, float(e_codes[code]), tuple(
@@ -283,35 +320,6 @@ def gradient_step(angles, gradient, eta: float) -> np.ndarray:
         raise ValueError(f"learning rate must be > 0, got {eta}")
     return (np.asarray(angles, dtype=float)
             - eta * np.asarray(gradient, dtype=float)) % _TWO_PI
-
-
-def finite_difference_gradient(objective: ParityObjective, angles,
-                               index: int, epsilon: float = 1e-5,
-                               scheme: str = "forward",
-                               stream_seed=None) -> float:
-    """Numerical derivative, forward by default, central on request.
-
-    A simulation-only oracle: experimentally this would demand
-    epsilon-accurate hardware tuning, which is the reason the shift rule
-    is the solver default.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    angles = np.asarray(angles, dtype=float)
-    shifted = angles.copy()
-    seeds = (as_seed_sequence(stream_seed).spawn(2)
-             if objective.samples is not None else (None, None))
-    if scheme == "forward":
-        shifted[index] += epsilon
-        return (objective.value(shifted, seeds[0])[0]
-                - objective.value(angles, seeds[1])[0]) / epsilon
-    if scheme == "central":
-        shifted[index] += epsilon
-        back = angles.copy()
-        back[index] -= epsilon
-        return (objective.value(shifted, seeds[0])[0]
-                - objective.value(back, seeds[1])[0]) / (2 * epsilon)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def run_variational(problem, config: SolverConfig) -> SolverResult:

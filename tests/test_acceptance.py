@@ -12,7 +12,8 @@ import pytest
 
 import shallowboson as sb
 from shallowboson import verify
-from shallowboson.solver import ParityObjective, finite_difference_gradient
+from shallowboson.solver import ParityObjective
+from oracles import finite_difference_gradient
 
 
 def _report(criterion, passed, detail=""):

@@ -103,6 +103,18 @@ def test_oversized_sector_refused():
         SectorBasis(40, 40)
 
 
+def test_photon_counts_beyond_uint16_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="uint16"):
+            enumerate_basis(2, 70000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70000  # the sector's patterns would take 280 kB
+    assert enumerate_basis(1, 65535).patterns.tolist() == [[65535]]
+
+
 def recursive_patterns(num_modes, num_photons):
     """Oracle: the plain recursion, rebuilding every tail where it is used."""
     size = sector_size(num_modes, num_photons)

@@ -131,6 +131,22 @@ def test_ising_validation():
         problem.energies(np.ones((1, 3)))
 
 
+def test_problems_keep_private_read_only_copies():
+    q = np.array([[1.0, 2.0], [2.0, -1.0]])
+    problem = QuboProblem(q)
+    q[0, 0] = 5.0  # the caller's array, not the problem's
+    assert problem.q.tolist() == [[1.0, 2.0], [2.0, -1.0]]
+    assert problem.energies(np.eye(2)).tolist() == [1.0, -1.0]
+    fields = np.array([0.5, -0.5])
+    ising = IsingProblem({(0, 1): 1.0}, fields)
+    fields[0] = 9.0
+    assert ising.fields.tolist() == [0.5, -0.5]
+    for array in (problem.q, ising.fields, ising.couplings):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0.0
+
+
 def test_mobius_hand_sums():
     problem = MobiusProblem(8, 0.5, -0.2)
     assert problem.energies(np.ones((1, 8)))[0] == pytest.approx(-3.2)

@@ -14,7 +14,7 @@ from shallowboson.parity import coarse_grain, parity_bits, parity_codes
 from shallowboson.problems import MobiusProblem
 from shallowboson.sampling import (
     as_seed_sequence, chain_sample_depth1_batch, depth1_parity_masses,
-    gate_outcome_table, sample_patterns,
+    depth1_shift_masses, gate_outcome_table, sample_patterns,
 )
 
 
@@ -423,7 +423,69 @@ def test_sampler_and_exact_pass_share_one_table(monkeypatch):
     chain_sample_depth1_batch(circ, thetas, 20, 0)
     assert calls == [3] * 4  # one call per gate over the whole batch
     depth1_parity_masses(circ, thetas, 0)
-    assert calls == [3] * 8
+    # one call per distinct fresh count over every gate's angles
+    assert calls == [3] * 4 + [12]
+
+
+# depth-1 meshes over both reck inputs, and inputs whose empty mode feeds
+# a gate, whose tables come from two `fresh` counts
+STENCIL_INPUTS = [reck_input(m, n) for m in range(3, 13) for n in (m, m - 1)]
+STENCIL_INPUTS += [(1, 0, 1, 1), (0, 1, 1, 1, 1), (1, 1, 1, 1, 0, 1, 1)]
+
+
+def test_depth1_shift_masses_match_the_shifted_rows():
+    rng = np.random.default_rng(53)
+    for inp in STENCIL_INPUTS:
+        m = len(inp)
+        circ = build_reck_slices(m, 1, inp)
+        thetas = rng.uniform(0, 2 * np.pi, m - 1)
+        rows = thetas + np.kron(np.eye(m - 1), [[np.pi / 2], [-np.pi / 2]])
+        for parity in (0, 1):
+            shifted = depth1_parity_masses(circ, rows, parity)
+            gates, first = [], None
+            for g, masses in depth1_shift_masses(circ, thetas, parity):
+                gates.append(g)
+                assert masses.shape == (2, 2 ** m)
+                assert np.abs(masses - shifted[2 * g:2 * g + 2]).max() < 1e-14
+                # one buffer, overwritten gate by gate
+                first = masses if first is None else first
+                assert np.shares_memory(masses, first)
+            assert gates == list(range(m - 2, -1, -1))
+
+
+def test_depth1_shift_masses_build_every_table_in_one_call(monkeypatch):
+    calls = []
+    original = sampling.gate_outcome_table
+
+    def recording(fresh, totals, thetas):
+        calls.append((fresh, len(thetas)))
+        return original(fresh, totals, thetas)
+
+    monkeypatch.setattr(sampling, "gate_outcome_table", recording)
+    depth1_shift_masses(build_reck_slices(5, 1), np.full(4, 0.8), 0)
+    assert calls == [(1, 12)]  # base, raised and lowered angles of 4 gates
+    calls.clear()
+    depth1_shift_masses(build_reck_slices(4, 1, (1, 0, 1, 1)),
+                        np.full(3, 0.8), 0)
+    assert calls == [(0, 3), (1, 6)]  # one call per distinct fresh count
+
+
+def test_depth1_shift_masses_refuse_what_the_exact_pass_refuses():
+    cases = [
+        (build_reck_slices(21, 1, reck_input(21, 20)), np.zeros(20), 0),
+        (build_reck_slices(3, 1), np.zeros(2), 2),
+        (build_reck_slices(3, 1), np.zeros(3), 0),
+        (build_reck_slices(4, 2), np.zeros(5), 0),
+    ]
+    for circ, thetas, parity in cases:
+        with pytest.raises(ValueError) as refused:
+            depth1_parity_masses(circ, thetas[None], parity)
+        with pytest.raises(ValueError) as stencil:
+            depth1_shift_masses(circ, thetas, parity)
+        message = str(refused.value)
+        if "theta rows" in message:  # the stencil checks its three rows
+            message = message.replace("(1,", "(3,")
+        assert str(stencil.value) == message
 
 
 def dense_parity_masses(circuit, theta_rows, parity, psi_rows=None):

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from shallowboson.problems import (
 )
 from shallowboson.sampling import sample_patterns
 from shallowboson.solver import (
-    ParityObjective, SolverConfig, finite_difference_gradient,
-    gradient_step, run_variational,
+    ParityObjective, SolverConfig, gradient_step, run_variational,
 )
+from oracles import finite_difference_gradient
 
 
 def _toy_problem(m=4, seed=0):
@@ -257,7 +259,56 @@ def test_refused_depth1_mesh_builds_no_energy_table():
     obj = ParityObjective(_toy_problem(21, seed=1), 20, 0, depth=1)
     with pytest.raises(ValueError, match="refusing"):
         obj.value_batch(np.zeros((1, obj.num_parameters)))
+    with pytest.raises(ValueError, match="refusing"):
+        obj.shift_gradient(np.zeros(obj.num_parameters))
     assert "_code_energies" not in vars(obj)
+
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
+    reduced = []
+    original = ParityObjective._reduce
+
+    def recording(self, masses):
+        reduced.append(masses.copy())
+        return original(self, masses)
+
+    monkeypatch.setattr(ParityObjective, "_reduce", recording)
+    rng = np.random.default_rng(61)
+    for m in (3, 5, 8):
+        for n, parity in itertools.product((m, m - 1), (0, 1)):
+            obj = ParityObjective(_toy_problem(m, seed=m), n, parity, 1,
+                                  optimize_phases=phases)
+            p, gates = obj.num_parameters, obj.num_gates
+            angles = rng.uniform(0, 2 * np.pi, p)
+            rows = angles + np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
+            shifted = obj._masses(rows)
+            reduced.clear()
+            grad = obj.shift_gradient(angles)[0]
+            # gate by gate, the last gate first, then the base row once
+            assert len(reduced) == gates + phases
+            for masses, g in zip(reduced, range(gates - 1, -1, -1)):
+                assert masses.shape == (2, 2 ** m)
+                assert np.abs(masses - shifted[2 * g:2 * g + 2]).max() < 1e-14
+            if phases:
+                assert np.array_equal(reduced[-1], shifted[2 * gates:][:1])
+                assert grad[gates:].tolist() == [0.0] * gates
+
+
+def test_exact_depth1_stencil_memory_bound():
+    m = n = 16
+    obj = ParityObjective(_toy_problem(m, seed=3), n, 0, 1)
+    angles = np.random.default_rng(67).uniform(0, 2 * np.pi,
+                                               obj.num_parameters)
+    first = obj.shift_gradient(angles)  # fill the energy table and caches
+    tracemalloc.start()
+    try:
+        again = obj.shift_gradient(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again[0].tolist() == first[0].tolist() and again[1:] == first[1:]
+    assert peak <= 16 * (n + 1) * 2 ** m  # the documented per-row budget
 
 
 def test_one_bit_problem_is_refused_by_the_mesh_check():
@@ -362,13 +413,18 @@ def test_shift_gradient_is_the_two_point_difference(depth, phases):
     angles = np.random.default_rng(depth).uniform(0, 2 * np.pi,
                                                   obj.num_parameters)
     grad, best_e, best_b = obj.shift_gradient(angles)
-    values = []
+    values, expected = [], []
     for k in range(obj.num_parameters):
         step = np.zeros(obj.num_parameters)
         step[k] = np.pi / 2
         plus, minus = obj.value(angles + step), obj.value(angles - step)
-        assert grad[k] == (plus[0] - minus[0]) / 2
+        expected.append((plus[0] - minus[0]) / 2)
         values += [plus, minus]
+    if depth == 1:  # the stencil sums each row's masses in its own order
+        scale = max(1.0, max(abs(v[0]) for v in values))
+        assert np.abs(grad - expected).max() <= 1e-12 * scale
+    else:
+        assert grad.tolist() == expected
     # the best over the stencil, the first row on ties
     assert (best_e, best_b) == min(values, key=lambda v: v[1])[1:]
     for bad in (angles[:-1], np.append(angles, 0.0), angles[None, :]):
