@@ -1,7 +1,10 @@
 """Problem encodings: QUBO, Ising, twisted-ladder Ising, portfolios.
 
 Every problem exposes `num_bits` and a vectorized `energies` over bit
-rows, which is all the variational solver needs.  Exhaustive brute-force
+rows, which is all the variational solver needs.  The solver keys its
+table of every bit string's energy on the problem object, so the problem
+classes here are frozen dataclasses compared and hashed by identity, and
+keep private read-only copies of their arrays.  Exhaustive brute-force
 minimization is the universal verification oracle at desk scale.
 """
 
@@ -21,12 +24,21 @@ _BRUTE_FORCE_LIMIT = 26
 _CHUNK = 1 << 18
 
 
+def _set_fields(problem, **values) -> None:
+    """Set fields of a frozen problem, from its own constructor only."""
+    for name, value in values.items():
+        object.__setattr__(problem, name, value)
+
+
+@dataclass(frozen=True, eq=False)
 class QuboProblem:
     """Quadratic binary program min x^T Q x; Q symmetrized on input and
     kept as a private read-only copy."""
 
-    def __init__(self, q: np.ndarray):
-        q = np.array(q, dtype=float)  # a private copy, read-only below
+    q: np.ndarray
+
+    def __post_init__(self):
+        q = np.array(self.q, dtype=float)  # a private copy, read-only below
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"Q must be square, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
@@ -34,33 +46,45 @@ class QuboProblem:
         if np.max(np.abs(q - q.T)) > 1e-12:
             q = (q + q.T) / 2.0
         q.flags.writeable = False
-        self.q = q
-        self.num_bits = q.shape[0]
+        _set_fields(self, q=q)
+
+    @property
+    def num_bits(self) -> int:
+        return self.q.shape[0]
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(bits, dtype=float))
         return np.einsum("bi,ij,bj->b", x, self.q, x)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class IsingProblem:
     """H = sum_{i<j} J_ij s_i s_j + sum_k h_k s_k + const over s = +-1;
     `couplings` is J as an upper-triangular matrix, from an {(i, j): J_ij}
     dict; it and `fields` are private read-only copies."""
 
+    couplings: np.ndarray
+    fields: np.ndarray
+    constant: float
+
     def __init__(self, couplings: dict[tuple[int, int], float],
                  fields: np.ndarray, constant: float = 0.0):
-        self.fields = np.array(fields, dtype=float)
-        self.num_bits = self.fields.shape[0]
-        self.couplings = np.zeros((self.num_bits, self.num_bits))
+        fields = np.array(fields, dtype=float)
+        num_bits = fields.shape[0]
+        matrix = np.zeros((num_bits, num_bits))
         for (i, j), val in couplings.items():
-            if not 0 <= i < j < self.num_bits:
+            if not 0 <= i < j < num_bits:
                 raise ValueError(f"coupling ({i}, {j}) out of range")
-            self.couplings[i, j] = val
-        self.constant = float(constant)
-        if not np.isfinite([*self.fields, *self.couplings.ravel(),
-                            self.constant]).all():
+            matrix[i, j] = val
+        constant = float(constant)
+        if not np.isfinite([*fields, *matrix.ravel(), constant]).all():
             raise ValueError("fields, couplings or constant are non-finite")
-        self.fields.flags.writeable = self.couplings.flags.writeable = False
+        fields.flags.writeable = matrix.flags.writeable = False
+        _set_fields(self, couplings=matrix, fields=fields, constant=constant)
+
+    @property
+    def num_bits(self) -> int:
+        return self.fields.shape[0]
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
         s = 2.0 * np.atleast_2d(np.asarray(bits, dtype=float)) - 1.0
@@ -78,18 +102,26 @@ def qubo_to_ising(q: np.ndarray) -> IsingProblem:
     return IsingProblem(couplings, fields, np.trace(half) + upper.sum())
 
 
+@dataclass(frozen=True, eq=False)
 class MobiusProblem:
     """Twisted-ladder Ising ring: n spins, ring coupling J_a, rungs J_b."""
 
-    def __init__(self, n: int, j_a: float, j_b: float):
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"spin count must be even and >= 4, got {n}")
-        self.n = n
-        self.j_a = float(j_a)
-        self.j_b = float(j_b)
+    n: int
+    j_a: float
+    j_b: float
+
+    def __post_init__(self):
+        if self.n < 4 or self.n % 2 != 0:
+            raise ValueError(
+                f"spin count must be even and >= 4, got {self.n}")
+        _set_fields(self, j_a=float(self.j_a), j_b=float(self.j_b))
         if not np.isfinite([self.j_a, self.j_b]).all():
-            raise ValueError(f"couplings must be finite, got {j_a}, {j_b}")
-        self.num_bits = n
+            raise ValueError(
+                f"couplings must be finite, got {self.j_a}, {self.j_b}")
+
+    @property
+    def num_bits(self) -> int:
+        return self.n
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
         # a spin pair contributes +1 when its bits agree and -1 when not
@@ -205,14 +237,14 @@ def binary_encode_weights(x, n_bits_per_asset: int, n_assets: int
     return (groups * weights).sum(axis=-1) / float(2**n_bits_per_asset - 1)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PortfolioProblem:
     """Mean-variance selection with binary-encoded weights.
 
     approach "penalty" keeps the quadratic form and adds
     B (sum omega - 1)^2; approach "normalized" rescales each candidate
     allocation to unit total weight and charges zero_penalty to the empty
-    allocation.
+    allocation.  `mu` and `sigma` are private read-only copies.
     """
 
     mu: np.ndarray
@@ -224,17 +256,17 @@ class PortfolioProblem:
     zero_penalty: float | None = None
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        n = self.mu.shape[0]
-        if not np.all(np.isfinite(np.append(self.mu, self.sigma))):
+        mu = np.array(self.mu, dtype=float)  # private, read-only below
+        sigma = np.array(self.sigma, dtype=float)
+        n = mu.shape[0]
+        if not np.all(np.isfinite(np.append(mu, sigma))):
             raise ValueError("returns or covariance have non-finite entries")
-        if self.sigma.shape != (n, n):
+        if sigma.shape != (n, n):
             raise ValueError("covariance shape does not match returns")
-        if np.max(np.abs(self.sigma - self.sigma.T)) > 1e-9:
+        if np.max(np.abs(sigma - sigma.T)) > 1e-9:
             raise ValueError("covariance must be symmetric within 1e-9")
-        scale = max(1.0, float(np.max(np.abs(self.sigma))))
-        if np.min(np.linalg.eigvalsh(self.sigma)) < -1e-9 * scale:
+        scale = max(1.0, float(np.max(np.abs(sigma))))
+        if np.min(np.linalg.eigvalsh(sigma)) < -1e-9 * scale:
             raise ValueError("covariance must be positive semidefinite")
         if not 0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and >= 0: {self.gamma}")
@@ -242,12 +274,12 @@ class PortfolioProblem:
             raise ValueError("need at least one bit per asset")
         if self.approach not in ("penalty", "normalized"):
             raise ValueError(f"unknown approach {self.approach!r}")
-        default = 1e3 * max(float(np.max(np.abs(self.mu))),
-                            float(np.max(np.abs(self.sigma))), 1e-12)
-        if self.penalty_weight is None:
-            self.penalty_weight = default
-        if self.zero_penalty is None:
-            self.zero_penalty = default
+        default = 1e3 * max(float(np.max(np.abs(mu))),
+                            float(np.max(np.abs(sigma))), 1e-12)
+        mu.flags.writeable = sigma.flags.writeable = False
+        _set_fields(self, mu=mu, sigma=sigma, **{
+            name: default for name in ("penalty_weight", "zero_penalty")
+            if getattr(self, name) is None})
         if not np.isfinite([self.penalty_weight, self.zero_penalty]).all():
             raise ValueError("penalty weights must be finite")
 

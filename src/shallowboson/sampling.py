@@ -20,7 +20,9 @@ enumerates a Fock sector.  Its tables of every gate come from one
 `gate_outcome_table` call per distinct `fresh` photon count.
 `depth1_shift_masses` gives the masses of the 2(M-1) shift-rule rows of
 one angle vector from that forward pass of the base row and one backward
-sweep, gate by gate, never holding more than one gate's two rows.
+sweep, gate by gate, never holding more than one gate's two rows; a
+caller that already ran the base row's pass (`_depth1_base_pass`) hands
+it to `_depth1_shift_from`, which runs the backward sweep alone.
 
 An explicit distribution is a pattern array with an aligned probability
 vector: a sector `basis.patterns` with `state.probabilities()` in
@@ -259,14 +261,35 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     are bit-identical whatever other rows share the call.
     """
     tables = _depth1_tables(circuit, theta_rows, parity)
-    rows = np.shape(theta_rows)[0]
-    for mass in _forward_masses(circuit, tables, rows):
+    for mass in _forward_masses(circuit, tables, np.shape(theta_rows)[0]):
         pass  # keep the mass after the last gate
+    return _read_out(circuit, mass, parity)
+
+
+def _read_out(circuit, mass, parity: int) -> np.ndarray:
+    """(R, 2^M) code masses from the (R, 2^(M-1), n+1) mass after the last
+    gate, the final carry giving the top bit."""
+    rows = len(mass)
     top_bit = _top_bit(circuit.num_photons, parity)
     out = np.empty((rows, 2, 1 << (circuit.num_modes - 1)))
     for b in (0, 1):
         np.matmul(mass, top_bit[b], out=out[:, b])
     return out.reshape(rows, 1 << circuit.num_modes)
+
+
+def _depth1_base_pass(circuit, thetas, parity: int):
+    """`depth1_parity_masses` of one angle row, and the pass behind it.
+
+    Returns the (1, 2^M) masses of `thetas` and the pass that
+    `_depth1_shift_from` reuses: each gate's (table, row index), and the
+    forward mass ahead of each gate, (1, 2^g, n+1) ahead of gate g, about
+    4 (n+1) 2^M bytes in all.  The masses are bit-identical to
+    `depth1_parity_masses` of the same row.
+    """
+    tables = _depth1_tables(circuit, [thetas], parity)
+    sweep = _forward_masses(circuit, tables, 1)
+    forward = list(itertools.islice(sweep, len(tables)))
+    return _read_out(circuit, next(sweep), parity), (tables, forward)
 
 
 def depth1_shift_masses(circuit, thetas, parity: int):
@@ -283,36 +306,58 @@ def depth1_shift_masses(circuit, thetas, parity: int):
     the mass ahead of every gate; one backward sweep folds gate g into
     `after` once its rows are out.  Every gate writes its rows into one
     (2, 2^M) buffer, which the next gate overwrites; the forward masses
-    and `after` hold at most 2^(M-1) (n+1) floats each.  Refuses the
-    meshes `depth1_parity_masses` refuses, at the call.
+    and `after` hold at most 2^(M-1) (n+1) floats each.  The tables of the
+    base and both shifted rows come from one `gate_outcome_table` call
+    per fresh count.  Refuses the meshes `depth1_parity_masses` refuses,
+    at the call.
     """
     thetas = np.asarray(thetas, dtype=float)
     tables = _depth1_tables(
         circuit, [thetas, thetas + np.pi / 2, thetas - np.pi / 2], parity)
-    return _shift_sweep(circuit, tables, parity)
-
-
-def _shift_sweep(circuit, tables, parity: int):
-    """The sweeps of `depth1_shift_masses` over its checked tables; a
-    generator of its own, so that bad input raises at the call."""
     base = [(table, codes[:1]) for table, codes in tables]
-    forward = list(itertools.islice(_forward_masses(circuit, base, 1),
-                                    len(tables)))
+    forward = itertools.islice(_forward_masses(circuit, base, 1), len(base))
+    return _shift_sweep(circuit, base, list(forward),
+                        [(table, codes[1:]) for table, codes in tables],
+                        parity)
+
+
+def _depth1_shift_from(circuit, thetas, parity: int, base_pass):
+    """`depth1_shift_masses` of `thetas` from its `_depth1_base_pass`.
+
+    Builds only the tables of the two shifted rows, one
+    `gate_outcome_table` call per fresh count, and runs only the backward
+    sweep over the pass's forward masses, which it consumes.  A table row
+    does not depend on its batch, so the masses are bit-identical to
+    `depth1_shift_masses`.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    shifted = _depth1_tables(
+        circuit, [thetas + np.pi / 2, thetas - np.pi / 2], parity)
+    return _shift_sweep(circuit, *base_pass, shifted, parity)
+
+
+def _shift_sweep(circuit, base, forward, shifted, parity: int):
+    """The backward sweep of `depth1_shift_masses` over the checked tables
+    of the base row and of its two shifted rows, and the base row's
+    forward masses ahead of each gate, which it consumes."""
     after = _top_bit(circuit.num_photons, parity)
     out = np.empty(2 << circuit.num_modes)
-    for g in reversed(range(len(tables))):
-        table, codes = tables[g]
+    for g in reversed(range(len(base))):
+        cols = after.shape[1]
+        table, codes = base[g]
+        step = table[codes, :, :, :cols][0]
+        table, codes = shifted[g]
+        steps = table[codes, :, :, :cols]
+        carries = step.shape[1]
         ahead = forward.pop()[0]
-        steps = table[codes, :, :, :after.shape[1]]
-        carries = steps.shape[2]
         # masses[shift, code above gate g, bit of gate g, prefix code]
         masses = out.reshape(2, len(after), 2, 1 << g)
         for b in (0, 1):
-            np.matmul(after, (ahead[:, :carries] @ steps[1:, b])
+            np.matmul(after, (ahead[:, :carries] @ steps[:, b])
                       .swapaxes(1, 2), out=masses[:, :, b])
         yield g, out.reshape(2, -1)
         if g:
             folded = np.empty((len(after), 2, carries))
             for b in (0, 1):
-                np.matmul(after, steps[0, b].T, out=folded[:, b])
+                np.matmul(after, step[b].T, out=folded[:, b])
             after = folded.reshape(-1, carries)

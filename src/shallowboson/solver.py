@@ -7,9 +7,12 @@ ever observed across every evaluation.  Objectives are exact or the mean
 of N_s fresh seeded bit strings per parameter vector; sampled depth 1
 chain-samples patterns, every other row reads the (2^M,) code masses of
 its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
-An exact depth-1 shift-rule stencil reads its rows gate by gate from
-`depth1_shift_masses`, one forward and one backward sweep of the base
-row, instead of one carry-chain pass per shifted row.
+An exact depth-1 shift-rule stencil reads its rows gate by gate from one
+forward and one backward sweep of the base row, instead of one
+carry-chain pass per shifted row; `value` keeps the forward sweep it ran,
+so the stencil on the same angles runs only the backward one.  The
+energy of every bit string is one declared cache per problem
+(`_code_energies`), read by every exact descent on it.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, asdict, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
 from .parity import Bits, codes_to_bits, parity_bits, parity_codes
-from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
+from .sampling import (_depth1_base_pass, _depth1_shift_from,
+                       as_seed_sequence, chain_sample_depth1_batch,
                        depth1_parity_masses, depth1_shift_masses,
                        sample_patterns)
 
@@ -145,7 +149,12 @@ class ParityObjective:
     outcome tables too, and `depth1_parity_masses` refuses meshes beyond
     M = 20.  Its shift stencil stays within one such budget: it holds the
     base row's forward masses, one backward table and one gate's two rows
-    of 2^M masses, about 8 (n+1) 2^M + 16 2^M bytes.
+    of 2^M masses, about 8 (n+1) 2^M + 16 2^M bytes.  `value` keeps the
+    pass of its angles until the next call: at most the base row's gate
+    tables and forward masses, about 4 (n+1) 2^M bytes, keyed by the bytes
+    of the angle vector.  A `shift_gradient` of the same angles reuses and
+    drops it; any other call computes its pass afresh.  Every exact read-out
+    takes its energies from `_code_energies`, one table per problem.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -162,21 +171,24 @@ class ParityObjective:
             self.num_modes, depth, reck_input(self.num_modes, num_photons))
         self.num_gates = len(self.circuit.gates)
         self.num_parameters = (2 if optimize_phases else 1) * self.num_gates
-
-    @cached_property
-    def _code_energies(self) -> np.ndarray:
-        """Energy of every bit string, indexed by its code: row `code` of
-        `codes_to_bits`, the order of `parity_codes`."""
-        m, size = self.num_modes, 1 << self.num_modes
-        return np.concatenate([
-            np.asarray(self.problem.energies(codes_to_bits(
-                np.arange(s, min(s + _CODE_CHUNK, size)), m)), dtype=float)
-            for s in range(0, size, _CODE_CHUNK)])
+        self._base_pass = None  # (angle bytes, pass) of the last value
 
     def value(self, angles, stream_seed=None):
-        """Objective value plus the best observed (energy, bit string)."""
-        energies, best_e, best_b = self.value_batch(
-            np.atleast_2d(np.asarray(angles, dtype=float)), stream_seed)
+        """Objective value plus the best observed (energy, bit string).
+
+        Takes one (p,) parameter vector.  Exact depth 1 keeps the pass it
+        ran for a `shift_gradient` of the same angles.
+        """
+        angles = self._parameters(angles)
+        self._base_pass = None
+        if self.samples is None and self.depth == 1:
+            masses, base_pass = _depth1_base_pass(
+                self.circuit, angles[:self.num_gates], self.parity)
+            self._base_pass = angles.tobytes(), base_pass
+            energies, best_e, best_b = self._observed(*self._reduce(masses))
+        else:
+            energies, best_e, best_b = self.value_batch(angles[None],
+                                                        stream_seed)
         return float(energies[0]), best_e, best_b
 
     def value_batch(self, angle_rows: np.ndarray, stream_seed=None):
@@ -221,14 +233,12 @@ class ParityObjective:
         rows, row 2k shifting parameter k up and row 2k+1 down; the best is
         taken over all rows, the first row on ties.  Exact depth 1 reads
         the rows gate by gate from `depth1_shift_masses`, a phase row
-        being the base row; every other stencil is one `value_batch` call,
-        and sampled rows draw from its child streams.
+        being the base row, and starts from the pass `value` kept when
+        its angles had the same bytes; every other stencil is one
+        `value_batch` call, and sampled rows draw from its child streams.
         """
-        angles = np.asarray(angles, dtype=float)
+        angles = self._parameters(angles)
         p = self.num_parameters
-        if angles.shape != (p,):
-            raise ValueError(
-                f"expected {p} parameters, got shape {angles.shape}")
         if self.samples is None and self.depth == 1:
             energies, best_e, best_b = self._exact_stencil(angles)
         else:
@@ -236,6 +246,14 @@ class ParityObjective:
             energies, best_e, best_b = self.value_batch(angles + shifts,
                                                         stream_seed)
         return (energies[0::2] - energies[1::2]) / 2.0, best_e, best_b
+
+    def _parameters(self, angles) -> np.ndarray:
+        """`angles` as one float vector of the p parameters."""
+        angles = np.asarray(angles, dtype=float)
+        if angles.shape != (self.num_parameters,):
+            raise ValueError(f"expected {self.num_parameters} parameters, "
+                             f"got shape {angles.shape}")
+        return angles
 
     def _split(self, rows):
         """Theta rows, and phase rows with optimize_phases (else None)."""
@@ -275,11 +293,17 @@ class ParityObjective:
     def _exact_stencil(self, angles):
         """`_exact_batch` of the depth-1 shift stencil of `angles`, one
         gate's two rows of masses at a time."""
-        gates = self.num_gates
+        gates, thetas = self.num_gates, angles[:self.num_gates]
         energies = np.empty(2 * self.num_parameters)
         best = np.empty(len(energies), dtype=np.int64)
-        for g, masses in depth1_shift_masses(self.circuit, angles[:gates],
-                                             self.parity):
+        key, base_pass = self._base_pass or (None, None)
+        self._base_pass = None
+        if key == angles.tobytes():
+            rows = _depth1_shift_from(self.circuit, thetas, self.parity,
+                                      base_pass)
+        else:
+            rows = depth1_shift_masses(self.circuit, thetas, self.parity)
+        for g, masses in rows:
             energies[2 * g:2 * g + 2], best[2 * g:2 * g + 2] = (
                 self._reduce(masses))
         if self.optimize_phases:
@@ -290,7 +314,7 @@ class ParityObjective:
     def _reduce(self, masses):
         """Energy and lowest supported code of each row of (R, 2^M)
         masses."""
-        e_codes = self._code_energies
+        e_codes = _code_energies(self.problem)
         return (np.einsum("rk,k->r", masses, e_codes),
                 np.argmin(np.where(masses > _SUPPORT_TOL, e_codes, np.inf),
                           axis=1))
@@ -298,10 +322,29 @@ class ParityObjective:
     def _observed(self, energies, best):
         """`energies`, and the lowest (energy, bit string) among the rows'
         codes `best`, the first row on ties."""
-        e_codes = self._code_energies
+        e_codes = _code_energies(self.problem)
         code = best[int(np.argmin(e_codes[best]))]
         return energies, float(e_codes[code]), tuple(
             int(b) for b in codes_to_bits([code], self.num_modes)[0])
+
+
+@lru_cache(maxsize=4)
+def _code_energies(problem) -> np.ndarray:
+    """Read-only energy of every bit string of `problem`, indexed by its
+    code: row `code` of `codes_to_bits`, the order of `parity_codes`.
+
+    Keyed on the problem object, which must not change after its first
+    solve: the four exact descents of a run, and every later run on the
+    same problem, read one table.  A frontier sweep solves one problem per
+    risk aversion in turn, so a few entries suffice.
+    """
+    m, size = problem.num_bits, 1 << problem.num_bits
+    energies = np.concatenate([
+        np.asarray(problem.energies(codes_to_bits(
+            np.arange(s, min(s + _CODE_CHUNK, size)), m)), dtype=float)
+        for s in range(0, size, _CODE_CHUNK)])
+    energies.flags.writeable = False
+    return energies
 
 
 @lru_cache(maxsize=4)

@@ -62,6 +62,7 @@ DECLARED_CACHES = {
     "shallowboson.interferometer._gate_orbits": (4, 3, 0, 1),
     "shallowboson.young._reach_depth": (4, 4),
     "shallowboson.solver._sector_codes": (4, 4, 0),
+    "shallowboson.solver._code_energies": (sb.QuboProblem(np.eye(3)),),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,49 @@ def test_problems_keep_private_read_only_copies():
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, ...] = 0.0
+
+
+def _one_of_each_problem():
+    return [QuboProblem(np.eye(3)),
+            IsingProblem({(0, 1): 1.0}, np.zeros(2)),
+            MobiusProblem(8, 0.5, -0.2),
+            PortfolioProblem(np.array([0.1, 0.2]), np.eye(2))]
+
+
+def test_problems_compare_and_hash_by_identity():
+    # the solver's energy table is keyed on the problem object
+    for problem, twin in zip(_one_of_each_problem(), _one_of_each_problem()):
+        assert problem == problem and problem != twin
+        assert hash(problem) == object.__hash__(problem)
+        assert len({problem, twin}) == 2
+
+
+def test_problems_refuse_assignment():
+    for problem in _one_of_each_problem():
+        for name in vars(problem):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(problem, name, getattr(problem, name))
+    mobius = MobiusProblem(8, 0.5, -0.2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mobius.j_a = 2.0
+    assert mobius.j_a == 0.5 and mobius.num_bits == 8
+
+
+def test_portfolio_keeps_private_read_only_copies():
+    mu, sigma = np.array([0.1, 0.2]), np.array([[0.04, 0.01], [0.01, 0.09]])
+    problem = PortfolioProblem(mu, sigma)
+    before = problem.energies(np.array([[1, 1]]))
+    mu[0], sigma[0, 0] = 5.0, 7.0  # the caller's arrays, not the problem's
+    assert problem.mu.tolist() == [0.1, 0.2]
+    assert problem.sigma.tolist() == [[0.04, 0.01], [0.01, 0.09]]
+    assert problem.energies(np.array([[1, 1]])).tolist() == before.tolist()
+    for array in (problem.mu, problem.sigma):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0.0
+    again = dataclasses.replace(problem, gamma=2.0)
+    assert again.gamma == 2.0 and again.mu.tolist() == [0.1, 0.2]
+    assert not np.shares_memory(again.mu, problem.mu)
 
 
 def test_mobius_hand_sums():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 import shallowboson.fock as fock
 import shallowboson.interferometer as interferometer
+import shallowboson.sampling as sampling
 import shallowboson.solver as solver
 from shallowboson.interferometer import (
     build_reck_slices, evolve, reck_input, schwinger_expectation,
@@ -257,11 +259,14 @@ def test_exact_read_out_is_one_chunked_loop(monkeypatch, depth):
 
 def test_refused_depth1_mesh_builds_no_energy_table():
     obj = ParityObjective(_toy_problem(21, seed=1), 20, 0, depth=1)
+    misses = solver._code_energies.cache_info().misses
     with pytest.raises(ValueError, match="refusing"):
         obj.value_batch(np.zeros((1, obj.num_parameters)))
     with pytest.raises(ValueError, match="refusing"):
+        obj.value(np.zeros(obj.num_parameters))
+    with pytest.raises(ValueError, match="refusing"):
         obj.shift_gradient(np.zeros(obj.num_parameters))
-    assert "_code_energies" not in vars(obj)
+    assert solver._code_energies.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("phases", [False, True])
@@ -309,6 +314,123 @@ def test_exact_depth1_stencil_memory_bound():
         tracemalloc.stop()
     assert again[0].tolist() == first[0].tolist() and again[1:] == first[1:]
     assert peak <= 16 * (n + 1) * 2 ** m  # the documented per-row budget
+
+
+def test_exact_depth1_value_then_stencil_memory_bound():
+    # the pass `value` keeps, and the stencil that reuses it, stay within
+    # the same per-row budget
+    m = n = 16
+    obj = ParityObjective(_toy_problem(m, seed=3), n, 0, 1)
+    angles = np.random.default_rng(67).uniform(0, 2 * np.pi,
+                                               obj.num_parameters)
+    obj.value(angles)  # fill the energy table and caches
+    first = obj.shift_gradient(angles)
+    tracemalloc.start()
+    try:
+        obj.value(angles)
+        again = obj.shift_gradient(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again[0].tolist() == first[0].tolist() and again[1:] == first[1:]
+    assert peak <= 16 * (n + 1) * 2 ** m
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("samples", [None, 40])
+def test_value_takes_one_parameter_vector(depth, samples):
+    # a 2-D array once gave row 0's energy but the best over both rows
+    obj = ParityObjective(_toy_problem(5, seed=18), 5, 0, depth, samples)
+    angles = np.linspace(0.2, 2.9, obj.num_parameters)
+    for bad in (np.vstack([angles, angles + 1.0]), angles[:-1],
+                np.append(angles, 0.0)):
+        with pytest.raises(ValueError) as value:
+            obj.value(bad, 0)
+        with pytest.raises(ValueError) as stencil:
+            obj.shift_gradient(bad, 0)
+        assert str(value.value) == str(stencil.value) == (
+            f"expected {obj.num_parameters} parameters, got shape "
+            f"{bad.shape}")
+
+
+def _recording_tables(monkeypatch):
+    """Angle counts of every `gate_outcome_table` call, and of every
+    forward sweep started."""
+    calls = {"angles": [], "forward": 0}
+    table, forward = sampling.gate_outcome_table, sampling._forward_masses
+
+    def tables(fresh, totals, thetas):
+        calls["angles"].append(len(thetas))
+        return table(fresh, totals, thetas)
+
+    def sweep(*args):
+        calls["forward"] += 1
+        return forward(*args)
+
+    monkeypatch.setattr(sampling, "gate_outcome_table", tables)
+    monkeypatch.setattr(sampling, "_forward_masses", sweep)
+    return calls
+
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_exact_depth1_stencil_reuses_the_pass_of_value(monkeypatch, phases):
+    rng = np.random.default_rng(71)
+    for m in (3, 6, 9):
+        for n, parity in itertools.product((m, m - 1), (0, 1)):
+            problem = _toy_problem(m, seed=m)
+            obj = ParityObjective(problem, n, parity, 1,
+                                  optimize_phases=phases)
+            angles = rng.uniform(0, 2 * np.pi, obj.num_parameters)
+            fresh = ParityObjective(problem, n, parity, 1,
+                                    optimize_phases=phases)
+            expected = fresh.shift_gradient(angles)
+            obj.value(angles)
+            calls = _recording_tables(monkeypatch)
+            got = obj.shift_gradient(angles.copy())
+            monkeypatch.undo()
+            assert got[0].tolist() == expected[0].tolist()
+            assert got[1:] == expected[1:]
+            # the shifted rows' tables only, and no forward sweep but the
+            # one pass of a phase row, which is the base row
+            assert sum(calls["angles"]) == (2 + phases) * obj.num_gates
+            assert calls["forward"] == phases
+            assert obj._base_pass is None  # used once, then dropped
+            again = obj.shift_gradient(angles)
+            assert again[0].tolist() == expected[0].tolist()
+
+
+def test_exact_depth1_stored_pass_is_keyed_by_the_angle_bytes():
+    problem = _toy_problem(7, seed=5)
+    obj = ParityObjective(problem, 6, 1, 1)
+    angles = np.random.default_rng(73).uniform(0, 2 * np.pi,
+                                               obj.num_parameters)
+    obj.value(angles)
+    angles[2] += 0.25  # in place: the same object, other bytes
+    got = obj.shift_gradient(angles)
+    expected = ParityObjective(problem, 6, 1, 1).shift_gradient(angles)
+    assert got[0].tolist() == expected[0].tolist()
+    assert got[1:] == expected[1:]
+    # another objective's pass is never read
+    other = ParityObjective(problem, 7, 1, 1)
+    obj.value(angles)
+    other.value(angles + 0.5)
+    assert obj.shift_gradient(angles)[0].tolist() == expected[0].tolist()
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_energy_table_is_built_once_per_problem(depth):
+    problem = _RecordingProblem(_toy_problem(4, seed=19))
+    config = SolverConfig(depth=depth, max_iterations=2, master_seed=4)
+    first = run_variational(problem, config)
+    assert len(first.learning_curves) == 4
+    assert [len(bits) for bits in problem.seen] == [2 ** 4]
+    again = run_variational(problem, config)
+    assert [len(bits) for bits in problem.seen] == [2 ** 4]
+    assert again.to_json() == first.to_json()
+    table = solver._code_energies(problem)
+    assert not table.flags.writeable
+    assert table.tolist() == problem.problem.energies(
+        codes_to_bits(np.arange(16), 4)).tolist()
 
 
 def test_one_bit_problem_is_refused_by_the_mesh_check():
@@ -571,6 +693,30 @@ def test_replay_determinism():
     again = run_variational(problem, SolverConfig(**json.loads(
         json.dumps(first.config))))
     assert first.to_json() == again.to_json()
+
+
+# SHA-256 of run_variational(QuboProblem(benchmark_qubo6()), config)
+# .to_json() for exact runs of (depth, master_seed, max_iterations): a change
+# to any exact read-out that moves a result by one bit fails here
+REPLAY_DIGESTS = {
+    (1, 0, 15): "efde0b031d7c55a0fdfbe2f54502de21"
+                "ce97f6d3987f017a8ddc399fe049f47d",
+    (1, 1, 15): "65f13e0f5af1e607df6ed1ee3224115"
+                "789460e63b1c0df5e835a7993460a0c60",
+    (1, 2, 15): "79041b0758c10f1455bc18ba6cdfeca7"
+                "8d662c261619d08d0d69fa2e3793d5f4",
+    (2, 0, 2): "47a205b498802edf829a75b3cfc3df76"
+               "cc17a3d1c90bb5157c3ace01020a0f9c",
+}
+
+
+@pytest.mark.parametrize("depth, seed, iterations", sorted(REPLAY_DIGESTS))
+def test_exact_qubo6_replays_byte_for_byte(depth, seed, iterations):
+    config = SolverConfig(depth=depth, master_seed=seed,
+                          max_iterations=iterations)
+    result = run_variational(QuboProblem(benchmark_qubo6()), config)
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == REPLAY_DIGESTS[depth, seed, iterations]
 
 
 def test_optimize_phases_expands_parameters():
