@@ -1,0 +1,43 @@
+"""Exact depth-1 descent on an 18-bit quadratic program, in seconds.
+
+The exact depth-1 objective never builds a Fock vector: its parity masses
+come from the carry-chain pass over the 2^18 bit-string codes, and each
+shift-rule stencil from that pass and one backward sweep.  The
+M = n = 18 photon sector it stands for holds C(35, 18) = 4.5e9 patterns,
+far beyond dense evolution.  The best bit string is checked against
+exhaustive search.  An optional argument caps the iterations per descent
+(default 20), e.g. `python 08_exact_depth1_large.py 2`.
+"""
+
+import sys
+import time
+
+import numpy as np
+
+from shallowboson import (
+    QuboProblem, SolverConfig, brute_force_min, run_variational,
+)
+
+M = 18
+iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 20
+q = np.random.default_rng(18).normal(size=(M, M))
+problem = QuboProblem((q + q.T) / 2)
+exhaustive, argmin, _ = brute_force_min(problem)
+print(f"M = {M} random QUBO: exhaustive minimum {exhaustive:+.4f} at "
+      f"{''.join(map(str, argmin))}")
+
+config = SolverConfig(depth=1, samples=None, eta=0.1,
+                      max_iterations=iterations, plateau_tolerance=1e-5,
+                      master_seed=0)
+start = time.perf_counter()
+result = run_variational(problem, config)
+elapsed = time.perf_counter() - start
+steps = sum(len(curve) for curve in result.learning_curves.values())
+assert result.e_min >= exhaustive - 1e-9, "undercut the exhaustive minimum"
+print(f"exact depth-1 solver best: {result.e_min:+.4f} at "
+      f"{''.join(map(str, result.b_min))} "
+      f"({'optimal' if result.e_min <= exhaustive + 1e-9 else 'approximate'})")
+print(f"  {steps} iterations over 4 descents in {elapsed:.1f} s, "
+      f"{elapsed / steps:.2f} s per iteration")
+for tag, curve in result.learning_curves.items():
+    print(f"  {tag}: objective {curve[0][1]:+.3f} -> {curve[-1][1]:+.3f}")

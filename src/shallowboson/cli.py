@@ -125,11 +125,12 @@ def _parse_matrix(p: Path) -> np.ndarray:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Standard JSON only: a NaN or infinity here is a failed computation."""
+    """Standard JSON only: a NaN or infinity here is a failed computation;
+    a numpy scalar is refused, never written as a string."""
     try:
-        path.write_text(json.dumps(doc, sort_keys=True, default=str,
-                                   allow_nan=False) + "\n")
-    except ValueError as exc:
+        path.write_text(json.dumps(doc, sort_keys=True, allow_nan=False)
+                        + "\n")
+    except (TypeError, ValueError) as exc:
         raise RuntimeError(f"refusing to write {path.name}: {exc}")
 
 

@@ -19,10 +19,10 @@ carried photon count), one pair of batched matmuls per gate, that never
 enumerates a Fock sector.  Its tables of every gate come from one
 `gate_outcome_table` call per distinct `fresh` photon count.
 `depth1_shift_masses` gives the masses of the 2(M-1) shift-rule rows of
-one angle vector from that forward pass of the base row and one backward
-sweep, gate by gate, never holding more than one gate's two rows; a
-caller that already ran the base row's pass (`_depth1_base_pass`) hands
-it to `_depth1_shift_from`, which runs the backward sweep alone.
+one angle vector from the base row's pass (`_depth1_base_pass`, that
+forward pass keeping the mass ahead of each gate), then one backward sweep
+(`_shift_sweep`) that builds the two shifted rows' tables and yields the
+rows gate by gate, never holding more than one gate's two rows.
 
 An explicit distribution is a pattern array with an aligned probability
 vector: a sector `basis.patterns` with `state.probabilities()` in
@@ -281,10 +281,11 @@ def _depth1_base_pass(circuit, thetas, parity: int):
     """`depth1_parity_masses` of one angle row, and the pass behind it.
 
     Returns the (1, 2^M) masses of `thetas` and the pass that
-    `_depth1_shift_from` reuses: each gate's (table, row index), and the
-    forward mass ahead of each gate, (1, 2^g, n+1) ahead of gate g, about
+    `_shift_sweep` reads: each gate's (table, row index), and the forward
+    mass ahead of each gate, (1, 2^g, n+1) ahead of gate g, about
     4 (n+1) 2^M bytes in all.  The masses are bit-identical to
-    `depth1_parity_masses` of the same row.
+    `depth1_parity_masses` of the same row.  Refuses the meshes
+    `depth1_parity_masses` refuses.
     """
     tables = _depth1_tables(circuit, [thetas], parity)
     sweep = _forward_masses(circuit, tables, 1)
@@ -302,44 +303,30 @@ def depth1_shift_masses(circuit, thetas, parity: int):
     table, so its masses contract the base row's forward mass ahead of
     gate g, gate g's shifted table split by its frozen bit, and
     after[s, u], the probability that the base row's later gates give the
-    bits above gate g the code s from carry u.  One forward sweep keeps
-    the mass ahead of every gate; one backward sweep folds gate g into
-    `after` once its rows are out.  Every gate writes its rows into one
-    (2, 2^M) buffer, which the next gate overwrites; the forward masses
-    and `after` hold at most 2^(M-1) (n+1) floats each.  The tables of the
-    base and both shifted rows come from one `gate_outcome_table` call
-    per fresh count.  Refuses the meshes `depth1_parity_masses` refuses,
-    at the call.
+    bits above gate g the code s from carry u.  The base row's pass
+    (`_depth1_base_pass`) keeps the mass ahead of every gate; one backward
+    sweep (`_shift_sweep`) folds gate g into `after` once its rows are
+    out.  Every gate writes its rows into one (2, 2^M) buffer, which the
+    next gate overwrites; the forward masses and `after` hold at most
+    2^(M-1) (n+1) floats each.  Refuses the meshes `depth1_parity_masses`
+    refuses, at the call.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    tables = _depth1_tables(
-        circuit, [thetas, thetas + np.pi / 2, thetas - np.pi / 2], parity)
-    base = [(table, codes[:1]) for table, codes in tables]
-    forward = itertools.islice(_forward_masses(circuit, base, 1), len(base))
-    return _shift_sweep(circuit, base, list(forward),
-                        [(table, codes[1:]) for table, codes in tables],
-                        parity)
+    return _shift_sweep(circuit, thetas, parity,
+                        _depth1_base_pass(circuit, thetas, parity)[1])
 
 
-def _depth1_shift_from(circuit, thetas, parity: int, base_pass):
-    """`depth1_shift_masses` of `thetas` from its `_depth1_base_pass`.
+def _shift_sweep(circuit, thetas, parity: int, base_pass):
+    """The backward sweep of `depth1_shift_masses` from `base_pass`, the
+    `_depth1_base_pass` of `thetas`, whose forward masses it consumes.
 
-    Builds only the tables of the two shifted rows, one
-    `gate_outcome_table` call per fresh count, and runs only the backward
-    sweep over the pass's forward masses, which it consumes.  A table row
-    does not depend on its batch, so the masses are bit-identical to
-    `depth1_shift_masses`.
+    Builds the tables of the two shifted rows, one `gate_outcome_table`
+    call per fresh count; a table row does not depend on its batch, so
+    each shifted row's table is bit-identical to its own pass's.
     """
+    base, forward = base_pass
     thetas = np.asarray(thetas, dtype=float)
     shifted = _depth1_tables(
         circuit, [thetas + np.pi / 2, thetas - np.pi / 2], parity)
-    return _shift_sweep(circuit, *base_pass, shifted, parity)
-
-
-def _shift_sweep(circuit, base, forward, shifted, parity: int):
-    """The backward sweep of `depth1_shift_masses` over the checked tables
-    of the base row and of its two shifted rows, and the base row's
-    forward masses ahead of each gate, which it consumes."""
     after = _top_bit(circuit.num_photons, parity)
     out = np.empty(2 << circuit.num_modes)
     for g in reversed(range(len(base))):

@@ -7,10 +7,10 @@ ever observed across every evaluation.  Objectives are exact or the mean
 of N_s fresh seeded bit strings per parameter vector; sampled depth 1
 chain-samples patterns, every other row reads the (2^M,) code masses of
 its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
-An exact depth-1 shift-rule stencil reads its rows gate by gate from one
-forward and one backward sweep of the base row, instead of one
-carry-chain pass per shifted row; `value` keeps the forward sweep it ran,
-so the stencil on the same angles runs only the backward one.  The
+An exact depth-1 shift-rule stencil reads its rows gate by gate from the
+base row's pass and one backward sweep, instead of one carry-chain pass
+per shifted row; `value` keeps its pass and masses for a stencil on the
+same angles, which then runs only the backward sweep.  The
 energy of every bit string is one declared cache per problem
 (`_code_energies`), read by every exact descent on it.
 """
@@ -29,9 +29,8 @@ import numpy as np
 from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
 from .parity import Bits, codes_to_bits, parity_bits, parity_codes
-from .sampling import (_depth1_base_pass, _depth1_shift_from,
-                       as_seed_sequence, chain_sample_depth1_batch,
-                       depth1_parity_masses, depth1_shift_masses,
+from .sampling import (_depth1_base_pass, _shift_sweep, as_seed_sequence,
+                       chain_sample_depth1_batch, depth1_parity_masses,
                        sample_patterns)
 
 _TWO_PI = 2.0 * np.pi
@@ -150,11 +149,12 @@ class ParityObjective:
     M = 20.  Its shift stencil stays within one such budget: it holds the
     base row's forward masses, one backward table and one gate's two rows
     of 2^M masses, about 8 (n+1) 2^M + 16 2^M bytes.  `value` keeps the
-    pass of its angles until the next call: at most the base row's gate
+    pass of its angles until the next call: the base row's masses, gate
     tables and forward masses, about 4 (n+1) 2^M bytes, keyed by the bytes
     of the angle vector.  A `shift_gradient` of the same angles reuses and
-    drops it; any other call computes its pass afresh.  Every exact read-out
-    takes its energies from `_code_energies`, one table per problem.
+    drops it; any other stencil runs the base row's pass afresh.  Every
+    exact read-out takes its energies from `_code_energies`, one table per
+    problem.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -182,10 +182,10 @@ class ParityObjective:
         angles = self._parameters(angles)
         self._base_pass = None
         if self.samples is None and self.depth == 1:
-            masses, base_pass = _depth1_base_pass(
-                self.circuit, angles[:self.num_gates], self.parity)
-            self._base_pass = angles.tobytes(), base_pass
-            energies, best_e, best_b = self._observed(*self._reduce(masses))
+            base = _depth1_base_pass(self.circuit, angles[:self.num_gates],
+                                     self.parity)
+            self._base_pass = angles.tobytes(), base
+            energies, best_e, best_b = self._observed(*self._reduce(base[0]))
         else:
             energies, best_e, best_b = self.value_batch(angles[None],
                                                         stream_seed)
@@ -232,10 +232,11 @@ class ParityObjective:
         Component k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 over 2p
         rows, row 2k shifting parameter k up and row 2k+1 down; the best is
         taken over all rows, the first row on ties.  Exact depth 1 reads
-        the rows gate by gate from `depth1_shift_masses`, a phase row
-        being the base row, and starts from the pass `value` kept when
-        its angles had the same bytes; every other stencil is one
-        `value_batch` call, and sampled rows draw from its child streams.
+        the rows gate by gate from the base row's pass (the one `value`
+        kept on the same angle bytes, else a fresh one) and its backward
+        sweep, as `depth1_shift_masses` does, a phase row being the base
+        row; every other stencil is one `value_batch` call, and sampled
+        rows draw from its child streams.
         """
         angles = self._parameters(angles)
         p = self.num_parameters
@@ -296,19 +297,17 @@ class ParityObjective:
         gates, thetas = self.num_gates, angles[:self.num_gates]
         energies = np.empty(2 * self.num_parameters)
         best = np.empty(len(energies), dtype=np.int64)
-        key, base_pass = self._base_pass or (None, None)
+        key, base = self._base_pass or (None, None)
         self._base_pass = None
-        if key == angles.tobytes():
-            rows = _depth1_shift_from(self.circuit, thetas, self.parity,
-                                      base_pass)
-        else:
-            rows = depth1_shift_masses(self.circuit, thetas, self.parity)
-        for g, masses in rows:
+        if key != angles.tobytes():
+            base = _depth1_base_pass(self.circuit, thetas, self.parity)
+        masses, base_pass = base
+        for g, shifted in _shift_sweep(self.circuit, thetas, self.parity,
+                                       base_pass):
             energies[2 * g:2 * g + 2], best[2 * g:2 * g + 2] = (
-                self._reduce(masses))
-        if self.optimize_phases:
-            energies[2 * gates:], best[2 * gates:] = self._reduce(
-                self._masses(angles[None]))
+                self._reduce(shifted))
+        if self.optimize_phases:  # every phase row is the base row
+            energies[2 * gates:], best[2 * gates:] = self._reduce(masses)
         return self._observed(energies, best)
 
     def _reduce(self, masses):

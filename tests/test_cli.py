@@ -604,6 +604,16 @@ def test_non_finite_result_is_a_computational_failure(tmp_path, capsys,
     assert not (out_dir / "mobius_result.json").exists()
 
 
+def test_json_without_a_json_type_is_refused(tmp_path):
+    # a stray numpy integer is a failure, never a JSON string
+    import shallowboson.cli as cli
+
+    path = tmp_path / "doc.json"
+    with pytest.raises(RuntimeError, match="refusing to write doc.json"):
+        cli._write_json(path, {"count": np.int64(3)})
+    assert not path.exists()
+
+
 def test_runtime_error_exits_1(tmp_path, capsys, monkeypatch):
     import shallowboson.cli as cli
 

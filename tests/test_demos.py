@@ -4,7 +4,7 @@ completion against the source tree.
 Each demo and each block runs in its own interpreter with `src` on
 PYTHONPATH, from a scratch working directory, and must exit 0.  Demos
 05-07 run solver descents and are left to the acceptance suite's
-end-to-end criteria.
+end-to-end criteria; demo 08 runs with two iterations per descent.
 """
 
 import os
@@ -17,11 +17,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST_DEMOS = sorted(
-    path.name for path in (ROOT / "demos").glob("0[1-4]_*.py"))
+    path.name for path in (ROOT / "demos").glob("0[1-48]_*.py"))
+DEMO_ARGS = {"08_exact_depth1_large.py": ["2"]}
 
 
 def test_fast_demos_are_found():
-    assert len(FAST_DEMOS) == 4
+    assert len(FAST_DEMOS) == 5
+    assert set(DEMO_ARGS) <= set(FAST_DEMOS)
 
 
 def _source_env() -> dict:
@@ -34,7 +36,8 @@ def _source_env() -> dict:
 @pytest.mark.parametrize("demo", FAST_DEMOS)
 def test_demo_runs(demo, tmp_path):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+        [sys.executable, str(ROOT / "demos" / demo),
+         *DEMO_ARGS.get(demo, [])], cwd=tmp_path,
         env=_source_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -17,6 +19,26 @@ def test_all_names_the_public_imports_once():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert set(sb.__all__) == imported
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the test extras (scipy, hypothesis) are installed where the tests
+    # run, so a stray import of one would pass every other test
+    root = Path(__file__).parents[1]
+    declared = re.search(r"^dependencies = \[(.*)\]$",
+                         (root / "pyproject.toml").read_text(), re.M)
+    assert re.findall(r'"(\w+)', declared.group(1)) == ["numpy"]
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted((root / "src" / "shallowboson").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}: {name}"
 
 
 def readme_removed_names():

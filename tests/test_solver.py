@@ -16,7 +16,8 @@ from shallowboson.interferometer import (
 )
 from shallowboson.parity import coarse_grain, codes_to_bits, parity_codes
 from shallowboson.problems import (
-    QuboProblem, benchmark_qubo6, run_portfolio, synthetic_portfolio,
+    MobiusProblem, QuboProblem, benchmark_qubo6, benchmark_qubo11,
+    run_portfolio, synthetic_portfolio,
 )
 from shallowboson.sampling import sample_patterns
 from shallowboson.solver import (
@@ -383,17 +384,22 @@ def test_exact_depth1_stencil_reuses_the_pass_of_value(monkeypatch, phases):
             angles = rng.uniform(0, 2 * np.pi, obj.num_parameters)
             fresh = ParityObjective(problem, n, parity, 1,
                                     optimize_phases=phases)
+            calls = _recording_tables(monkeypatch)
             expected = fresh.shift_gradient(angles)
+            monkeypatch.undo()
+            # a stencil with no kept pass runs the base row's pass first
+            assert sum(calls["angles"]) == 3 * obj.num_gates
+            assert calls["forward"] == 1
             obj.value(angles)
             calls = _recording_tables(monkeypatch)
             got = obj.shift_gradient(angles.copy())
             monkeypatch.undo()
             assert got[0].tolist() == expected[0].tolist()
             assert got[1:] == expected[1:]
-            # the shifted rows' tables only, and no forward sweep but the
-            # one pass of a phase row, which is the base row
-            assert sum(calls["angles"]) == (2 + phases) * obj.num_gates
-            assert calls["forward"] == phases
+            # the shifted rows' tables only, and no forward sweep: a phase
+            # row is the base row, whose masses `value` kept
+            assert sum(calls["angles"]) == 2 * obj.num_gates
+            assert calls["forward"] == 0
             assert obj._base_pass is None  # used once, then dropped
             again = obj.shift_gradient(angles)
             assert again[0].tolist() == expected[0].tolist()
@@ -717,6 +723,40 @@ def test_exact_qubo6_replays_byte_for_byte(depth, seed, iterations):
     result = run_variational(QuboProblem(benchmark_qubo6()), config)
     digest = hashlib.sha256(result.to_json().encode()).hexdigest()
     assert digest == REPLAY_DIGESTS[depth, seed, iterations]
+
+
+# The same pins for other runs, by name: (problem, SolverConfig arguments,
+# SHA-256 of the result JSON).  The exact 11-bit runs are the benchmark's
+# exact-qubo11 unit at seeds 0 and 1; the sampled runs go through the
+# chain sampler (depth 1) and the draws over code masses (depth 2).
+_QUBO11_UNIT = dict(depth=1, eta=0.15, max_iterations=1, plateau_window=1)
+REPLAY_RUNS = {
+    "exact-qubo11-seed0": (
+        lambda: QuboProblem(benchmark_qubo11()),
+        dict(_QUBO11_UNIT, master_seed=0),
+        "fd48a89efe21e77fc7e2baad1cb8ce06500fa20c35598892fe3c31a1a70cb36c"),
+    "exact-qubo11-seed1": (
+        lambda: QuboProblem(benchmark_qubo11()),
+        dict(_QUBO11_UNIT, master_seed=1),
+        "2dd275c3556dc9e96343c71cab629cf789183e7e6a42e372775c45b44f518dc2"),
+    "sampled-mobius10-depth1": (
+        lambda: MobiusProblem(10, 0.5, -0.2),
+        dict(depth=1, samples=150, eta=1.0, max_iterations=3,
+             plateau_window=3),
+        "38e3770985a8a72cd174ebfaf4ae3f6fb6497ecaa6a6afc9fa1580232c156d5a"),
+    "sampled-portfolio4-depth2": (
+        lambda: synthetic_portfolio(4, 0),
+        dict(depth=2, samples=300, eta=4.0, max_iterations=3,
+             plateau_window=3),
+        "93d2e5867e7fceb8c679c1af7f217e3cd2e9e2ada4e935d95562367e7ef3f0c7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+def test_runs_replay_byte_for_byte(name):
+    problem, kwargs, expected = REPLAY_RUNS[name]
+    result = run_variational(problem(), SolverConfig(**kwargs))
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == expected
 
 
 def test_optimize_phases_expands_parameters():
