@@ -258,8 +258,9 @@ def parity_distinctness_check(num_modes: int) -> bool:
     return len(images) == 2 ** (m - 1)
 
 
-# entries of one (sets x pieces) candidate matrix: bounds the temporaries
-# of count_boolean_sublattices whatever the lattice size
+# rows of each bottom block's dominance table, of each candidate chunk and
+# of each vertex_index call of count_boolean_sublattices: bounds its
+# temporaries whatever the lattice size
 _CANDIDATES = 1 << 14
 
 
@@ -274,33 +275,142 @@ def count_boolean_sublattices(lattice: YoungLattice, k: int,
     unit_boxes=True the box sets are restricted to single boxes, which is
     the plain remove-k-boxes counting.
 
-    For each bottom vertex one array comparison against all vertices
-    gives the candidate pieces (differences to the vertices above it) and
-    their column supports as packed bitmasks.  Sets of pieces, taken in
-    increasing piece order so that each is found once, grow one order at
-    a time over a (sets x pieces) candidate matrix: a piece joins a set
-    if its support is disjoint from the set's and every new subset sum is
-    a vertex.  Membership is exact for any vertex set and any width: each
-    sum is looked up with :meth:`YoungLattice.vertex_index`.  No sum is
+    Bottoms are taken in blocks of about _CANDIDATES / len(vertices) rows;
+    one dominance comparison of a block against all vertices gives every
+    (bottom, piece) pair, a piece being the difference to a vertex above
+    the bottom.  The pieces of a bottom are grouped by their packed column
+    support, and only group pairs of one bottom with disjoint supports are
+    expanded into piece pairs, so no candidate with overlapping supports is
+    ever built; a pair is valid if bottom + p + q is a vertex.  For k >= 3
+    the valid pairs of the block are kept as a CSR list per piece, and a
+    set of pieces (in increasing group order, so each is found once) grows
+    only along the valid pairs of its last piece, keeping a new piece if
+    its support is disjoint from the set's and every new subset sum is a
+    vertex.  Membership is exact for any vertex set and any width: each sum
+    is looked up with :meth:`YoungLattice.vertex_index`, and no sum is
     skipped on the strength of join-closure, which a hand-built vertex set
-    may lack.  Sets are extended in chunks, depth first, so that each
-    candidate matrix holds about _CANDIDATES entries.
+    may lack.  Every temporary (dominance table, candidate chunk, grown
+    subset sums) holds at most about _CANDIDATES rows; the CSR list holds
+    the valid pairs of one block.
     """
     if k < 1:
         raise ValueError(f"Boolean order must be >= 1, got {k}")
     vertices = lattice.vertices
     if len(vertices) < 2:
         return 0  # no vertex lies above another
+    sizes = vertices.sum(axis=1)
+    rows = max(1, _CANDIDATES // len(vertices))
     total = 0
-    for bottom in vertices:
-        delta = vertices - bottom
-        size = delta.sum(axis=1)
-        keep = (delta >= 0).all(axis=1) & (
-            size == 1 if unit_boxes else size > 0)
-        pieces = delta[keep]
-        if len(pieces) >= k:
-            total += _count_piece_sets(lattice, bottom, pieces, k)
+    for lo in range(0, len(vertices), rows):
+        bottoms = vertices[lo:lo + rows]
+        # (bottom, vertex) dominance, one column at a time
+        above = np.ones((len(bottoms), len(vertices)), dtype=bool)
+        for column, low in zip(vertices.T, bottoms.T):
+            above &= column >= low[:, None]
+        gap = sizes - sizes[lo:lo + rows, None]
+        above &= gap == 1 if unit_boxes else gap > 0
+        below, tops = np.nonzero(above)
+        if k == 1:
+            total += len(below)
+        elif len(below):
+            total += _count_block(lattice, bottoms, below, tops, k)
     return total
+
+
+def _spans(sizes: np.ndarray, budget: int):
+    """(task, offset) for every offset < sizes[task], in task order, at
+    most `budget` pairs at a time."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    budget = max(1, budget)
+    for lo in range(0, total, budget):
+        flat = np.arange(lo, min(lo + budget, total))
+        task = np.searchsorted(ends, flat, side="right")
+        yield task, flat - (ends[task] - sizes[task])
+
+
+def _count_block(lattice: YoungLattice, bottoms: np.ndarray,
+                 below: np.ndarray, tops: np.ndarray, k: int) -> int:
+    """B_k sets over one block of bottoms; piece i is vertex tops[i] minus
+    bottom below[i]."""
+    vertices = lattice.vertices
+    pieces = np.take(vertices, tops, axis=0)
+    pieces -= np.take(bottoms, below, axis=0)
+    support = np.packbits(pieces > 0, axis=1)
+    # sort by (bottom, support): a group is a run of equal supports
+    order = np.lexsort((*support.T[::-1], below))
+    below, tops = below[order], tops[order]
+    pieces = np.take(pieces, order, axis=0)
+    support = np.take(support, order, axis=0)
+    first = np.ones(len(below), dtype=bool)
+    first[1:] = (below[1:] != below[:-1]) | (
+        support[1:] != support[:-1]).any(axis=1)
+    start = np.flatnonzero(first)
+    count = np.diff(start, append=len(below))
+    # one past the last group of each group's bottom
+    end = np.searchsorted(below[start], below[start], side="right")
+    found, pairs = 0, []
+    for g1, off in _spans(end - np.arange(len(start)) - 1, _CANDIDATES):
+        g2 = g1 + 1 + off
+        apart = ~(support[start[g1]] & support[start[g2]]).any(axis=1)
+        g1, g2 = g1[apart], g2[apart]
+        for t, off in _spans(count[g1] * count[g2], _CANDIDATES):
+            p = start[g1[t]] + off // count[g2[t]]
+            q = start[g2[t]] + off % count[g2[t]]
+            sums = np.take(vertices, tops[p], axis=0)
+            sums += np.take(pieces, q, axis=0)
+            ok = lattice.vertex_index(sums) >= 0
+            if k == 2:
+                found += int(np.count_nonzero(ok))
+            else:
+                pairs.append((p[ok], q[ok]))
+    if k == 2 or not pairs:
+        return found
+    # valid pairs as CSR rows: the later pieces q of each piece p
+    p, q = (np.concatenate(side) for side in zip(*pairs))
+    order = np.argsort(p, kind="stable")
+    p, q = p[order], q[order]
+    ptr = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=len(pieces)), out=ptr[1:])
+    block = (lattice, pieces, support, ptr, q)
+    chunk = max(1, _CANDIDATES >> 2)
+    for lo in range(0, len(p), chunk):
+        a, b = p[lo:lo + chunk], q[lo:lo + chunk]
+        # subset sums in bit order: bottom, + a, + b, + a + b
+        sums = np.empty((len(a), 4, pieces.shape[1]), dtype=np.int64)
+        sums[:, 1] = np.take(vertices, tops[a], axis=0)
+        sums[:, 2] = np.take(vertices, tops[b], axis=0)
+        np.subtract(sums[:, 1], np.take(pieces, a, axis=0), out=sums[:, 0])
+        np.add(sums[:, 1], np.take(pieces, b, axis=0), out=sums[:, 3])
+        found += _grow(block, sums, b, support[a] | support[b], k - 2)
+    return found
+
+
+def _grow(block, sums: np.ndarray, last: np.ndarray, used: np.ndarray,
+          left: int) -> int:
+    """Ways to add `left` more pieces to each set, given its (2^j, width)
+    subset sums, its last piece and its packed support, along the CSR
+    list of valid pairs of the last piece."""
+    lattice, pieces, support, ptr, later = block
+    width = sums.shape[2]
+    found = 0
+    for s, off in _spans(ptr[last + 1] - ptr[last],
+                         _CANDIDATES // sums.shape[1]):
+        new = later[ptr[last[s]] + off]
+        apart = ~(used[s] & support[new]).any(axis=1)
+        s, new = s[apart], new[apart]
+        grown = np.take(sums, s, axis=0)
+        grown += np.take(pieces, new, axis=0)[:, None, :]
+        ok = (lattice.vertex_index(grown.reshape(-1, width)) >= 0).reshape(
+            grown.shape[:2]).all(axis=1)
+        if left == 1:
+            found += int(np.count_nonzero(ok))
+        elif ok.any():
+            s, new = s[ok], new[ok]
+            sets = np.concatenate([np.take(sums, s, axis=0), grown[ok]],
+                                  axis=1)
+            found += _grow(block, sets, new, used[s] | support[new], left - 1)
+    return found
 
 
 def _records(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -315,40 +425,6 @@ def _records(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
     if not rows.shape[1]:  # zero-width rows have no bytes to view
         return np.zeros(len(rows), dtype=record)
     return rows.view(record).reshape(len(rows))
-
-
-def _count_piece_sets(lattice: YoungLattice, bottom: np.ndarray,
-                      pieces: np.ndarray, k: int) -> int:
-    """k-sets of pieces with disjoint supports and all subset sums vertices.
-
-    A partial set is the (2^j, width) array of its subset sums (bottom
-    first), its last piece index and its packed support; sets are kept in
-    chunks on an explicit stack.
-    """
-    count, width = 0, pieces.shape[1]
-    support = np.packbits(pieces > 0, axis=1)
-    order = np.arange(len(pieces))
-    chunk = max(1, _CANDIDATES // len(pieces))
-    stack = [(bottom[None, None, :], np.array([-1]),
-              np.zeros((1, support.shape[1]), dtype=np.uint8))]
-    while stack:
-        sums, last, used = stack.pop()
-        candidate = order > last[:, None]
-        candidate &= ~(used[:, None, :] & support).any(axis=2)
-        sets, new = np.nonzero(candidate)
-        grown = sums[sets] + pieces[new][:, None, :]
-        found = lattice.vertex_index(grown.reshape(-1, width))
-        ok = (found >= 0).reshape(grown.shape[:2]).all(axis=1)
-        if sums.shape[1] << 1 == 1 << k:  # the grown sets have k pieces
-            count += int(np.count_nonzero(ok))
-            continue
-        sets, new = sets[ok], new[ok]
-        sums = np.concatenate([sums[sets], grown[ok]], axis=1)
-        used = used[sets] | support[new]
-        for lo in range(0, len(new), chunk):
-            stack.append((sums[lo:lo + chunk], new[lo:lo + chunk],
-                          used[lo:lo + chunk]))
-    return count
 
 
 @dataclass

@@ -2,11 +2,13 @@ from itertools import combinations
 from math import comb
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shallowboson import young
 from shallowboson.dyck import catalan_dyck_spec, catalan_number, dyck_count
 from shallowboson.fock import enumerate_basis
 from shallowboson.young import (
@@ -340,6 +342,34 @@ def test_boolean_count_equals_recursive_oracle(mu, k, unit_boxes):
     lattice = young_lattice(mu)
     assert count_boolean_sublattices(lattice, k, unit_boxes) == (
         recursive_boolean_count(lattice, k, unit_boxes))
+
+
+@pytest.mark.parametrize("budget", [1, 3, young._CANDIDATES])
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(young_bounds(), st.integers(1, 4), st.booleans())
+def test_boolean_count_does_not_depend_on_the_budget(budget, mu, k,
+                                                     unit_boxes):
+    # the budget sizes the bottom blocks and every candidate chunk; a
+    # budget of 1 takes one bottom and one candidate at a time
+    lattice = young_lattice(mu)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(young, "_CANDIDATES", budget)
+        got = count_boolean_sublattices(lattice, k, unit_boxes)
+    assert got == recursive_boolean_count(lattice, k, unit_boxes)
+
+
+def test_boolean_count_memory_bound_and_larger_lattices():
+    # counts as the earlier per-bottom counter gave them
+    lattice = catalan_lattice(7, 7, 1)
+    tracemalloc.start()
+    try:
+        b3 = count_boolean_sublattices(lattice, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b3 == 113_624
+    assert peak <= 8_000_000
+    assert count_boolean_sublattices(catalan_lattice(7, 7, 2), 2) == 568_217
 
 
 @pytest.mark.parametrize("unit_boxes", [False, True])
