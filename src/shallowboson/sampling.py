@@ -18,11 +18,11 @@ distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
 carried photon count), one pair of batched matmuls per gate, that never
 enumerates a Fock sector.  Its tables of every gate come from one
 `gate_outcome_table` call per distinct `fresh` photon count.
-`depth1_shift_masses` gives the masses of the 2(M-1) shift-rule rows of
-one angle vector from the base row's pass (`_depth1_base_pass`, that
-forward pass keeping the mass ahead of each gate), then one backward sweep
-(`_shift_sweep`) that builds the two shifted rows' tables and yields the
-rows gate by gate, never holding more than one gate's two rows.
+`depth1_shift_masses`, the one entry point of the shift-rule stencil,
+runs that pass on one angle vector, keeping the mass ahead of each gate,
+and returns its masses with an iterator over the 2(M-1) shifted rows:
+one backward sweep that builds the two shifted rows' tables and yields
+the rows gate by gate, never holding more than one gate's two rows.
 
 An explicit distribution is a pattern array with an aligned probability
 vector: a sector `basis.patterns` with `state.probabilities()` in
@@ -277,53 +277,39 @@ def _read_out(circuit, mass, parity: int) -> np.ndarray:
     return out.reshape(rows, 1 << circuit.num_modes)
 
 
-def _depth1_base_pass(circuit, thetas, parity: int):
-    """`depth1_parity_masses` of one angle row, and the pass behind it.
+def depth1_shift_masses(circuit, thetas, parity: int):
+    """Exact parity masses of one depth-1 row and of its shift stencil.
 
-    Returns the (1, 2^M) masses of `thetas` and the pass that
-    `_shift_sweep` reads: each gate's (table, row index), and the forward
-    mass ahead of each gate, (1, 2^g, n+1) ahead of gate g, about
-    4 (n+1) 2^M bytes in all.  The masses are bit-identical to
-    `depth1_parity_masses` of the same row.  Refuses the meshes
-    `depth1_parity_masses` refuses.
+    Returns the (1, 2^M) `depth1_parity_masses` of `thetas`, bit for bit,
+    and an iterator of (g, masses) over the gates g = M-2, ..., 0:
+    masses[0] is the row of `thetas` with angle g raised by pi/2,
+    masses[1] with it lowered by pi/2, up to summation order.  A shifted
+    row differs from the base row only in gate g's table, so its masses
+    contract the base row's forward mass ahead of gate g, gate g's
+    shifted table split by its frozen bit, and after[s, u], the
+    probability that the base row's later gates give the bits above gate
+    g the code s from carry u.  The base row's pass runs at the call and
+    keeps its tables and the mass ahead of every gate; the iterator's
+    backward sweep folds gate g into `after` once its rows are out, and
+    writes every gate's rows into one (2, 2^M) buffer that the next gate
+    overwrites.  The forward masses (4 (n+1) 2^M bytes in all) and `after`
+    hold at most 2^(M-1) (n+1) floats each.  Refuses the meshes
+    `depth1_parity_masses` refuses, at the call.
     """
     tables = _depth1_tables(circuit, [thetas], parity)
     sweep = _forward_masses(circuit, tables, 1)
     forward = list(itertools.islice(sweep, len(tables)))
-    return _read_out(circuit, next(sweep), parity), (tables, forward)
+    return (_read_out(circuit, next(sweep), parity),
+            _shift_sweep(circuit, thetas, parity, tables, forward))
 
 
-def depth1_shift_masses(circuit, thetas, parity: int):
-    """Exact parity masses of the shift-rule stencil of one depth-1 row.
-
-    Returns an iterator of (g, masses) over the gates g = M-2, ..., 0:
-    masses[0] is the `depth1_parity_masses` row of `thetas` with angle g
-    raised by pi/2, masses[1] with it lowered by pi/2, up to summation
-    order.  A shifted row differs from the base row only in gate g's
-    table, so its masses contract the base row's forward mass ahead of
-    gate g, gate g's shifted table split by its frozen bit, and
-    after[s, u], the probability that the base row's later gates give the
-    bits above gate g the code s from carry u.  The base row's pass
-    (`_depth1_base_pass`) keeps the mass ahead of every gate; one backward
-    sweep (`_shift_sweep`) folds gate g into `after` once its rows are
-    out.  Every gate writes its rows into one (2, 2^M) buffer, which the
-    next gate overwrites; the forward masses and `after` hold at most
-    2^(M-1) (n+1) floats each.  Refuses the meshes `depth1_parity_masses`
-    refuses, at the call.
+def _shift_sweep(circuit, thetas, parity: int, base, forward):
+    """The backward sweep of `depth1_shift_masses` over the gate tables
+    `base` of `thetas` and the masses `forward` ahead of each gate, which
+    it consumes.  Builds the two shifted rows' tables at its first step,
+    one `gate_outcome_table` call per fresh count; a table row does not
+    depend on its batch, so each is bit-identical to its own pass's.
     """
-    return _shift_sweep(circuit, thetas, parity,
-                        _depth1_base_pass(circuit, thetas, parity)[1])
-
-
-def _shift_sweep(circuit, thetas, parity: int, base_pass):
-    """The backward sweep of `depth1_shift_masses` from `base_pass`, the
-    `_depth1_base_pass` of `thetas`, whose forward masses it consumes.
-
-    Builds the tables of the two shifted rows, one `gate_outcome_table`
-    call per fresh count; a table row does not depend on its batch, so
-    each shifted row's table is bit-identical to its own pass's.
-    """
-    base, forward = base_pass
     thetas = np.asarray(thetas, dtype=float)
     shifted = _depth1_tables(
         circuit, [thetas + np.pi / 2, thetas - np.pi / 2], parity)

@@ -8,11 +8,12 @@ of N_s fresh seeded bit strings per parameter vector; sampled depth 1
 chain-samples patterns, every other row reads the (2^M,) code masses of
 its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
 An exact depth-1 shift-rule stencil reads its rows gate by gate from the
-base row's pass and one backward sweep, instead of one carry-chain pass
-per shifted row; `value` keeps its pass and masses for a stencil on the
-same angles, which then runs only the backward sweep.  The
-energy of every bit string is one declared cache per problem
-(`_code_energies`), read by every exact descent on it.
+base row's pass and one backward sweep (`depth1_shift_masses`), not one
+pass per shifted row; `value` keeps the stencil of its angles for a
+`shift_gradient` on the same angles, which then runs only the backward
+sweep.  Phase parameters need depth >= 2.  The energy of every bit
+string is one declared cache per problem (`_code_energies`), read by
+every exact descent on it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
 from .parity import Bits, codes_to_bits, parity_bits, parity_codes
-from .sampling import (_depth1_base_pass, _shift_sweep, as_seed_sequence,
-                       chain_sample_depth1_batch, depth1_parity_masses,
+from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
+                       depth1_parity_masses, depth1_shift_masses,
                        sample_patterns)
 
 _TWO_PI = 2.0 * np.pi
@@ -43,6 +44,12 @@ _CODE_CHUNK = 1 << 16
 
 # accepted types per annotated field type; a bool is neither int nor float
 _KINDS = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _check_phases(depth: int, optimize_phases: bool) -> None:
+    """One slice commutes its phases past the detectors."""
+    if optimize_phases and depth == 1:
+        raise ValueError("optimize_phases needs depth >= 2, got depth=1")
 
 
 @dataclass
@@ -82,9 +89,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.eta <= 0:
             raise ValueError(f"learning rate must be > 0, got {self.eta}")
-        if self.optimize_phases and self.depth == 1:
-            # one slice commutes its phases past the detectors
-            raise ValueError("optimize_phases needs depth >= 2, got depth=1")
+        _check_phases(self.depth, self.optimize_phases)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,8 +139,8 @@ class ParityObjective:
 
     Wraps the mesh of the requested depth with its one-photon-per-mode
     input, and owns the parameter vector: gate angles, then one phase per
-    gate with optimize_phases.  Phases reach only the dense engine of
-    depth >= 2; one slice commutes them past the detectors.  Exact mode
+    gate with optimize_phases, refused at depth 1 as `SolverConfig` does:
+    one slice commutes its phases past the detectors.  Exact mode
     reduces each row's masses over all 2^M parity bit strings against the
     energy of every bit string: the carry-chain pass at depth 1, the dense
     state coarse-grained at depth >= 2.  Sampled mode draws N_s bit
@@ -149,10 +154,11 @@ class ParityObjective:
     M = 20.  Its shift stencil stays within one such budget: it holds the
     base row's forward masses, one backward table and one gate's two rows
     of 2^M masses, about 8 (n+1) 2^M + 16 2^M bytes.  `value` keeps the
-    pass of its angles until the next call: the base row's masses, gate
-    tables and forward masses, about 4 (n+1) 2^M bytes, keyed by the bytes
-    of the angle vector.  A `shift_gradient` of the same angles reuses and
-    drops it; any other stencil runs the base row's pass afresh.  Every
+    unstarted `depth1_shift_masses` stencil of its angles until the next
+    call, keyed by the bytes of the angle vector: the base row's gate
+    tables and forward masses, about 4 (n+1) 2^M bytes.  A
+    `shift_gradient` of the same angles runs its backward sweep and drops
+    it; any other stencil runs the base row's pass afresh.  Every
     exact read-out takes its energies from `_code_energies`, one table per
     problem.
     """
@@ -160,6 +166,7 @@ class ParityObjective:
     def __init__(self, problem, num_photons: int, parity: int,
                  depth: int, samples: int | None = None,
                  optimize_phases: bool = False):
+        _check_phases(depth, optimize_phases)
         self.problem = problem
         self.num_modes = problem.num_bits
         self.num_photons = num_photons
@@ -171,21 +178,21 @@ class ParityObjective:
             self.num_modes, depth, reck_input(self.num_modes, num_photons))
         self.num_gates = len(self.circuit.gates)
         self.num_parameters = (2 if optimize_phases else 1) * self.num_gates
-        self._base_pass = None  # (angle bytes, pass) of the last value
+        self._stencil = None  # (angle bytes, stencil) of the last value
 
     def value(self, angles, stream_seed=None):
         """Objective value plus the best observed (energy, bit string).
 
-        Takes one (p,) parameter vector.  Exact depth 1 keeps the pass it
-        ran for a `shift_gradient` of the same angles.
+        Takes one (p,) parameter vector.  Exact depth 1 keeps the stencil
+        of its pass for a `shift_gradient` of the same angles.
         """
         angles = self._parameters(angles)
-        self._base_pass = None
+        self._stencil = None
         if self.samples is None and self.depth == 1:
-            base = _depth1_base_pass(self.circuit, angles[:self.num_gates],
-                                     self.parity)
-            self._base_pass = angles.tobytes(), base
-            energies, best_e, best_b = self._observed(*self._reduce(base[0]))
+            masses, stencil = depth1_shift_masses(self.circuit, angles,
+                                                  self.parity)
+            self._stencil = angles.tobytes(), stencil
+            energies, best_e, best_b = self._observed(*self._reduce(masses))
         else:
             energies, best_e, best_b = self.value_batch(angles[None],
                                                         stream_seed)
@@ -205,12 +212,14 @@ class ParityObjective:
             raise ValueError(
                 f"expected rows of {self.num_parameters} parameters"
             )
+        if not len(rows):
+            raise ValueError(f"need at least one row, got {len(rows)}")
         if self.samples is None:
             return self._exact_batch(rows)
         n_s, m = self.samples, self.num_modes
         if self.depth == 1:
             flat = parity_bits(chain_sample_depth1_batch(
-                self.circuit, self._split(rows)[0], n_s, stream_seed),
+                self.circuit, rows, n_s, stream_seed),
                 self.parity).reshape(-1, m)
         else:
             bits = codes_to_bits(np.arange(1 << m), m).astype(np.uint16)
@@ -232,11 +241,10 @@ class ParityObjective:
         Component k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 over 2p
         rows, row 2k shifting parameter k up and row 2k+1 down; the best is
         taken over all rows, the first row on ties.  Exact depth 1 reads
-        the rows gate by gate from the base row's pass (the one `value`
-        kept on the same angle bytes, else a fresh one) and its backward
-        sweep, as `depth1_shift_masses` does, a phase row being the base
-        row; every other stencil is one `value_batch` call, and sampled
-        rows draw from its child streams.
+        the rows gate by gate from the `depth1_shift_masses` stencil that
+        `value` kept on the same angle bytes, else from a fresh one; every
+        other stencil is one `value_batch` call, and sampled rows draw
+        from its child streams.
         """
         angles = self._parameters(angles)
         p = self.num_parameters
@@ -256,19 +264,15 @@ class ParityObjective:
                              f"got shape {angles.shape}")
         return angles
 
-    def _split(self, rows):
-        """Theta rows, and phase rows with optimize_phases (else None)."""
-        phases = rows[:, self.num_gates:] if self.optimize_phases else None
-        return rows[:, :self.num_gates], phases
-
     def _masses(self, rows) -> np.ndarray:
         """(R, 2^M) parity masses of the rows, indexed by code."""
-        thetas, phases = self._split(rows)
         if self.depth == 1:
-            return depth1_parity_masses(self.circuit, thetas, self.parity)
+            return depth1_parity_masses(self.circuit, rows, self.parity)
+        g = self.num_gates
+        phases = rows[:, g:] if self.optimize_phases else None
         masses = np.empty((len(rows), 1 << self.num_modes))
         codes = _sector_codes(self.num_modes, self.num_photons, self.parity)
-        for r, state in evolve_batch(self.circuit, thetas, phases):
+        for r, state in evolve_batch(self.circuit, rows[:, :g], phases):
             masses[r] = np.bincount(codes, weights=state.probabilities(),
                                     minlength=1 << self.num_modes)
         return masses
@@ -294,20 +298,15 @@ class ParityObjective:
     def _exact_stencil(self, angles):
         """`_exact_batch` of the depth-1 shift stencil of `angles`, one
         gate's two rows of masses at a time."""
-        gates, thetas = self.num_gates, angles[:self.num_gates]
         energies = np.empty(2 * self.num_parameters)
         best = np.empty(len(energies), dtype=np.int64)
-        key, base = self._base_pass or (None, None)
-        self._base_pass = None
+        key, stencil = self._stencil or (None, None)
+        self._stencil = None
         if key != angles.tobytes():
-            base = _depth1_base_pass(self.circuit, thetas, self.parity)
-        masses, base_pass = base
-        for g, shifted in _shift_sweep(self.circuit, thetas, self.parity,
-                                       base_pass):
+            stencil = depth1_shift_masses(self.circuit, angles, self.parity)[1]
+        for g, shifted in stencil:
             energies[2 * g:2 * g + 2], best[2 * g:2 * g + 2] = (
                 self._reduce(shifted))
-        if self.optimize_phases:  # every phase row is the base row
-            energies[2 * gates:], best[2 * gates:] = self._reduce(masses)
         return self._observed(energies, best)
 
     def _reduce(self, masses):

@@ -110,3 +110,18 @@ def test_declared_caches_hand_out_read_only_arrays():
         assert arrays, name
         for array in arrays:
             assert not array.flags.writeable, name
+
+
+def test_solver_imports_only_public_sampling_names():
+    # the exact depth-1 stencil has one entry point, the public
+    # `depth1_shift_masses`; the solver reaches no private sampling name
+    path = Path(__file__).parents[1] / "src" / "shallowboson" / "solver.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "sampling":
+                imported += [alias.name for alias in node.names]
+            elif node.module is None:  # `from . import sampling`
+                assert "sampling" not in [a.name for a in node.names]
+    assert "depth1_shift_masses" in imported
+    assert [name for name in imported if name.startswith("_")] == []

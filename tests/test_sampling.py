@@ -442,8 +442,12 @@ def test_depth1_shift_masses_match_the_shifted_rows():
         rows = thetas + np.kron(np.eye(m - 1), [[np.pi / 2], [-np.pi / 2]])
         for parity in (0, 1):
             shifted = depth1_parity_masses(circ, rows, parity)
+            base, stencil = depth1_shift_masses(circ, thetas, parity)
+            # the base row's masses, bit for bit
+            assert np.array_equal(
+                base, depth1_parity_masses(circ, thetas[None], parity))
             gates, first = [], None
-            for g, masses in depth1_shift_masses(circ, thetas, parity):
+            for g, masses in stencil:
                 gates.append(g)
                 assert masses.shape == (2, 2 ** m)
                 assert np.abs(masses - shifted[2 * g:2 * g + 2]).max() < 1e-14
@@ -463,13 +467,13 @@ def test_depth1_shift_masses_build_the_base_then_the_shifted_tables(
         return original(fresh, totals, thetas)
 
     monkeypatch.setattr(sampling, "gate_outcome_table", recording)
-    rows = depth1_shift_masses(build_reck_slices(5, 1), np.full(4, 0.8), 0)
+    rows = depth1_shift_masses(build_reck_slices(5, 1), np.full(4, 0.8), 0)[1]
     assert calls == [(1, 4)]  # the base row's pass, at the call
     list(rows)
     assert calls == [(1, 4), (1, 8)]  # raised and lowered angles of 4 gates
     calls.clear()
     list(depth1_shift_masses(build_reck_slices(4, 1, (1, 0, 1, 1)),
-                             np.full(3, 0.8), 0))
+                             np.full(3, 0.8), 0)[1])
     # one call per distinct fresh count, for the base row, then the shifts
     assert calls == [(0, 1), (1, 2), (0, 2), (1, 4)]
 

@@ -270,7 +270,8 @@ def test_refused_depth1_mesh_builds_no_energy_table():
     assert solver._code_energies.cache_info().misses == misses
 
 
-@pytest.mark.parametrize("phases", [False, True])
+# optimize_phases=True is refused at depth 1 (test_depth1_phases_are_refused)
+@pytest.mark.parametrize("phases", [False])
 def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
     reduced = []
     original = ParityObjective._reduce
@@ -290,15 +291,12 @@ def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
             rows = angles + np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
             shifted = obj._masses(rows)
             reduced.clear()
-            grad = obj.shift_gradient(angles)[0]
-            # gate by gate, the last gate first, then the base row once
-            assert len(reduced) == gates + phases
+            obj.shift_gradient(angles)
+            # gate by gate, the last gate first
+            assert len(reduced) == gates
             for masses, g in zip(reduced, range(gates - 1, -1, -1)):
                 assert masses.shape == (2, 2 ** m)
                 assert np.abs(masses - shifted[2 * g:2 * g + 2]).max() < 1e-14
-            if phases:
-                assert np.array_equal(reduced[-1], shifted[2 * gates:][:1])
-                assert grad[gates:].tolist() == [0.0] * gates
 
 
 def test_exact_depth1_stencil_memory_bound():
@@ -373,7 +371,8 @@ def _recording_tables(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("phases", [False, True])
+# optimize_phases=True is refused at depth 1 (test_depth1_phases_are_refused)
+@pytest.mark.parametrize("phases", [False])
 def test_exact_depth1_stencil_reuses_the_pass_of_value(monkeypatch, phases):
     rng = np.random.default_rng(71)
     for m in (3, 6, 9):
@@ -396,11 +395,11 @@ def test_exact_depth1_stencil_reuses_the_pass_of_value(monkeypatch, phases):
             monkeypatch.undo()
             assert got[0].tolist() == expected[0].tolist()
             assert got[1:] == expected[1:]
-            # the shifted rows' tables only, and no forward sweep: a phase
-            # row is the base row, whose masses `value` kept
+            # the shifted rows' tables only, and no forward sweep: the
+            # stencil `value` kept runs only its backward sweep
             assert sum(calls["angles"]) == 2 * obj.num_gates
             assert calls["forward"] == 0
-            assert obj._base_pass is None  # used once, then dropped
+            assert obj._stencil is None  # used once, then dropped
             again = obj.shift_gradient(angles)
             assert again[0].tolist() == expected[0].tolist()
 
@@ -534,7 +533,7 @@ def test_shift_rule_zero_for_decoupled_parameter():
     assert grad == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("depth,phases", [(1, False), (1, True), (2, True)])
+@pytest.mark.parametrize("depth,phases", [(1, False), (2, True)])
 def test_shift_gradient_is_the_two_point_difference(depth, phases):
     obj = ParityObjective(_toy_problem(5, seed=15), 5, 0, depth,
                           optimize_phases=phases)
@@ -561,19 +560,28 @@ def test_shift_gradient_is_the_two_point_difference(depth, phases):
 
 
 @pytest.mark.parametrize("samples", [None, 24])
-def test_depth1_phases_cannot_change_a_value(samples):
-    # one slice commutes its phases past the detectors
-    obj = ParityObjective(_toy_problem(5, seed=16), 4, 1, 1, samples,
-                          optimize_phases=True)
-    rng = np.random.default_rng(17)
-    rows = rng.uniform(0, 2 * np.pi, (6, obj.num_parameters))
-    phase_free = rows.copy()
-    phase_free[:, obj.num_gates:] = 0.0
-    seed = np.random.SeedSequence(18)
-    energies, best_e, best_b = obj.value_batch(rows, seed)
-    again, again_e, again_b = obj.value_batch(phase_free, seed)
-    assert energies.tolist() == again.tolist()
-    assert (best_e, best_b) == (again_e, again_b)
+def test_depth1_phases_are_refused(samples):
+    # one slice commutes its phases past the detectors, so an objective
+    # refuses phase parameters there as a run's config does
+    with pytest.raises(ValueError) as config:
+        SolverConfig(depth=1, samples=samples, optimize_phases=True)
+    with pytest.raises(ValueError) as objective:
+        ParityObjective(_toy_problem(5, seed=16), 4, 1, 1, samples,
+                        optimize_phases=True)
+    assert str(objective.value) == str(config.value) == (
+        "optimize_phases needs depth >= 2, got depth=1")
+    deeper = ParityObjective(_toy_problem(5, seed=16), 4, 1, 2, samples,
+                             optimize_phases=True)
+    assert deeper.num_parameters == 2 * deeper.num_gates
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("samples", [None, 10])
+def test_value_batch_refuses_zero_rows(depth, samples):
+    # an empty batch once leaked numpy's argmin/concatenate errors
+    obj = ParityObjective(_toy_problem(5, seed=20), 5, 0, depth, samples)
+    with pytest.raises(ValueError, match=r"^need at least one row, got 0$"):
+        obj.value_batch(np.empty((0, obj.num_parameters)), 0)
 
 
 def test_gradient_step_behaviour():
