@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +33,12 @@ _MAX_DENSE_WIDTH = 26  # a 2^26 float vector is 512 MiB
 def _check_variant(j) -> None:
     if j not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {j}")
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a count that is not an int (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _check_masses(probs) -> None:

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .parity import codes_to_bits
+from .parity import _check_int, codes_to_bits
 from .solver import SolverConfig, SolverResult, run_variational
 
 _BRUTE_FORCE_LIMIT = 26
@@ -111,6 +111,7 @@ class MobiusProblem:
     j_b: float
 
     def __post_init__(self):
+        _check_int("spin count", self.n)
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(
                 f"spin count must be even and >= 4, got {self.n}")
@@ -151,6 +152,7 @@ def brute_force_min(problem, k_lowest: int = 3):
     Returns (energy, argmin bits, [(energy, bits), ...] sorted ascending).
     Spin problems are scanned through s = 2x - 1.
     """
+    _check_int("k_lowest", k_lowest)
     if k_lowest < 1:
         raise ValueError(f"k_lowest must be >= 1, got {k_lowest}")
     width = problem.num_bits
@@ -270,6 +272,7 @@ class PortfolioProblem:
             raise ValueError("covariance must be positive semidefinite")
         if not 0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and >= 0: {self.gamma}")
+        _check_int("bits per asset", self.n_bits_per_asset)
         if self.n_bits_per_asset < 1:
             raise ValueError("need at least one bit per asset")
         if self.approach not in ("penalty", "normalized"):

@@ -1,10 +1,11 @@
 """Seeded sampling of detection patterns, and the exact depth-1 chain.
 
-Two sampling routes: inverse-CDF categorical draws over an explicit
-distribution, and a sequential sampler for depth-1 meshes that draws
-patterns gate by gate without ever building the output distribution.  In
-the depth-1 cascade each gate freezes one output mode, and conditioning on
-its measured count collapses the carried mode to a definite Fock state, so
+Two sampling routes: inverse-CDF draws of indices into an explicit
+distribution (`sample_indices`; `sample_patterns` gathers their rows),
+and a sequential sampler for depth-1 meshes that draws patterns gate by
+gate without ever building the output distribution.  In the depth-1
+cascade each gate freezes one output mode, and conditioning on its
+measured count collapses the carried mode to a definite Fock state, so
 a chain of two-mode blocks samples exactly.  A single slice commutes its
 phases past the detectors, so the chain takes splitter angles alone.
 `gate_outcome_table` gives the outcome probabilities of one gate for every
@@ -26,8 +27,8 @@ the rows gate by gate, never holding more than one gate's two rows.
 
 An explicit distribution is a pattern array with an aligned probability
 vector: a sector `basis.patterns` with `state.probabilities()` in
-canonical order, or the 2^M parity bit strings with their code masses.
-Both sampling routes return uint16 rows.
+canonical order, or the 2^M code masses, each index its own code.  Both
+sampling routes return uint16 rows.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .interferometer import (_angle_rows, _column_product, _spin_table,
                              build_reck_slices)
-from .parity import _check_masses, _check_variant
+from .parity import _check_int, _check_masses, _check_variant
 
 # The exact depth-1 pass is sized in units of 2^M (n+1) floats per row (its
 # last gate holds 3/4 of one); meshes beyond M = n = 20 (176 MB per unit)
@@ -63,29 +64,35 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _check_samples(n_samples: int) -> None:
-    """The sample count every sampler refuses below one."""
+    """The sample count every sampler refuses: a non-int or below one."""
+    _check_int("sample count", n_samples)
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
 
 
-def sample_patterns(patterns, probs, n_samples: int,
-                    stream_seed) -> np.ndarray:
-    """Draw n_samples i.i.d. rows of `patterns`, row k with mass probs[k].
-
-    Inverse-CDF over the rows in the order given; identical seeds give
-    identical draws.  Returns uint16 rows of shape (n_samples, M).
-    """
+def sample_indices(probs, n_samples: int, stream_seed) -> np.ndarray:
+    """Draw n_samples i.i.d. int64 indices, index k with mass probs[k]:
+    the one inverse-CDF draw, over the entries in the order given;
+    identical seeds give identical draws."""
     _check_samples(n_samples)
-    patterns = np.asarray(patterns, dtype=np.uint16)
     probs = np.asarray(probs, dtype=float)
-    if patterns.ndim != 2 or probs.shape != (len(patterns),):
-        raise ValueError(f"need one probability per row of a 2-D pattern "
-                         f"array, got {probs.shape} and {patterns.shape}")
+    if probs.ndim != 1:
+        raise ValueError(f"need a 1-D mass vector, got shape {probs.shape}")
     _check_masses(probs)
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)
     rng = np.random.default_rng(stream_seed)
-    return patterns[np.searchsorted(cdf, rng.random(n_samples), side="right")]
+    return np.searchsorted(cdf, rng.random(n_samples), side="right")
+
+
+def sample_patterns(patterns, probs, n_samples: int,
+                    stream_seed) -> np.ndarray:
+    """The uint16 rows of `patterns` at the `sample_indices` of `probs`."""
+    patterns = np.asarray(patterns, dtype=np.uint16)
+    if patterns.ndim != 2 or np.shape(probs) != (len(patterns),):
+        raise ValueError(f"need one probability per row of a 2-D pattern "
+                         f"array, got {np.shape(probs)} and {patterns.shape}")
+    return patterns[sample_indices(probs, n_samples, stream_seed)]
 
 
 def gate_outcome_table(fresh: int, totals, thetas):

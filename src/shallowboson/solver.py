@@ -7,13 +7,14 @@ ever observed across every evaluation.  Objectives are exact or the mean
 of N_s fresh seeded bit strings per parameter vector; sampled depth 1
 chain-samples patterns, every other row reads the (2^M,) code masses of
 its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
+One read-out serves every such mass row: exact rows reduce it, sampled
+rows draw N_s codes from it (`sample_indices`); both read the energy of
+every bit string from one declared cache per problem (`_code_energies`).
 An exact depth-1 shift-rule stencil reads its rows gate by gate from the
 base row's pass and one backward sweep (`depth1_shift_masses`), not one
 pass per shifted row; `value` keeps the stencil of its angles for a
 `shift_gradient` on the same angles, which then runs only the backward
-sweep.  Phase parameters need depth >= 2.  The energy of every bit
-string is one declared cache per problem (`_code_energies`), read by
-every exact descent on it.
+sweep.  Phase parameters need depth >= 2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .interferometer import build_reck_slices, reck_input, evolve_batch
 from .parity import Bits, codes_to_bits, parity_bits, parity_codes
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
                        depth1_parity_masses, depth1_shift_masses,
-                       sample_patterns)
+                       sample_indices)
 
 _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
@@ -109,19 +110,8 @@ class SolverResult:
     config: dict
 
     def to_json(self) -> str:
-        doc = {
-            "e_min": self.e_min,
-            "b_min": "".join(map(str, self.b_min)),
-            "learning_curves": {
-                tag: [[it, e, best] for it, e, best in curve]
-                for tag, curve in self.learning_curves.items()
-            },
-            "final_angles": self.final_angles,
-            "converged": self.converged,
-            "evaluation_count": self.evaluation_count,
-            "master_seed": self.master_seed,
-            "config": self.config,
-        }
+        doc = asdict(self)
+        doc["b_min"] = "".join(map(str, self.b_min))
         return json.dumps(doc, sort_keys=True)
 
     def write_curves_csv(self, path) -> None:
@@ -140,12 +130,13 @@ class ParityObjective:
     Wraps the mesh of the requested depth with its one-photon-per-mode
     input, and owns the parameter vector: gate angles, then one phase per
     gate with optimize_phases, refused at depth 1 as `SolverConfig` does:
-    one slice commutes its phases past the detectors.  Exact mode
-    reduces each row's masses over all 2^M parity bit strings against the
-    energy of every bit string: the carry-chain pass at depth 1, the dense
-    state coarse-grained at depth >= 2.  Sampled mode draws N_s bit
-    strings per row: parity bits of chain-sampled patterns at depth 1,
-    inverse-CDF draws over the same 2^M masses at depth >= 2.
+    one slice commutes its phases past the detectors.  Every row but a
+    sampled depth-1 one is read out from its masses over all 2^M parity
+    bit strings: the carry-chain pass at depth 1, the dense state
+    coarse-grained at depth >= 2.  Exact mode reduces them against the
+    energy of every bit string; sampled mode at depth >= 2 draws N_s
+    codes per row from them and reads the same energies.  Sampled depth 1
+    scores the parity bits of chain-sampled patterns instead.
 
     Exact depth 1 holds the input and output mass of its last gate,
     6 (n+1) 2^M bytes per angle row (132 MB at M = n = 20); rows are read
@@ -158,9 +149,8 @@ class ParityObjective:
     call, keyed by the bytes of the angle vector: the base row's gate
     tables and forward masses, about 4 (n+1) 2^M bytes.  A
     `shift_gradient` of the same angles runs its backward sweep and drops
-    it; any other stencil runs the base row's pass afresh.  Every
-    exact read-out takes its energies from `_code_energies`, one table per
-    problem.
+    it; any other stencil runs the base row's pass afresh.  Sampled depth
+    >= 2 rows are chunked alike, and all mass rows read `_code_energies`.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -192,7 +182,7 @@ class ParityObjective:
             masses, stencil = depth1_shift_masses(self.circuit, angles,
                                                   self.parity)
             self._stencil = angles.tobytes(), stencil
-            energies, best_e, best_b = self._observed(*self._reduce(masses))
+            energies, best_e, best_b = self._score_masses([(0, masses)], 1)
         else:
             energies, best_e, best_b = self.value_batch(angles[None],
                                                         stream_seed)
@@ -201,11 +191,12 @@ class ParityObjective:
     def value_batch(self, angle_rows: np.ndarray, stream_seed=None):
         """Per-row objectives plus the best observed (energy, bit string).
 
-        The best is taken over all rows, the first row on ties.  Exact
-        rows reduce their parity-bit masses; stream_seed is unused.
+        The best is taken over all rows, the first row then shot on ties.
+        Exact rows reduce their parity-bit masses; stream_seed is unused.
         Sampled rows each draw from an independent child stream of
-        stream_seed, at depth >= 2 from those masses.  Either way results
-        are identical whether rows are evaluated batched or one at a time.
+        stream_seed: codes from those masses at depth >= 2, chain-sampled
+        patterns at depth 1.  Either way results are identical whether
+        rows are evaluated batched or one at a time.
         """
         rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
         if rows.shape[1] != self.num_parameters:
@@ -214,26 +205,24 @@ class ParityObjective:
             )
         if not len(rows):
             raise ValueError(f"need at least one row, got {len(rows)}")
-        if self.samples is None:
-            return self._exact_batch(rows)
-        n_s, m = self.samples, self.num_modes
-        if self.depth == 1:
-            flat = parity_bits(chain_sample_depth1_batch(
-                self.circuit, rows, n_s, stream_seed),
-                self.parity).reshape(-1, m)
-        else:
-            bits = codes_to_bits(np.arange(1 << m), m).astype(np.uint16)
-            children = as_seed_sequence(stream_seed).spawn(len(rows))
-            flat = np.concatenate([
-                sample_patterns(bits, masses, n_s, child)
-                for masses, child in zip(self._masses(rows), children)
-            ]).astype(np.int64)
+        if self.samples is None or self.depth > 1:
+            # a dense row holds one array of 2^M floats; a depth-1 row
+            # holds 3/4 (n+1) of them at its last gate, budgeted as
+            # 2 (n+1) with the outcome tables
+            row_bytes = 8 << self.num_modes
+            if self.depth == 1:
+                row_bytes *= 2 * (self.num_photons + 1)
+            step = max(1, _CHUNK_BYTES // row_bytes)
+            return self._score_masses(
+                ((s, self._masses(rows[s:s + step]))
+                 for s in range(0, len(rows), step)), len(rows), stream_seed)
+        flat = parity_bits(chain_sample_depth1_batch(
+            self.circuit, rows, self.samples, stream_seed),
+            self.parity).reshape(-1, self.num_modes)
         e_flat = self.problem.energies(flat)
-        e_rows = e_flat.reshape(rows.shape[0], n_s)
-        energies = e_rows.mean(axis=1)
-        best_flat = int(np.argmin(e_flat))
-        best_bits = tuple(int(b) for b in flat[best_flat])
-        return energies, float(e_flat[best_flat]), best_bits
+        best = int(np.argmin(e_flat))
+        return (e_flat.reshape(len(rows), -1).mean(axis=1),
+                float(e_flat[best]), tuple(int(b) for b in flat[best]))
 
     def shift_gradient(self, angles, stream_seed=None):
         """Shift-rule gradient plus the best observed (energy, bit string).
@@ -249,7 +238,13 @@ class ParityObjective:
         angles = self._parameters(angles)
         p = self.num_parameters
         if self.samples is None and self.depth == 1:
-            energies, best_e, best_b = self._exact_stencil(angles)
+            key, stencil = self._stencil or (None, None)
+            self._stencil = None
+            if key != angles.tobytes():
+                stencil = depth1_shift_masses(self.circuit, angles,
+                                              self.parity)[1]
+            energies, best_e, best_b = self._score_masses(
+                ((2 * g, shifted) for g, shifted in stencil), 2 * p)
         else:
             shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
             energies, best_e, best_b = self.value_batch(angles + shifts,
@@ -277,50 +272,31 @@ class ParityObjective:
                                     minlength=1 << self.num_modes)
         return masses
 
-    def _exact_batch(self, rows):
-        """Energy and lowest observed bit string of every row."""
-        energies = np.empty(len(rows))
-        best = np.empty(len(rows), dtype=np.int64)
-        # a dense row holds one array of 2^M floats; a depth-1 row holds
-        # 3/4 (n+1) of them at its last gate, budgeted as 2 (n+1) with the
-        # outcome tables
-        row_bytes = 8 << self.num_modes
-        if self.depth == 1:
-            row_bytes *= 2 * (self.num_photons + 1)
-        step = max(1, _CHUNK_BYTES // row_bytes)
-        for start in range(0, len(rows), step):
-            chunk = slice(start, start + step)
+    def _score_masses(self, blocks, num_rows: int, stream_seed=None):
+        """`value_batch` of `num_rows` rows from the (first row, (R, 2^M)
+        code masses) blocks that cover them, against `_code_energies`:
+        exact rows reduce their masses and observe their lowest supported
+        code; sampled rows average the energies of N_s codes drawn from
+        their child streams and observe their lowest draw."""
+        energies = np.empty(num_rows)
+        best = np.empty(num_rows, dtype=np.int64)
+        children = (None if self.samples is None
+                    else as_seed_sequence(stream_seed).spawn(num_rows))
+        for start, masses in blocks:
             # masses first: a refused mesh builds no 2^M energy table
-            energies[chunk], best[chunk] = self._reduce(
-                self._masses(rows[chunk]))
-        return self._observed(energies, best)
-
-    def _exact_stencil(self, angles):
-        """`_exact_batch` of the depth-1 shift stencil of `angles`, one
-        gate's two rows of masses at a time."""
-        energies = np.empty(2 * self.num_parameters)
-        best = np.empty(len(energies), dtype=np.int64)
-        key, stencil = self._stencil or (None, None)
-        self._stencil = None
-        if key != angles.tobytes():
-            stencil = depth1_shift_masses(self.circuit, angles, self.parity)[1]
-        for g, shifted in stencil:
-            energies[2 * g:2 * g + 2], best[2 * g:2 * g + 2] = (
-                self._reduce(shifted))
-        return self._observed(energies, best)
-
-    def _reduce(self, masses):
-        """Energy and lowest supported code of each row of (R, 2^M)
-        masses."""
-        e_codes = _code_energies(self.problem)
-        return (np.einsum("rk,k->r", masses, e_codes),
-                np.argmin(np.where(masses > _SUPPORT_TOL, e_codes, np.inf),
-                          axis=1))
-
-    def _observed(self, energies, best):
-        """`energies`, and the lowest (energy, bit string) among the rows'
-        codes `best`, the first row on ties."""
-        e_codes = _code_energies(self.problem)
+            e_codes = _code_energies(self.problem)
+            rows = slice(start, start + len(masses))
+            if children is None:
+                energies[rows] = np.einsum("rk,k->r", masses, e_codes)
+                best[rows] = np.argmin(
+                    np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
+                continue
+            drawn = np.array([
+                sample_indices(row, self.samples, child)
+                for row, child in zip(masses, children[rows])])
+            e_drawn = e_codes[drawn]
+            energies[rows] = e_drawn.mean(axis=1)
+            best[rows] = drawn[np.arange(len(drawn)), e_drawn.argmin(axis=1)]
         code = best[int(np.argmin(e_codes[best]))]
         return energies, float(e_codes[code]), tuple(
             int(b) for b in codes_to_bits([code], self.num_modes)[0])
@@ -332,7 +308,7 @@ def _code_energies(problem) -> np.ndarray:
     code: row `code` of `codes_to_bits`, the order of `parity_codes`.
 
     Keyed on the problem object, which must not change after its first
-    solve: the four exact descents of a run, and every later run on the
+    solve: the four descents of a run on mass rows, and every run on the
     same problem, read one table.  A frontier sweep solves one problem per
     risk aversion in turn, so a few entries suffice.
     """
@@ -357,10 +333,13 @@ def _sector_codes(num_modes: int, num_photons: int, parity: int):
 
 def gradient_step(angles, gradient, eta: float) -> np.ndarray:
     """Plain descent update, angles reduced mod 2*pi."""
-    if eta <= 0:
-        raise ValueError(f"learning rate must be > 0, got {eta}")
-    return (np.asarray(angles, dtype=float)
-            - eta * np.asarray(gradient, dtype=float)) % _TWO_PI
+    SolverConfig(eta=eta)  # the config's own check of eta
+    angles = np.asarray(angles, dtype=float)
+    gradient = np.asarray(gradient, dtype=float)
+    if gradient.shape != angles.shape or not np.isfinite(gradient).all():
+        raise ValueError(f"need a finite gradient of shape {angles.shape}, "
+                         f"got one of shape {gradient.shape}")
+    return (angles - eta * gradient) % _TWO_PI
 
 
 def run_variational(problem, config: SolverConfig) -> SolverResult:

@@ -125,3 +125,24 @@ def test_solver_imports_only_public_sampling_names():
                 assert "sampling" not in [a.name for a in node.names]
     assert "depth1_shift_masses" in imported
     assert [name for name in imported if name.startswith("_")] == []
+    # sampled depth >= 2 draws codes, not bit rows
+    assert "sample_indices" in imported and "sample_patterns" not in imported
+
+
+def test_solver_scores_bit_strings_through_the_table_and_chain_only():
+    # every 2^M mass row reads `_code_energies`; chain shots (sampled
+    # depth 1, in `value_batch`) are the only rows scored outside it
+    path = Path(__file__).parents[1] / "src" / "shallowboson" / "solver.py"
+    tree = ast.parse(path.read_text())
+
+    def energies_calls(root):
+        return [node for node in ast.walk(root)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "energies"]
+
+    callers = {func.name: len(energies_calls(func))
+               for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and energies_calls(func)}
+    assert callers == {"_code_energies": 1, "value_batch": 1}
+    assert len(energies_calls(tree)) == 2

@@ -1,8 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from shallowboson.interferometer import build_reck_slices
 from shallowboson.problems import (
     IsingProblem, MobiusProblem, PortfolioProblem, QuboProblem,
     allocation_risk_return, benchmark_qubo6, benchmark_qubo11,
@@ -11,6 +13,7 @@ from shallowboson.problems import (
     portfolio_energy_penalty, portfolio_returns_from_prices,
     qubo_to_ising, random_portfolio_cloud, synthetic_portfolio,
 )
+from shallowboson.sampling import chain_sample_depth1_batch, sample_patterns
 from shallowboson.solver import SolverConfig
 
 
@@ -264,6 +267,29 @@ def test_brute_force_basics():
 def test_brute_force_refuses_k_below_one(k):
     with pytest.raises(ValueError, match=f"k_lowest must be >= 1, got {k}"):
         brute_force_min(QuboProblem(benchmark_qubo6()), k_lowest=k)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MobiusProblem(6.0, 0.5, -0.2), "spin count must be an int, "
+                                            "got 6.0"),
+    (lambda: MobiusProblem(True, 0.5, -0.2), "spin count must be an int, "
+                                             "got True"),
+    (lambda: synthetic_portfolio(3, 0, n_bits_per_asset=1.5),
+     "bits per asset must be an int, got 1.5"),
+    (lambda: brute_force_min(QuboProblem(benchmark_qubo6()), 2.5),
+     "k_lowest must be an int, got 2.5"),
+    (lambda: sample_patterns([[1, 0], [0, 1]], [0.5, 0.5], 2.5, 0),
+     "sample count must be an int, got 2.5"),
+    (lambda: chain_sample_depth1_batch(build_reck_slices(3, 1),
+                                       np.zeros((1, 2)), 4.0, 0),
+     "sample count must be an int, got 4.0"),
+], ids=["mobius-float", "mobius-bool", "portfolio-bits", "k_lowest",
+        "sample_patterns", "chain_sample_depth1_batch"])
+def test_non_integer_sizes_are_refused(build, message):
+    # a float size once passed the checks and failed later in numpy or a
+    # slice with a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_brute_force_dimension_guard():

@@ -14,7 +14,7 @@ from shallowboson.parity import coarse_grain, parity_bits, parity_codes
 from shallowboson.problems import MobiusProblem
 from shallowboson.sampling import (
     as_seed_sequence, chain_sample_depth1_batch, depth1_parity_masses,
-    depth1_shift_masses, gate_outcome_table, sample_patterns,
+    depth1_shift_masses, gate_outcome_table, sample_indices, sample_patterns,
 )
 
 
@@ -326,6 +326,36 @@ def test_samplers_share_one_sample_count_check(draw, n_samples):
     with pytest.raises(ValueError,
                        match=f"^need at least one sample, got {n_samples}$"):
         draw(n_samples)
+
+
+def test_sample_indices_draw_the_rows_sample_patterns_returns():
+    patterns = enumerate_basis(4, 3).patterns
+    probs = np.random.default_rng(5).dirichlet(np.ones(len(patterns)))
+    for seed in (0, 7, np.random.SeedSequence(3, spawn_key=(1,))):
+        drawn = sample_indices(probs, 200, seed)
+        assert drawn.shape == (200,)
+        assert np.array_equal(patterns[drawn],
+                              sample_patterns(patterns, probs, 200, seed))
+
+
+@pytest.mark.parametrize("probs, n_samples", [
+    ([0.5], 5), ([1.5, -0.5], 5), ([0.5, np.nan], 5), ([0.5, 0.6], 5),
+    ([0.5, 0.5], 0), ([0.5, 0.5], -3), ([0.5, 0.5], 2.5),
+    ([0.5, 0.5], True),
+])
+def test_sample_indices_refuses_what_sample_patterns_refuses(probs,
+                                                            n_samples):
+    with pytest.raises(ValueError) as indexed:
+        sample_indices(probs, n_samples, 0)
+    with pytest.raises(ValueError) as gathered:
+        sample_patterns(np.eye(len(probs)), probs, n_samples, 0)
+    assert str(indexed.value) == str(gathered.value)
+
+
+def test_sample_indices_needs_one_mass_vector():
+    with pytest.raises(ValueError, match=r"^need a 1-D mass vector, got "
+                                         r"shape \(1, 2\)$"):
+        sample_indices([[0.5, 0.5]], 5, 0)
 
 
 def test_chain_sampler_empty_batch():

@@ -19,7 +19,7 @@ from shallowboson.problems import (
     MobiusProblem, QuboProblem, benchmark_qubo6, benchmark_qubo11,
     run_portfolio, synthetic_portfolio,
 )
-from shallowboson.sampling import sample_patterns
+from shallowboson.sampling import sample_indices, sample_patterns
 from shallowboson.solver import (
     ParityObjective, SolverConfig, gradient_step, run_variational,
 )
@@ -101,24 +101,40 @@ class _RecordingProblem:
 
 @pytest.mark.parametrize("phases", [False, True])
 def test_sampled_depth2_draws_from_code_masses(phases):
-    problem = _RecordingProblem(_toy_problem(5, seed=6))
+    problem = _toy_problem(5, seed=6)
     n_s = 50
     obj = ParityObjective(problem, 4, 1, depth=2, samples=n_s,
                           optimize_phases=phases)
     rows = np.random.default_rng(9).uniform(0, 2 * np.pi,
                                             (4, obj.num_parameters))
-    energies, _, _ = obj.value_batch(rows, np.random.SeedSequence(17))
-    (drawn,) = problem.seen
-    drawn = drawn.reshape(len(rows), n_s, 5)
+    energies, best_e, best_b = obj.value_batch(rows,
+                                               np.random.SeedSequence(17))
     code_bits = codes_to_bits(np.arange(32), 5).astype(np.uint16)
     children = np.random.SeedSequence(17).spawn(len(rows))
     g = obj.num_gates
-    for row, child, got, energy in zip(rows, children, drawn, energies):
+    lowest = []
+    for row, child, energy in zip(rows, children, energies):
         state = evolve(obj.circuit, row[:g], row[g:] if phases else None)
         masses = coarse_grain(state.basis.patterns, state.probabilities(), 1)
+        drawn = sample_indices(masses, n_s, child)
         expected = sample_patterns(code_bits, masses, n_s, child)
-        assert np.array_equal(got, expected)
-        assert energy == problem.problem.energies(expected).mean()
+        assert np.array_equal(code_bits[drawn], expected)
+        assert energy == problem.energies(expected).mean()
+        lowest.append(problem.energies(expected).min())
+    assert best_e == min(lowest)
+    assert problem.energies(np.array([best_b]))[0] == best_e
+
+
+def test_sampled_depth2_reads_one_energy_table():
+    problem = _RecordingProblem(_toy_problem(5, seed=6))
+    obj = ParityObjective(problem, 5, 0, depth=2, samples=30)
+    rows = np.random.default_rng(4).uniform(0, 2 * np.pi,
+                                            (3, obj.num_parameters))
+    obj.value_batch(rows, 1)
+    (table,) = problem.seen
+    assert np.array_equal(table, codes_to_bits(np.arange(32), 5))
+    obj.value_batch(rows, 2)
+    assert len(problem.seen) == 1
 
 
 def test_sampled_depth2_batch_matches_rows_alone():
@@ -274,13 +290,16 @@ def test_refused_depth1_mesh_builds_no_energy_table():
 @pytest.mark.parametrize("phases", [False])
 def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
     reduced = []
-    original = ParityObjective._reduce
+    original = ParityObjective._score_masses
 
-    def recording(self, masses):
-        reduced.append(masses.copy())
-        return original(self, masses)
+    def recording(self, blocks, num_rows, stream_seed=None):
+        def copied():
+            for start, masses in blocks:
+                reduced.append((start, masses.copy()))
+                yield start, masses
+        return original(self, copied(), num_rows, stream_seed)
 
-    monkeypatch.setattr(ParityObjective, "_reduce", recording)
+    monkeypatch.setattr(ParityObjective, "_score_masses", recording)
     rng = np.random.default_rng(61)
     for m in (3, 5, 8):
         for n, parity in itertools.product((m, m - 1), (0, 1)):
@@ -294,7 +313,8 @@ def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
             obj.shift_gradient(angles)
             # gate by gate, the last gate first
             assert len(reduced) == gates
-            for masses, g in zip(reduced, range(gates - 1, -1, -1)):
+            for (start, masses), g in zip(reduced, range(gates - 1, -1, -1)):
+                assert start == 2 * g
                 assert masses.shape == (2, 2 ** m)
                 assert np.abs(masses - shifted[2 * g:2 * g + 2]).max() < 1e-14
 
@@ -593,6 +613,26 @@ def test_gradient_step_behaviour():
     assert 0.0 <= wrapped[0] < 2 * np.pi
     with pytest.raises(ValueError):
         gradient_step([0.1], [1.0], -1.0)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_gradient_step_refuses_the_etas_the_config_refuses(eta):
+    # a NaN or infinite eta once returned [nan nan]
+    with pytest.raises(ValueError) as configured:
+        SolverConfig(eta=eta)
+    with pytest.raises(ValueError) as stepped:
+        gradient_step([0.1, 0.2], [1.0, 1.0], eta)
+    assert str(stepped.value) == str(configured.value)
+
+
+@pytest.mark.parametrize("gradient", [[np.nan, 1.0], [1.0, np.inf],
+                                      [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+def test_gradient_step_refuses_a_bad_gradient(gradient):
+    # a NaN gradient once gave a NaN angle; one of another length was
+    # broadcast or raised numpy's error
+    with pytest.raises(ValueError, match=r"^need a finite gradient of "
+                                         r"shape \(2,\), got one of shape"):
+        gradient_step([0.1, 0.2], gradient, 0.5)
 
 
 def test_exact_descent_decreases_objective():
