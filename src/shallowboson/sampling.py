@@ -262,10 +262,9 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
 
     The last gate holds its input and its output mass,
     3 2^(M-2) (n+1) floats or 6 (n+1) 2^M bytes per row; with the tables,
-    16 (n+1) 2^M bytes per row bound the pass, and callers bound it by
-    passing rows in chunks.  Each matmul multiplies one row's own
-    matrices, of shapes that do not depend on the batch, so a row's masses
-    are bit-identical whatever other rows share the call.
+    16 (n+1) 2^M bytes per row bound the pass.  Each matmul multiplies one
+    row's own matrices, of shapes that do not depend on the batch, so a
+    row's masses are bit-identical whatever other rows share the call.
     """
     tables = _depth1_tables(circuit, theta_rows, parity)
     for mass in _forward_masses(circuit, tables, np.shape(theta_rows)[0]):
@@ -300,9 +299,11 @@ def depth1_shift_masses(circuit, thetas, parity: int):
     backward sweep folds gate g into `after` once its rows are out, and
     writes every gate's rows into one (2, 2^M) buffer that the next gate
     overwrites.  The forward masses (4 (n+1) 2^M bytes in all) and `after`
-    hold at most 2^(M-1) (n+1) floats each.  Refuses the meshes
-    `depth1_parity_masses` refuses, at the call.
+    hold at most 2^(M-1) (n+1) floats each.  The iterator reads a copy of
+    `thetas` taken at the call.  Refuses the meshes `depth1_parity_masses`
+    refuses, at the call.
     """
+    thetas = np.array(thetas, dtype=float)
     tables = _depth1_tables(circuit, [thetas], parity)
     sweep = _forward_masses(circuit, tables, 1)
     forward = list(itertools.islice(sweep, len(tables)))
@@ -312,12 +313,11 @@ def depth1_shift_masses(circuit, thetas, parity: int):
 
 def _shift_sweep(circuit, thetas, parity: int, base, forward):
     """The backward sweep of `depth1_shift_masses` over the gate tables
-    `base` of `thetas` and the masses `forward` ahead of each gate, which
-    it consumes.  Builds the two shifted rows' tables at its first step,
-    one `gate_outcome_table` call per fresh count; a table row does not
-    depend on its batch, so each is bit-identical to its own pass's.
+    `base` of the float vector `thetas` and the masses `forward` ahead of
+    each gate, which it consumes.  Builds the two shifted rows' tables at
+    its first step, one `gate_outcome_table` call per fresh count; a table
+    row does not depend on its batch, so each is bit-identical.
     """
-    thetas = np.asarray(thetas, dtype=float)
     shifted = _depth1_tables(
         circuit, [thetas + np.pi / 2, thetas - np.pi / 2], parity)
     after = _top_bit(circuit.num_photons, parity)

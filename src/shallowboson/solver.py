@@ -30,27 +30,19 @@ import numpy as np
 
 from .fock import enumerate_basis
 from .interferometer import build_reck_slices, reck_input, evolve_batch
-from .parity import Bits, codes_to_bits, parity_bits, parity_codes
+from .parity import (Bits, _check_variant, codes_to_bits, parity_bits,
+                     parity_codes)
 from .sampling import (as_seed_sequence, chain_sample_depth1_batch,
                        depth1_parity_masses, depth1_shift_masses,
                        sample_indices)
 
 _TWO_PI = 2.0 * np.pi
 _SUPPORT_TOL = 1e-12
-# Exact rows are read out in chunks of at most this many bytes of mass
-# arrays, or one row when a row needs more.
-_CHUNK_BYTES = 1 << 26
 _CODE_CHUNK = 1 << 16
 
 
 # accepted types per annotated field type; a bool is neither int nor float
 _KINDS = {"int": (int,), "float": (int, float), "bool": (bool,)}
-
-
-def _check_phases(depth: int, optimize_phases: bool) -> None:
-    """One slice commutes its phases past the detectors."""
-    if optimize_phases and depth == 1:
-        raise ValueError("optimize_phases needs depth >= 2, got depth=1")
 
 
 @dataclass
@@ -90,7 +82,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.eta <= 0:
             raise ValueError(f"learning rate must be > 0, got {self.eta}")
-        _check_phases(self.depth, self.optimize_phases)
+        if self.optimize_phases and self.depth == 1:
+            # one slice commutes its phases past the detectors
+            raise ValueError("optimize_phases needs depth >= 2, got depth=1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -129,34 +123,36 @@ class ParityObjective:
 
     Wraps the mesh of the requested depth with its one-photon-per-mode
     input, and owns the parameter vector: gate angles, then one phase per
-    gate with optimize_phases, refused at depth 1 as `SolverConfig` does:
-    one slice commutes its phases past the detectors.  Every row but a
-    sampled depth-1 one is read out from its masses over all 2^M parity
-    bit strings: the carry-chain pass at depth 1, the dense state
-    coarse-grained at depth >= 2.  Exact mode reduces them against the
-    energy of every bit string; sampled mode at depth >= 2 draws N_s
-    codes per row from them and reads the same energies.  Sampled depth 1
-    scores the parity bits of chain-sampled patterns instead.
+    gate with optimize_phases.  Its settings are checked as `SolverConfig`
+    checks them, before any work.  Every row but a sampled depth-1 one is
+    read out from its masses over all 2^M parity bit strings: the
+    carry-chain pass at depth 1, the dense state coarse-grained at depth
+    >= 2.  Exact mode reduces them against the energy of every bit string
+    (`_code_energies`); sampled mode at depth >= 2 draws N_s codes per row
+    from them and reads the same energies.  Sampled depth 1 scores the
+    parity bits of chain-sampled patterns instead.
 
-    Exact depth 1 holds the input and output mass of its last gate,
-    6 (n+1) 2^M bytes per angle row (132 MB at M = n = 20); rows are read
-    out in chunks budgeted at 16 (n+1) 2^M bytes each, which covers the
-    outcome tables too, and `depth1_parity_masses` refuses meshes beyond
-    M = 20.  Its shift stencil stays within one such budget: it holds the
-    base row's forward masses, one backward table and one gate's two rows
-    of 2^M masses, about 8 (n+1) 2^M + 16 2^M bytes.  `value` keeps the
-    unstarted `depth1_shift_masses` stencil of its angles until the next
-    call, keyed by the bytes of the angle vector: the base row's gate
-    tables and forward masses, about 4 (n+1) 2^M bytes.  A
-    `shift_gradient` of the same angles runs its backward sweep and drops
-    it; any other stencil runs the base row's pass afresh.  Sampled depth
-    >= 2 rows are chunked alike, and all mass rows read `_code_energies`.
+    Each mass row goes from its engine to the scorer on its own, so its
+    energy does not depend on the rows that share its batch.  Exact depth
+    1 runs one pass per row within 16 (n+1) 2^M bytes, outcome tables
+    included (its last gate holds 6 (n+1) 2^M, 132 MB at M = n = 20), and
+    `depth1_parity_masses` refuses meshes beyond M = 20.  Its shift
+    stencil stays within the same budget: it holds the base row's forward
+    masses, one backward table and one gate's two rows of 2^M masses,
+    about 8 (n+1) 2^M + 16 2^M bytes.  `value` keeps the unstarted
+    `depth1_shift_masses` stencil of its angles until the next call, keyed
+    by the bytes of the angle vector: the base row's gate tables and
+    forward masses, about 4 (n+1) 2^M bytes.  A `shift_gradient` of the
+    same angles runs its backward sweep and drops it; any other stencil
+    runs the base row's pass afresh.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
                  depth: int, samples: int | None = None,
                  optimize_phases: bool = False):
-        _check_phases(depth, optimize_phases)
+        SolverConfig(depth=depth, samples=samples,
+                     optimize_phases=optimize_phases)  # the config's checks
+        _check_variant(parity)
         self.problem = problem
         self.num_modes = problem.num_bits
         self.num_photons = num_photons
@@ -182,7 +178,7 @@ class ParityObjective:
             masses, stencil = depth1_shift_masses(self.circuit, angles,
                                                   self.parity)
             self._stencil = angles.tobytes(), stencil
-            energies, best_e, best_b = self._score_masses([(0, masses)], 1)
+            energies, best_e, best_b = self._score_masses(enumerate(masses), 1)
         else:
             energies, best_e, best_b = self.value_batch(angles[None],
                                                         stream_seed)
@@ -192,11 +188,11 @@ class ParityObjective:
         """Per-row objectives plus the best observed (energy, bit string).
 
         The best is taken over all rows, the first row then shot on ties.
-        Exact rows reduce their parity-bit masses; stream_seed is unused.
-        Sampled rows each draw from an independent child stream of
-        stream_seed: codes from those masses at depth >= 2, chain-sampled
-        patterns at depth 1.  Either way results are identical whether
-        rows are evaluated batched or one at a time.
+        Exact rows reduce their parity-bit masses one row at a time;
+        stream_seed is unused.  Sampled rows each draw from an independent
+        child stream of stream_seed: codes from those masses at depth >= 2,
+        chain-sampled patterns at depth 1.  Either way results are
+        identical whether rows are evaluated batched or one at a time.
         """
         rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
         if rows.shape[1] != self.num_parameters:
@@ -206,16 +202,8 @@ class ParityObjective:
         if not len(rows):
             raise ValueError(f"need at least one row, got {len(rows)}")
         if self.samples is None or self.depth > 1:
-            # a dense row holds one array of 2^M floats; a depth-1 row
-            # holds 3/4 (n+1) of them at its last gate, budgeted as
-            # 2 (n+1) with the outcome tables
-            row_bytes = 8 << self.num_modes
-            if self.depth == 1:
-                row_bytes *= 2 * (self.num_photons + 1)
-            step = max(1, _CHUNK_BYTES // row_bytes)
-            return self._score_masses(
-                ((s, self._masses(rows[s:s + step]))
-                 for s in range(0, len(rows), step)), len(rows), stream_seed)
+            return self._score_masses(self._masses(rows), len(rows),
+                                      stream_seed)
         flat = parity_bits(chain_sample_depth1_batch(
             self.circuit, rows, self.samples, stream_seed),
             self.parity).reshape(-1, self.num_modes)
@@ -244,7 +232,8 @@ class ParityObjective:
                 stencil = depth1_shift_masses(self.circuit, angles,
                                               self.parity)[1]
             energies, best_e, best_b = self._score_masses(
-                ((2 * g, shifted) for g, shifted in stencil), 2 * p)
+                ((2 * g + s, row) for g, pair in stencil
+                 for s, row in enumerate(pair)), 2 * p)
         else:
             shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
             energies, best_e, best_b = self.value_batch(angles + shifts,
@@ -259,44 +248,45 @@ class ParityObjective:
                              f"got shape {angles.shape}")
         return angles
 
-    def _masses(self, rows) -> np.ndarray:
-        """(R, 2^M) parity masses of the rows, indexed by code."""
+    def _masses(self, rows):
+        """Yield (r, (2^M,) parity masses of row r, indexed by code) once
+        per row: depth-1 rows in order, one pass each, dense rows in the
+        order `evolve_batch` finishes them."""
         if self.depth == 1:
-            return depth1_parity_masses(self.circuit, rows, self.parity)
+            for r, row in enumerate(rows):
+                yield r, depth1_parity_masses(self.circuit, [row],
+                                              self.parity)[0]
+            return
         g = self.num_gates
         phases = rows[:, g:] if self.optimize_phases else None
-        masses = np.empty((len(rows), 1 << self.num_modes))
         codes = _sector_codes(self.num_modes, self.num_photons, self.parity)
         for r, state in evolve_batch(self.circuit, rows[:, :g], phases):
-            masses[r] = np.bincount(codes, weights=state.probabilities(),
-                                    minlength=1 << self.num_modes)
-        return masses
+            yield r, np.bincount(codes, weights=state.probabilities(),
+                                 minlength=1 << self.num_modes)
 
-    def _score_masses(self, blocks, num_rows: int, stream_seed=None):
-        """`value_batch` of `num_rows` rows from the (first row, (R, 2^M)
-        code masses) blocks that cover them, against `_code_energies`:
-        exact rows reduce their masses and observe their lowest supported
-        code; sampled rows average the energies of N_s codes drawn from
-        their child streams and observe their lowest draw."""
+    def _score_masses(self, rows, num_rows: int, stream_seed=None):
+        """`value_batch` of `num_rows` rows from the (r, (2^M,) code masses
+        of row r) pairs that cover them, in any order, each scored alone
+        against `_code_energies`: an exact row reduces its masses and
+        observes its lowest supported code; a sampled row averages the
+        energies of N_s codes drawn from its child stream, observing the
+        lowest."""
         energies = np.empty(num_rows)
         best = np.empty(num_rows, dtype=np.int64)
         children = (None if self.samples is None
                     else as_seed_sequence(stream_seed).spawn(num_rows))
-        for start, masses in blocks:
+        for r, masses in rows:
             # masses first: a refused mesh builds no 2^M energy table
             e_codes = _code_energies(self.problem)
-            rows = slice(start, start + len(masses))
             if children is None:
-                energies[rows] = np.einsum("rk,k->r", masses, e_codes)
-                best[rows] = np.argmin(
-                    np.where(masses > _SUPPORT_TOL, e_codes, np.inf), axis=1)
+                energies[r] = np.einsum("k,k->", masses, e_codes)
+                best[r] = np.argmin(
+                    np.where(masses > _SUPPORT_TOL, e_codes, np.inf))
                 continue
-            drawn = np.array([
-                sample_indices(row, self.samples, child)
-                for row, child in zip(masses, children[rows])])
+            drawn = sample_indices(masses, self.samples, children[r])
             e_drawn = e_codes[drawn]
-            energies[rows] = e_drawn.mean(axis=1)
-            best[rows] = drawn[np.arange(len(drawn)), e_drawn.argmin(axis=1)]
+            energies[r] = e_drawn.mean()
+            best[r] = drawn[e_drawn.argmin()]
         code = best[int(np.argmin(e_codes[best]))]
         return energies, float(e_codes[code]), tuple(
             int(b) for b in codes_to_bits([code], self.num_modes)[0])

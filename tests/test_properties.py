@@ -1,5 +1,5 @@
-"""Property tests: sector indexing, gate-list evolution, the depth-1 chain
-and problem energies.
+"""Property tests: sector indexing, gate-list evolution, the depth-1 chain,
+problem energies and exact objective rows.
 
 The profile is derandomized with a bounded example count, so the suite
 draws the same cases on every run and stays fast.
@@ -20,6 +20,7 @@ from shallowboson.problems import (
 from shallowboson.sampling import (
     chain_sample_depth1_batch, depth1_parity_masses,
 )
+from shallowboson.solver import ParityObjective
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None)
@@ -160,6 +161,41 @@ def test_parity_masses_of_a_row_ignore_the_rest_of_the_batch(case, parity):
     assert np.array_equal(alone[0], full[r])
     tail = depth1_parity_masses(circ, thetas[r:], parity)
     assert np.array_equal(tail[0], full[r])
+
+
+@st.composite
+def objective_batches(draw):
+    """An exact objective at depth 1 or 2 on 3 <= M <= 6 modes, with a
+    batch of rows that share prefixes of one base row, so that dense rows
+    leave their walk out of row order."""
+    m = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objective = ParityObjective(
+        QuboProblem(rng.normal(size=(m, m))),
+        draw(st.sampled_from((m, m - 1))), draw(st.integers(0, 1)),
+        draw(st.integers(1, 2)))
+    p = objective.num_parameters
+    base = rng.uniform(0, 2 * np.pi, p)
+    rows = rng.uniform(0, 2 * np.pi, (draw(st.integers(1, 6)), p))
+    for row in rows:
+        shared = draw(st.integers(0, p))
+        row[:shared] = base[:shared]
+    return objective, rows
+
+
+@PROPERTY
+@given(objective_batches(), st.data())
+def test_exact_row_energies_ignore_order_and_cuts(case, data):
+    objective, rows = case
+    energies = objective.value_batch(rows)[0]
+    order = data.draw(st.permutations(range(len(rows))))
+    reordered = objective.value_batch(rows[order])[0]
+    assert reordered.tolist() == energies[order].tolist()
+    cut = data.draw(st.integers(1, len(rows)))
+    parts = [objective.value_batch(part)[0] for part in (rows[:cut],
+                                                          rows[cut:])
+             if len(part)]
+    assert np.concatenate(parts).tolist() == energies.tolist()
 
 
 @st.composite

@@ -508,6 +508,19 @@ def test_depth1_shift_masses_build_the_base_then_the_shifted_tables(
     assert calls == [(0, 1), (1, 2), (0, 2), (1, 4)]
 
 
+def test_depth1_shift_masses_read_the_angles_of_the_call():
+    # the stencil's iterator once built its shifted tables from the
+    # caller's array when it ran, after the caller had changed it
+    circ = build_reck_slices(5, 1)
+    thetas = np.random.default_rng(59).uniform(0, 2 * np.pi, 4)
+    want_base, want = depth1_shift_masses(circ, thetas.copy(), 0)
+    base, rows = depth1_shift_masses(circ, thetas, 0)
+    thetas[:] = 0.9
+    assert base.tolist() == want_base.tolist()
+    for (g, masses), (h, expected) in zip(rows, want, strict=True):
+        assert g == h and masses.tolist() == expected.tolist()
+
+
 def test_depth1_shift_masses_refuse_what_the_exact_pass_refuses():
     cases = [
         (build_reck_slices(21, 1, reck_input(21, 20)), np.zeros(20), 0),

@@ -249,7 +249,7 @@ def test_exact_depth1_builds_no_fock_state(monkeypatch):
 
 
 @pytest.mark.parametrize("depth", [1, 2])
-def test_exact_read_out_is_one_chunked_loop(monkeypatch, depth):
+def test_exact_read_out_is_one_loop_over_rows(monkeypatch, depth):
     m = 5
     obj = ParityObjective(_toy_problem(m, seed=4), m, 0, depth=depth)
     rows = np.random.default_rng(8).uniform(0, 2 * np.pi,
@@ -263,15 +263,13 @@ def test_exact_read_out_is_one_chunked_loop(monkeypatch, depth):
 
     monkeypatch.setattr(solver, "evolve_batch", counting)
     whole = obj.value_batch(rows)
-    dense = depth > 1
-    assert len(walks) == dense  # a whole stencil in one walk
-    # three rows of mass arrays per chunk: the same values from 3 chunks
-    row_bytes = 8 << m if dense else 16 * (m + 1) << m
-    monkeypatch.setattr(solver, "_CHUNK_BYTES", 3 * row_bytes)
-    chunked = obj.value_batch(rows)
-    assert len(walks) == 4 * dense
-    assert chunked[0].tolist() == whole[0].tolist()
-    assert chunked[1:] == whole[1:]
+    assert len(walks) == (depth > 1)  # a whole stencil in one walk
+    # every row of the batch equals that row alone, bit for bit, and the
+    # best is the lowest of theirs, the first row on ties
+    alone = [obj.value_batch(row) for row in rows]
+    assert whole[0].tolist() == [energies[0] for energies, _, _ in alone]
+    assert whole[1:] == min((seen[1:] for seen in alone),
+                            key=lambda seen: seen[0])
 
 
 def test_refused_depth1_mesh_builds_no_energy_table():
@@ -292,11 +290,11 @@ def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
     reduced = []
     original = ParityObjective._score_masses
 
-    def recording(self, blocks, num_rows, stream_seed=None):
+    def recording(self, rows, num_rows, stream_seed=None):
         def copied():
-            for start, masses in blocks:
-                reduced.append((start, masses.copy()))
-                yield start, masses
+            for r, masses in rows:
+                reduced.append((r, masses.copy()))
+                yield r, masses
         return original(self, copied(), num_rows, stream_seed)
 
     monkeypatch.setattr(ParityObjective, "_score_masses", recording)
@@ -308,15 +306,61 @@ def test_exact_depth1_stencil_reduces_the_shifted_rows(monkeypatch, phases):
             p, gates = obj.num_parameters, obj.num_gates
             angles = rng.uniform(0, 2 * np.pi, p)
             rows = angles + np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
-            shifted = obj._masses(rows)
+            shifted = sampling.depth1_parity_masses(obj.circuit, rows,
+                                                    parity)
             reduced.clear()
             obj.shift_gradient(angles)
-            # gate by gate, the last gate first
-            assert len(reduced) == gates
-            for (start, masses), g in zip(reduced, range(gates - 1, -1, -1)):
-                assert start == 2 * g
-                assert masses.shape == (2, 2 ** m)
-                assert np.abs(masses - shifted[2 * g:2 * g + 2]).max() < 1e-14
+            # one row at a time, gate by gate from the last gate, each
+            # gate's raised row first
+            assert [r for r, _ in reduced] == [
+                2 * g + s for g in range(gates - 1, -1, -1) for s in (0, 1)]
+            for r, masses in reduced:
+                assert masses.shape == (2 ** m,)
+                assert np.abs(masses - shifted[r]).max() < 1e-14
+
+
+def test_exact_depth1_rows_do_not_depend_on_the_batch():
+    # once a row holds 2^14 masses, a reduction over a whole batch of rows
+    # moved each row's energy in its last bits
+    m = 14
+    obj = ParityObjective(_toy_problem(m, seed=3), m, 0, 1)
+    rows = np.random.default_rng(14).uniform(0, 2 * np.pi,
+                                             (6, obj.num_parameters))
+    energies = obj.value_batch(rows)[0].tolist()
+    assert energies == [obj.value_batch(row)[0][0] for row in rows]
+    assert energies == [obj.value(row)[0] for row in rows]
+
+
+def test_exact_depth1_batch_memory_bound():
+    # a batch of rows holds one row's pass at a time
+    m = n = 14
+    obj = ParityObjective(_toy_problem(m, seed=3), n, 0, 1)
+    rows = np.random.default_rng(71).uniform(0, 2 * np.pi,
+                                             (4, obj.num_parameters))
+    first = obj.value_batch(rows)  # fill the energy table and caches
+    tracemalloc.start()
+    try:
+        again = obj.value_batch(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again[0].tolist() == first[0].tolist() and again[1:] == first[1:]
+    assert peak <= 16 * (n + 1) * 2 ** m  # the documented per-row budget
+
+
+def test_exact_depth1_stencil_reads_the_angles_of_its_call():
+    # the stencil `value` keeps once read the caller's array when
+    # `shift_gradient` ran it, after the caller had changed it
+    problem = QuboProblem(benchmark_qubo6())
+    obj = ParityObjective(problem, 6, 0, 1)
+    angles = np.random.default_rng(29).uniform(0, 2 * np.pi,
+                                               obj.num_parameters)
+    saved = angles.copy()
+    obj.value(angles)
+    angles[:] = 0.9
+    kept = obj.shift_gradient(saved)
+    fresh = ParityObjective(problem, 6, 0, 1).shift_gradient(saved)
+    assert kept[0].tolist() == fresh[0].tolist() and kept[1:] == fresh[1:]
 
 
 def test_exact_depth1_stencil_memory_bound():
@@ -593,6 +637,26 @@ def test_depth1_phases_are_refused(samples):
     deeper = ParityObjective(_toy_problem(5, seed=16), 4, 1, 2, samples,
                              optimize_phases=True)
     assert deeper.num_parameters == 2 * deeper.num_gates
+
+
+@pytest.mark.parametrize("settings", [
+    dict(samples=2.5), dict(samples=True), dict(samples=0),
+    dict(depth=2.0), dict(optimize_phases="yes"), dict(parity=2),
+    dict(parity=2, depth=1, samples=40),
+], ids=lambda settings: "-".join(f"{k}={v}" for k, v in settings.items()))
+def test_objective_refuses_bad_settings_before_any_work(monkeypatch,
+                                                        settings):
+    # each was once refused only by the first row's engine, or not at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran before the settings were checked")
+
+    for name in ("evolve_batch", "depth1_parity_masses",
+                 "chain_sample_depth1_batch"):
+        monkeypatch.setattr(solver, name, refuse)
+    kwargs = dict(parity=0, depth=2, samples=None) | settings
+    field = next(iter(settings))
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ParityObjective(QuboProblem(benchmark_qubo6()), 6, **kwargs)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
