@@ -8,9 +8,10 @@ canonical bit string, and the coverage verifier checks by enumeration
 that the union of parity images charts the whole 2^M qubit basis.
 
 Distributions are arrays: pattern rows (canonical order for a sector
-basis) with an aligned probability vector.  Bit strings are int64 rows
-coded with the first mode as the most significant bit (`parity_codes`
-codes patterns, `codes_to_bits` decodes), and a coarse-grained
+basis) with an aligned probability vector.  Bit strings are rows of
+bits (uint8 from `parity_bits`, int64 from `codes_to_bits`), coded with
+the first mode as the most significant bit (`parity_codes` codes
+patterns, `codes_to_bits` decodes), and a coarse-grained
 distribution is one (2^M,) vector indexed by that code.
 """
 
@@ -31,6 +32,8 @@ _MAX_DENSE_WIDTH = 26  # a 2^26 float vector is 512 MiB
 
 
 def _check_variant(j) -> None:
+    """Refuse a parity variant that is not the int 0 or 1."""
+    _check_int("parity variant", j)
     if j not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {j}")
 
@@ -52,9 +55,9 @@ def _check_masses(probs) -> None:
 
 
 def parity_bits(patterns, j: int = 0) -> np.ndarray:
-    """Vectorised parity map: one int64 bit row per pattern row."""
+    """Vectorised parity map: one uint8 bit row per pattern row."""
     _check_variant(j)
-    return ((np.asarray(patterns) & 1) ^ j).astype(np.int64)
+    return ((np.asarray(patterns) & 1) ^ j).astype(np.uint8)
 
 
 def parity_codes(patterns, j: int = 0) -> np.ndarray:

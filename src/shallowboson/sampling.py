@@ -12,7 +12,8 @@ phases past the detectors, so the chain takes splitter angles alone.
 (angle, photon total) that occurs, by one `interferometer._column_product`
 over the eigenbasis table `_spin_table`.  The sampler reads its cumulative
 sum: each shot's outcome is the number of entries of its CDF row that do
-not exceed its uniform draw.
+not exceed its uniform draw, found by binary lifting over the row padded
+with +inf to a power-of-two width.
 
 The same table drives `depth1_parity_masses`, the exact parity-bit
 distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
@@ -141,7 +142,10 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     theta_rows has shape (R, M-1), one angle per gate of the depth-1
     `circuit` in its firing order (pair (M-2, M-1) first).  Each row draws
     from an independent seeded stream, so results do not depend on
-    batching.  Returns uint16 patterns of shape (R, n_samples, M).
+    batching.  Returns uint16 patterns of shape (R, n_samples, M), a
+    transposed view of a gate-major (M, R, n_samples) buffer that each gate
+    fills one frozen mode at a time.  Besides it, the call holds the
+    R (M-1) n_samples float uniforms of all gates.
     """
     _check_samples(n_samples)
     theta_rows = _depth1_thetas(circuit, theta_rows)
@@ -153,34 +157,42 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     root = as_seed_sequence(stream_seed)
     uniforms = np.empty((rows, m - 1, n_samples))
     for r, child in enumerate(root.spawn(rows)):
-        uniforms[r] = np.random.default_rng(child).random((m - 1, n_samples))
+        np.random.default_rng(child).random(out=uniforms[r])
 
-    out = np.zeros((rows, n_samples, m), dtype=np.uint16)
+    # gate-major, so gate g writes its frozen mode j as one plane
+    out = np.empty((m, rows, n_samples), dtype=np.uint16)
     # the last mode is the first carry; gate g freezes its mode j
     carry = np.full((rows, n_samples), inp[-1], dtype=np.int64)
     for g, gate in enumerate(circuit.gates):
         fresh = inp[gate.i]
         totals = carry + fresh
-        # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
-        # k, padded with +inf
         table, row_code = gate_outcome_table(
             fresh, np.flatnonzero(np.bincount(totals.ravel())),
             theta_rows[:, g])
-        cdf = np.cumsum(table, axis=2)
-        span = cdf.shape[1]
+        # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
+        # k, its last entry clamped to >= 1, then +inf up to a power of two
+        span = table.shape[1]
+        width = 1 << (span - 1).bit_length()
+        cdf = np.full((len(table), span, width), np.inf)
+        head = np.cumsum(table, axis=2, out=cdf[:, :, :span])
         levels = np.arange(span)
-        cdf[:, levels[:, None] < levels] = np.inf
-        cdf[:, levels, levels] = np.maximum(cdf[:, levels, levels], 1.0)
-        # the count of row entries <= u is searchsorted(row, u, "right")
+        head[:, levels[:, None] < levels] = np.inf
+        head[:, levels, levels] = np.maximum(head[:, levels, levels], 1.0)
+        # each row is non-decreasing, so binary lifting finds the count
+        # of its entries <= u, searchsorted(row, u, "right"), in
+        # log2(width) probes
+        flat = cdf.ravel()
         u = uniforms[:, g, :]
-        start = (row_code[:, None] * span + totals) * span
-        new_carry = np.zeros_like(carry)
-        for level in range(span):
-            new_carry += cdf.take(start + level) <= u
-        out[:, :, gate.j] = (totals - new_carry).astype(np.uint16)
-        carry = new_carry
-    out[:, :, 0] = carry.astype(np.uint16)  # the last gate's mode i
-    return out
+        start = (row_code[:, None] * span + totals) * width
+        count = np.zeros_like(carry)
+        step = width >> 1
+        while step:
+            count += (flat[step - 1:].take(start + count) <= u) * step
+            step >>= 1
+        np.subtract(totals, count, out=out[gate.j], casting="unsafe")
+        carry = count
+    out[0] = carry  # the last gate's mode i
+    return out.transpose(1, 2, 0)
 
 
 def _depth1_tables(circuit, theta_rows, parity: int):

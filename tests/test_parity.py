@@ -10,6 +10,8 @@ from shallowboson.parity import (
     binom_identity_check, coarse_grain, codes_to_bits, parity_bits,
     parity_codes, upsilon0, upsilon0_prime, verify_surjectivity,
 )
+from shallowboson.problems import QuboProblem, benchmark_qubo6
+from shallowboson.solver import ParityObjective
 from shallowboson.young import catalan_basis
 
 Bits = tuple[int, ...]
@@ -148,6 +150,27 @@ def test_parity_bits_match_scalar_map():
             parity_map(p, j) for p in patterns.tolist()]
     with pytest.raises(ValueError):
         parity_bits(patterns, 2)
+
+
+def test_parity_bits_are_uint8():
+    patterns = np.array([[3, 0, 2], [1, 1, 256]], dtype=np.uint16)
+    for j in (0, 1):
+        bits = parity_bits(patterns, j)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [[1 ^ j, j, j], [1 ^ j, 1 ^ j, j]]
+    assert parity_bits([[5, 2]]).dtype == np.uint8
+
+
+@pytest.mark.parametrize("variant", [True, False, 1.0, np.float64(0)],
+                         ids=["True", "False", "1.0", "float64(0)"])
+def test_parity_variant_must_be_an_int(variant):
+    patterns = np.array([[1, 0, 2]])
+    with pytest.raises(ValueError, match="parity variant"):
+        parity_bits(patterns, variant)
+    with pytest.raises(ValueError, match="parity variant"):
+        parity_codes(patterns, variant)
+    with pytest.raises(ValueError, match="parity variant"):
+        ParityObjective(QuboProblem(benchmark_qubo6()), 6, variant, 1)
 
 
 def test_bit_codes_round_trip():

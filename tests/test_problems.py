@@ -256,6 +256,23 @@ def test_mobius_closed_form_matches_exhaustive(n):
                                                         abs=1e-9)
 
 
+@pytest.mark.parametrize("problem", [
+    QuboProblem(benchmark_qubo6()),
+    qubo_to_ising(benchmark_qubo6()),
+    MobiusProblem(8, 0.5, -0.2),
+    synthetic_portfolio(4, 2, n_bits_per_asset=2, approach="penalty"),
+    synthetic_portfolio(4, 2, n_bits_per_asset=2, approach="normalized"),
+], ids=["qubo", "ising", "mobius", "portfolio-penalty",
+        "portfolio-normalized"])
+def test_energies_read_uint8_bit_rows_as_int64_ones(problem):
+    # `parity.parity_bits` gives uint8 rows, `codes_to_bits` int64 ones
+    bits = all_bit_rows(problem.num_bits)
+    wide = problem.energies(bits)
+    narrow = problem.energies(bits.astype(np.uint8))
+    assert narrow.dtype == wide.dtype
+    assert narrow.tobytes() == wide.tobytes()
+
+
 def test_brute_force_basics():
     problem = QuboProblem(np.array([[-1.0]]))
     e_min, argmin, lowest = brute_force_min(problem)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import shallowboson.sampling as sampling
@@ -305,6 +306,62 @@ def test_chain_sampler_matches_sort_grouped_oracle():
                     expected = reference_chain_sample(inp, rows, 120, seed,
                                                       phases)
                     assert np.array_equal(drawn, expected)
+
+
+def _gate_totals(input_pattern, drawn):
+    """Photon total through each gate of every drawn shot, last gate
+    first: the gate freezing mode j sees the photons that end in modes
+    0..j, less the fresh ones its later gates bring."""
+    ends = np.cumsum(drawn, axis=-1, dtype=np.int64)[..., 1:]
+    return ends - np.cumsum(input_pattern)[:-1]
+
+
+@pytest.mark.parametrize("n", [70, 69])
+def test_chain_sampler_matches_oracle_on_a_70_mode_shift_stencil(n):
+    inp = reck_input(70, n)
+    base = np.random.default_rng(0).uniform(0, 2 * np.pi, 69)
+    rows = np.repeat(base[None], 138, axis=0)
+    for g in range(69):
+        rows[2 * g, g] += np.pi / 2
+        rows[2 * g + 1, g] -= np.pi / 2
+    drawn = chain_sample_depth1_batch(build_reck_slices(70, 1, inp), rows,
+                                      150, 0)
+    assert np.array_equal(drawn, reference_chain_sample(inp, rows, 150, 0))
+    # some gate sees 8 photons or more: CDF rows of span 9, width 16
+    assert _gate_totals(inp, drawn).max() >= 8
+
+
+@st.composite
+def tied_chain_cases(draw):
+    """An input of up to 4 photons per mode and angle rows of 0, pi and
+    uniform draws: 0 and pi give zero-probability outcomes, so CDF rows
+    hold tied entries."""
+    m = draw(st.integers(2, 6))
+    inp = tuple(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+    angle = st.sampled_from([0.0, np.pi]) | st.floats(0.0, 2 * np.pi)
+    row = st.lists(angle, min_size=m - 1, max_size=m - 1)
+    return inp, np.array(draw(st.lists(row, min_size=1, max_size=4)))
+
+
+# the explicit example's gates have spans 1, 2, 3-4, 5-8 and 9+, so CDF
+# widths 1, 2, 4, 8 and 16
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tied_chain_cases(), st.integers(0, 2**32 - 1))
+@example(((8, 4, 2, 1, 0, 0), np.full((2, 5), 1.1)), 0)
+def test_chain_sampler_matches_oracle_on_tied_cdf_rows(case, seed):
+    inp, rows = case
+    m = len(inp)
+    circ = CircuitSpec(m, 1, build_reck_slices(m, 1).gates, inp)
+    drawn = chain_sample_depth1_batch(circ, rows, 60, seed)
+    assert np.array_equal(drawn, reference_chain_sample(inp, rows, 60, seed))
+
+
+def test_chain_sampler_returns_uint16():
+    circ = build_reck_slices(4, 1)
+    for rows in (np.full((3, 3), 0.8), np.zeros((0, 3))):
+        drawn = chain_sample_depth1_batch(circ, rows, 5, 0)
+        assert drawn.dtype == np.uint16
+        assert drawn.shape == (len(rows), 5, 4)
 
 
 def test_chain_sampler_needs_a_sample():

@@ -856,6 +856,12 @@ REPLAY_RUNS = {
         dict(depth=1, samples=150, eta=1.0, max_iterations=3,
              plateau_window=3),
         "38e3770985a8a72cd174ebfaf4ae3f6fb6497ecaa6a6afc9fa1580232c156d5a"),
+    # the seed-0 unit of the chain-mobius70 benchmark workload
+    "sampled-mobius70-depth1": (
+        lambda: MobiusProblem(70, 0.5, -0.2),
+        dict(depth=1, samples=150, eta=1.0, max_iterations=1,
+             plateau_window=1, master_seed=0),
+        "c9eaa11459e402e1e3cbdb6504207c7587fd8cde298450cefdc718514d9bafae"),
     "sampled-portfolio4-depth2": (
         lambda: synthetic_portfolio(4, 0),
         dict(depth=2, samples=300, eta=4.0, max_iterations=3,
