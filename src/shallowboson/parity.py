@@ -193,9 +193,15 @@ def verify_surjectivity(num_modes: int, depth: int,
     Inputs are the one-photon-per-mode patterns (padded with one zero for
     n = M-1); the report lists covered and missing bit strings and the
     preimage multiplicity per bit string, so the non-uniform weighting of
-    the qubit basis stays inspectable.  `catalan_basis` range-checks
-    (M, n, depth) and `parity_codes` the parity variants.
+    the qubit basis stays inspectable.  Photon numbers must be ints and
+    variants the ints 0 or 1, checked before any work; `catalan_basis`
+    range-checks (M, n, depth).
     """
+    photon_numbers, parities = list(photon_numbers), list(parities)
+    for n in photon_numbers:
+        _check_int("photon number", n)
+    for j in parities:
+        _check_variant(j)
     sectors = sorted(set(int(n) for n in photon_numbers), reverse=True)
     variants = sorted(set(int(j) for j in parities))
     if not sectors or not variants:

@@ -10,11 +10,11 @@ its parity bits, sharing gate prefixes across a batch (`evolve_batch`).
 One read-out serves every such mass row: exact rows reduce it, sampled
 rows draw N_s codes from it (`sample_indices`); both read the energy of
 every bit string from one declared cache per problem (`_code_energies`).
-An exact depth-1 shift-rule stencil reads its rows gate by gate from the
-base row's pass and one backward sweep (`depth1_shift_masses`), not one
-pass per shifted row; `value` keeps the stencil of its angles for a
-`shift_gradient` on the same angles, which then runs only the backward
-sweep.  Phase parameters need depth >= 2.
+Each descent step is one `Evaluation`: the objective at its angles, then
+once their shift-rule gradient.  At exact depth 1 the evaluation holds the
+base row's pass, and the gradient reads the stencil rows gate by gate
+from one backward sweep over it (`depth1_shift_masses`), not one pass per
+shifted row.  Phase parameters need depth >= 2.
 """
 
 from __future__ import annotations
@@ -139,12 +139,10 @@ class ParityObjective:
     `depth1_parity_masses` refuses meshes beyond M = 20.  Its shift
     stencil stays within the same budget: it holds the base row's forward
     masses, one backward table and one gate's two rows of 2^M masses,
-    about 8 (n+1) 2^M + 16 2^M bytes.  `value` keeps the unstarted
-    `depth1_shift_masses` stencil of its angles until the next call, keyed
-    by the bytes of the angle vector: the base row's gate tables and
-    forward masses, about 4 (n+1) 2^M bytes.  A `shift_gradient` of the
-    same angles runs its backward sweep and drops it; any other stencil
-    runs the base row's pass afresh.
+    about 8 (n+1) 2^M + 16 2^M bytes.  The `Evaluation` that `evaluate`
+    returns holds the unstarted `depth1_shift_masses` stencil of its
+    angles, the base row's gate tables and forward masses, about
+    4 (n+1) 2^M bytes, until its `gradient` runs the backward sweep.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -164,25 +162,18 @@ class ParityObjective:
             self.num_modes, depth, reck_input(self.num_modes, num_photons))
         self.num_gates = len(self.circuit.gates)
         self.num_parameters = (2 if optimize_phases else 1) * self.num_gates
-        self._stencil = None  # (angle bytes, stencil) of the last value
+
+    def evaluate(self, angles, stream_seed=None) -> Evaluation:
+        """The objective at one (p,) parameter vector as an `Evaluation`,
+        its sampled rows drawn from stream_seed."""
+        base, shifted = self._scorers(angles)
+        energies, best_e, best_b = base(stream_seed)
+        return Evaluation(float(energies[0]), (best_e, best_b), shifted)
 
     def value(self, angles, stream_seed=None):
-        """Objective value plus the best observed (energy, bit string).
-
-        Takes one (p,) parameter vector.  Exact depth 1 keeps the stencil
-        of its pass for a `shift_gradient` of the same angles.
-        """
-        angles = self._parameters(angles)
-        self._stencil = None
-        if self.samples is None and self.depth == 1:
-            masses, stencil = depth1_shift_masses(self.circuit, angles,
-                                                  self.parity)
-            self._stencil = angles.tobytes(), stencil
-            energies, best_e, best_b = self._score_masses(enumerate(masses), 1)
-        else:
-            energies, best_e, best_b = self.value_batch(angles[None],
-                                                        stream_seed)
-        return float(energies[0]), best_e, best_b
+        """Objective value plus the best observed (energy, bit string)."""
+        evaluation = self.evaluate(angles, stream_seed)
+        return evaluation.energy, *evaluation.best
 
     def value_batch(self, angle_rows: np.ndarray, stream_seed=None):
         """Per-row objectives plus the best observed (energy, bit string).
@@ -213,36 +204,34 @@ class ParityObjective:
                 float(e_flat[best]), tuple(int(b) for b in flat[best]))
 
     def shift_gradient(self, angles, stream_seed=None):
-        """Shift-rule gradient plus the best observed (energy, bit string).
+        """Shift-rule gradient plus the best observed (energy, bit string)
+        of one (p,) parameter vector, the unshifted row unscored: component
+        k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 over 2p rows, row 2k
+        shifting parameter k up and row 2k+1 down; the best is taken over
+        all rows, the first row on ties."""
+        return _shift_rule(*self._scorers(angles)[1](stream_seed))
 
-        Component k is (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2 over 2p
-        rows, row 2k shifting parameter k up and row 2k+1 down; the best is
-        taken over all rows, the first row on ties.  Exact depth 1 reads
-        the rows gate by gate from the `depth1_shift_masses` stencil that
-        `value` kept on the same angle bytes, else from a fresh one; every
-        other stencil is one `value_batch` call, and sampled rows draw
-        from its child streams.
-        """
+    def _scorers(self, angles):
+        """Scorers of the row of `angles` and of its 2p shift-rule rows,
+        each giving `value_batch`'s triple from a stream seed.  Exact depth
+        1 runs the base row's `depth1_shift_masses` pass here and reads the
+        stencil rows from its backward sweep; else each is a `value_batch`."""
         angles = self._parameters(angles)
         p = self.num_parameters
         if self.samples is None and self.depth == 1:
-            key, stencil = self._stencil or (None, None)
-            self._stencil = None
-            if key != angles.tobytes():
-                stencil = depth1_shift_masses(self.circuit, angles,
-                                              self.parity)[1]
-            energies, best_e, best_b = self._score_masses(
-                ((2 * g + s, row) for g, pair in stencil
-                 for s, row in enumerate(pair)), 2 * p)
-        else:
-            shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])
-            energies, best_e, best_b = self.value_batch(angles + shifts,
-                                                        stream_seed)
-        return (energies[0::2] - energies[1::2]) / 2.0, best_e, best_b
+            masses, stencil = depth1_shift_masses(self.circuit, angles,
+                                                  self.parity)
+            return (lambda seed: self._score_masses(enumerate(masses), 1),
+                    lambda seed: self._score_masses(
+                        ((2 * g + s, row) for g, pair in stencil
+                         for s, row in enumerate(pair)), 2 * p))
+        return (lambda seed: self.value_batch(angles[None], seed),
+                lambda seed: self.value_batch(angles + np.kron(
+                    np.eye(p), [[np.pi / 2], [-np.pi / 2]]), seed))
 
     def _parameters(self, angles) -> np.ndarray:
-        """`angles` as one float vector of the p parameters."""
-        angles = np.asarray(angles, dtype=float)
+        """A copy of `angles` as one float vector of the p parameters."""
+        angles = np.array(angles, dtype=float)
         if angles.shape != (self.num_parameters,):
             raise ValueError(f"expected {self.num_parameters} parameters, "
                              f"got shape {angles.shape}")
@@ -290,6 +279,28 @@ class ParityObjective:
         code = best[int(np.argmin(e_codes[best]))]
         return energies, float(e_codes[code]), tuple(
             int(b) for b in codes_to_bits([code], self.num_modes)[0])
+
+
+class Evaluation:
+    """`ParityObjective.evaluate`'s `energy` and `best` observed (energy,
+    bit string) at one parameter vector, then once their `gradient`."""
+
+    def __init__(self, energy: float, best: tuple[float, Bits], shifted):
+        self.energy = energy
+        self.best = best
+        self._shifted = shifted  # the stencil scorer, until it runs
+
+    def gradient(self, stream_seed=None):
+        """`shift_gradient` of the evaluated angles; it runs once."""
+        shifted, self._shifted = self._shifted, None
+        if shifted is None:
+            raise RuntimeError("this evaluation's gradient has already run")
+        return _shift_rule(*shifted(stream_seed))
+
+
+def _shift_rule(energies, best_e, best_b):
+    """Shift-rule gradient of the stencil rows' `value_batch` triple."""
+    return (energies[0::2] - energies[1::2]) / 2.0, best_e, best_b
 
 
 @lru_cache(maxsize=4)
@@ -373,19 +384,19 @@ def run_variational(problem, config: SolverConfig) -> SolverResult:
         running_best = np.inf
         window = config.plateau_window
         for it in range(config.max_iterations):
-            energy, seen_e, seen_b = objective.value(angles, next_seed())
+            evaluation = objective.evaluate(angles, next_seed())
+            seen_e, seen_b = evaluation.best
             if seen_e < e_min:
                 e_min, b_min = seen_e, seen_b
-            running_best = min(running_best, energy)
-            curve.append((it, float(energy), float(running_best)))
+            running_best = min(running_best, evaluation.energy)
+            curve.append((it, evaluation.energy, float(running_best)))
             if e_min <= target:
                 break
             if (len(curve) > window and curve[-window - 1][2]
                     - curve[-1][2] < config.plateau_tolerance):
                 break
 
-            grad, seen_e, seen_b = objective.shift_gradient(angles,
-                                                            next_seed())
+            grad, seen_e, seen_b = evaluation.gradient(next_seed())
             if seen_e < e_min:
                 e_min, b_min = seen_e, seen_b
             # evaluations in exact mode, shots in sampled mode

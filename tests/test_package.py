@@ -129,6 +129,26 @@ def test_solver_imports_only_public_sampling_names():
     assert "sample_indices" in imported and "sample_patterns" not in imported
 
 
+def test_objective_keeps_no_state_between_calls():
+    # a descent step's state lives in its `Evaluation`; an objective
+    # attribute written after `__init__` once carried a stencil from
+    # `value` to `shift_gradient`
+    path = Path(__file__).parents[1] / "src" / "shallowboson" / "solver.py"
+    tree = ast.parse(path.read_text())
+    [objective] = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "ParityObjective"]
+    writers = {method.name for method in objective.body
+               if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Store)
+               and isinstance(node.value, ast.Name)
+               and node.value.id == "self"}
+    assert writers == {"__init__"}
+    assert "tobytes" not in path.read_text()
+
+
 def test_solver_scores_bit_strings_through_the_table_and_chain_only():
     # every 2^M mass row reads `_code_energies`; chain shots (sampled
     # depth 1, in `value_batch`) are the only rows scored outside it

@@ -303,6 +303,17 @@ def test_empty_configuration_rejected():
         verify_surjectivity(4, 1, {4}, {0, 2})
 
 
+def test_surjectivity_refuses_non_int_inputs():
+    # int() once read a photon number of 4.7 as 4 and a parity of 1.5 or
+    # True as 1, and reported on configurations nobody asked for
+    with pytest.raises(ValueError, match="photon number must be an int"):
+        verify_surjectivity(4, 1, {4.7}, {0})
+    for bad in (1.5, True, np.float64(0)):
+        with pytest.raises(ValueError,
+                           match="parity variant must be an int"):
+            verify_surjectivity(4, 1, {4}, {bad})
+
+
 def test_multiplicities_track_preimage_counts():
     report = verify_surjectivity(4, 1, {4}, {0})
     total_patterns = report.per_config[(4, 0)].sum()

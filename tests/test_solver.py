@@ -380,18 +380,17 @@ def test_exact_depth1_stencil_memory_bound():
 
 
 def test_exact_depth1_value_then_stencil_memory_bound():
-    # the pass `value` keeps, and the stencil that reuses it, stay within
-    # the same per-row budget
+    # the pass an evaluation holds, and the stencil that reuses it, stay
+    # within the same per-row budget
     m = n = 16
     obj = ParityObjective(_toy_problem(m, seed=3), n, 0, 1)
     angles = np.random.default_rng(67).uniform(0, 2 * np.pi,
                                                obj.num_parameters)
-    obj.value(angles)  # fill the energy table and caches
-    first = obj.shift_gradient(angles)
+    # fill the energy table and caches
+    first = obj.evaluate(angles).gradient()
     tracemalloc.start()
     try:
-        obj.value(angles)
-        again = obj.shift_gradient(angles)
+        again = obj.evaluate(angles).gradient()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -450,20 +449,21 @@ def test_exact_depth1_stencil_reuses_the_pass_of_value(monkeypatch, phases):
             calls = _recording_tables(monkeypatch)
             expected = fresh.shift_gradient(angles)
             monkeypatch.undo()
-            # a stencil with no kept pass runs the base row's pass first
+            # a stencil with no evaluation runs the base row's pass first
             assert sum(calls["angles"]) == 3 * obj.num_gates
             assert calls["forward"] == 1
-            obj.value(angles)
+            evaluation = obj.evaluate(angles)
             calls = _recording_tables(monkeypatch)
-            got = obj.shift_gradient(angles.copy())
+            got = evaluation.gradient()
             monkeypatch.undo()
             assert got[0].tolist() == expected[0].tolist()
             assert got[1:] == expected[1:]
             # the shifted rows' tables only, and no forward sweep: the
-            # stencil `value` kept runs only its backward sweep
+            # stencil the evaluation holds runs only its backward sweep
             assert sum(calls["angles"]) == 2 * obj.num_gates
             assert calls["forward"] == 0
-            assert obj._stencil is None  # used once, then dropped
+            with pytest.raises(RuntimeError, match="already run"):
+                evaluation.gradient()  # used once, then dropped
             again = obj.shift_gradient(angles)
             assert again[0].tolist() == expected[0].tolist()
 
@@ -621,6 +621,27 @@ def test_shift_gradient_is_the_two_point_difference(depth, phases):
     for bad in (angles[:-1], np.append(angles, 0.0), angles[None, :]):
         with pytest.raises(ValueError, match="parameters"):
             obj.shift_gradient(bad)
+
+
+@pytest.mark.parametrize("samples", [None, 30])
+@pytest.mark.parametrize("depth,phases", [(1, False), (2, True)])
+def test_evaluation_is_value_then_shift_gradient(samples, depth, phases):
+    # with the same seeds, one step's evaluation scores its row and then
+    # its stencil as the two public calls do, in every engine
+    obj = ParityObjective(_toy_problem(5, seed=23), 5, 1, depth, samples,
+                          optimize_phases=phases)
+    angles = np.random.default_rng(23).uniform(0, 2 * np.pi,
+                                               obj.num_parameters)
+    saved = angles.copy()
+    evaluation = obj.evaluate(angles, 41)
+    assert type(evaluation.energy) is float
+    assert (evaluation.energy, *evaluation.best) == obj.value(saved, 41)
+    angles[:] = 0.9  # the evaluation reads the angles of its call
+    got = evaluation.gradient(42)
+    expected = obj.shift_gradient(saved, 42)
+    assert got[0].tolist() == expected[0].tolist() and got[1:] == expected[1:]
+    with pytest.raises(RuntimeError, match="already run"):
+        evaluation.gradient(42)
 
 
 @pytest.mark.parametrize("samples", [None, 24])
