@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,12 @@ import numpy as np
 # bytes, the half tables O(k 2^(k/2)) codes)
 _BLOCK_ROWS = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a count that is not an int (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,8 @@ class DyckSpec:
     delta2: int
 
     def __post_init__(self):
+        for name in ("k", "delta1", "delta2"):
+            _check_int(f"Dyck parameter {name}", getattr(self, name))
         if self.k < 0 or self.delta1 < 0 or self.delta2 < 0:
             raise ValueError(f"negative Dyck parameters: {self}")
         if (self.k + self.delta2 - self.delta1) % 2 != 0:
@@ -242,10 +251,13 @@ def catalan_dyck_spec(num_modes: int, num_photons: int, depth: int) -> DyckSpec:
     For one photon per mode (n = M) or one trailing empty mode (n = M-1)
     the staircase polygon of the first `depth` mesh slices has k = M+n-1,
     start height depth + 1 + (n - M) and end height start + (M-1) - n.
-    Meshes, reachable bases and coverage reports range-check (M, n, depth)
-    here alone.
+    Meshes, reachable bases and coverage reports check the types and
+    ranges of (M, n, depth) here alone.
     """
     m, n = num_modes, num_photons
+    _check_int("mode count", m)
+    _check_int("photon number", n)
+    _check_int("depth", depth)
     if m < 2:
         raise ValueError(f"mesh needs at least 2 modes, got {m}")
     if n not in (m, m - 1):

@@ -22,13 +22,13 @@ read it.  `_block_product` builds whole blocks by batched matmul: the
 read-only stack of every total of one (theta, psi) that `apply_gate`
 slices, memoised so that a gate met again with the same angles, as on
 every branch of a shift stencil, builds nothing; `two_mode_block` is its
-one-total case.  `_column_product` builds one phase-free input column of
-every total for many splitter angles, for the depth-1 engines; its sum
-runs over the contiguous last axis, so a row does not depend on how many
-angles share the call, and `two_mode_block_column` is its one-total case.
-Stacks built with that sum took 422 us against 47 us at top 11 (2-core
-x86) and moved every depth >= 2 result in its last bits, hence two
-products.  `apply_gate` checks the norm only of states it did not make.
+one-total case.  `two_mode_block_column` builds one phase-free input
+column of one total, unpadded, for many splitter angles, for the depth-1
+engines; its sum runs over the contiguous last axis, so an entry depends
+neither on the other angles of the call nor on other totals.  Stacks
+built with that sum took 422 us against 47 us at top 11 (2-core x86) and
+moved every depth >= 2 result in its last bits, hence two products.
+`apply_gate` checks the norm only of states it did not make.
 
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyck import catalan_dyck_spec
+from .dyck import _check_int, catalan_dyck_spec
 from .fock import SectorBasis, Pattern, enumerate_basis
 
 _NORM_TOL = 1e-9
@@ -123,33 +123,21 @@ def _block_stack(top: int, theta: float, psi: float) -> np.ndarray:
     return stack
 
 
-def _column_product(lams, vecs, p: int, thetas) -> np.ndarray:
-    """Column p of the phase-free blocks V e^{-i theta lam} V^dag of a
-    stack of eigenbases, for K splitter angles: entry [k, m, u] of the
-    (K, T, T) result is block m's [u, p] under thetas[k].
-
-    The angle axis leads and the sum runs over the contiguous last axis,
-    one reduction per entry, so a row does not depend on how many angles
-    share the call; a matmul would send a lone angle down numpy's
-    matrix-vector path, which rounds differently.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    weights = (np.exp(-1j * thetas[:, None, None] * lams)
-               * vecs[:, p, :].conj())
-    return (vecs * weights[:, :, None, :]).sum(axis=-1)
-
-
 def two_mode_block_column(m: int, p: int, thetas) -> np.ndarray:
     """Column p of the photon-total-m block for K splitter angles at once.
 
     Row k of the (K, m+1) result is two_mode_block(m, thetas[k], 0)[:, p],
     the image of the input |p, m-p>; a phase would only scale it by a unit
-    number.  The one-total case of `_column_product`: a row does not
-    depend on the other rows.
+    number.  Read unpadded from `_spin_table(m | 7)` as `two_mode_block`
+    is, each entry is one sum of m+1 terms over the contiguous last axis,
+    so it depends on (m, p, theta) alone; a matmul would send a lone angle
+    down numpy's matrix-vector path, which rounds differently.
     """
-    lams, vecs, _ = _spin_table(m | 7)  # as in two_mode_block
-    one = np.s_[m:m + 1, :m + 1, :m + 1]
-    return _column_product(lams[one[:2]], vecs[one], p, thetas)[:, 0]
+    lams, vecs, _ = _spin_table(m | 7)
+    lams, vecs = lams[m, :m + 1], vecs[m, :m + 1, :m + 1]
+    thetas = np.asarray(thetas, dtype=float)
+    weights = np.exp(-1j * thetas[:, None] * lams) * vecs[p].conj()
+    return (vecs * weights[:, None, :]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -194,6 +182,8 @@ class CircuitSpec:
 
 def reck_input(num_modes: int, num_photons: int) -> Pattern:
     """One photon per mode, padded with one trailing empty mode for n = M-1."""
+    _check_int("mode count", num_modes)
+    _check_int("photon number", num_photons)
     if num_photons == num_modes:
         return (1,) * num_modes
     if num_photons == num_modes - 1:
@@ -211,7 +201,7 @@ def build_reck_slices(num_modes: int, depth: int,
     slice 1 is the full nearest-neighbour cascade (M-1 gates), each deeper
     slice adds one gate fewer, and depth M-1 realizes the complete mesh
     with M(M-1)/2 gates.  Angles are placeholders bound later.
-    `catalan_dyck_spec` range-checks (M, n, depth).
+    `catalan_dyck_spec` checks the types and ranges of (M, n, depth).
     """
     if input_pattern is None:
         input_pattern = reck_input(num_modes, num_modes)

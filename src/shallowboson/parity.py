@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
+from .dyck import _check_int
 from .young import catalan_basis
 
 Bits = tuple[int, ...]
@@ -36,12 +36,6 @@ def _check_variant(j) -> None:
     _check_int("parity variant", j)
     if j not in (0, 1):
         raise ValueError(f"parity variant must be 0 or 1, got {j}")
-
-
-def _check_int(name: str, value) -> None:
-    """Refuse a count that is not an int (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _check_masses(probs) -> None:
@@ -195,7 +189,7 @@ def verify_surjectivity(num_modes: int, depth: int,
     preimage multiplicity per bit string, so the non-uniform weighting of
     the qubit basis stays inspectable.  Photon numbers must be ints and
     variants the ints 0 or 1, checked before any work; `catalan_basis`
-    range-checks (M, n, depth).
+    checks the types and ranges of (M, n, depth).
     """
     photon_numbers, parities = list(photon_numbers), list(parities)
     for n in photon_numbers:

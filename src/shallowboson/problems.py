@@ -17,7 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .parity import _check_int, codes_to_bits
+from .dyck import _check_int
+from .parity import codes_to_bits
 from .solver import SolverConfig, SolverResult, run_variational
 
 _BRUTE_FORCE_LIMIT = 26

@@ -9,17 +9,18 @@ measured count collapses the carried mode to a definite Fock state, so
 a chain of two-mode blocks samples exactly.  A single slice commutes its
 phases past the detectors, so the chain takes splitter angles alone.
 `gate_outcome_table` gives the outcome probabilities of one gate for every
-(angle, photon total) that occurs, by one `interferometer._column_product`
-over the eigenbasis table `_spin_table`.  The sampler reads its cumulative
-sum: each shot's outcome is the number of entries of its CDF row that do
-not exceed its uniform draw, found by binary lifting over the row padded
-with +inf to a power-of-two width.
+(angle, photon total) asked for, each total from its own unpadded block,
+and `_gate_tables` builds them for both depth-1 engines, one call per
+distinct `fresh` photon count over all rows' angles.  The sampler builds
+them once per call, up to a top it raises as the totals grow, and reads
+their cumulative sums: each shot's outcome is the number of entries of
+its CDF row that do not exceed its uniform draw, found by binary lifting
+over the row padded with +inf to a power-of-two width.
 
-The same table drives `depth1_parity_masses`, the exact parity-bit
-distribution of a depth-1 mesh: a forward pass over (bit-prefix code,
-carried photon count), one pair of batched matmuls per gate, that never
-enumerates a Fock sector.  Its tables of every gate come from one
-`gate_outcome_table` call per distinct `fresh` photon count.
+The same tables, up to the photon count n, drive `depth1_parity_masses`,
+the exact parity-bit distribution of a depth-1 mesh: a forward pass over
+(bit-prefix code, carried photon count), one pair of matmuls per gate and
+row, that never enumerates a Fock sector.
 `depth1_shift_masses`, the one entry point of the shift-rule stencil,
 runs that pass on one angle vector, keeping the mass ahead of each gate,
 and returns its masses with an iterator over the 2(M-1) shifted rows:
@@ -38,16 +39,17 @@ import itertools
 
 import numpy as np
 
-from .interferometer import (_angle_rows, _column_product, _spin_table,
-                             build_reck_slices)
-from .parity import _check_int, _check_masses, _check_variant
+from .interferometer import (_angle_rows, build_reck_slices,
+                             two_mode_block_column)
+from .dyck import _check_int
+from .parity import _check_masses, _check_variant
 
 # The exact depth-1 pass is sized in units of 2^M (n+1) floats per row (its
 # last gate holds 3/4 of one); meshes beyond M = n = 20 (176 MB per unit)
 # are refused.
 _MASS_ENTRIES_CAP = 21 << 20
-# `gate_outcome_table` builds its columns in chunks of angles whose
-# product stays below this many bytes.
+# `gate_outcome_table` builds each total's columns in chunks of angles
+# whose product stays below this many bytes.
 _PRODUCT_BYTES = 1 << 24
 
 
@@ -106,20 +108,36 @@ def gate_outcome_table(fresh: int, totals, thetas):
     mode and t - u stay in the frozen one, for every t in `totals`; the
     entries u > t and the rows of totals not listed are zero.  Returns the
     (K, T, T) table, T = max(totals) + 1, and each row's angle index k.
+    Each total is squared from its own `two_mode_block_column`, so an
+    entry depends on (fresh, t, u, angle) alone.
     """
     angles, row_code = np.unique(thetas, return_inverse=True)
     totals = np.asarray(totals, dtype=np.int64)
     top = int(totals.max())
-    lams, vecs, _ = _spin_table(top)
-    lams, vecs = lams[totals], vecs[totals]
     table = np.zeros((len(angles), top + 1, top + 1))
-    # the product holds one complex (T, T) block per angle and total
-    step = max(1, _PRODUCT_BYTES // vecs.nbytes)
-    for start in range(0, len(angles), step):
-        chunk = slice(start, start + step)
-        table[chunk, totals] = np.abs(_column_product(
-            lams, vecs, fresh, angles[chunk])) ** 2
+    for t in totals.tolist():
+        # the product holds one complex (t+1, t+1) block per angle
+        step = max(1, _PRODUCT_BYTES // (16 * (t + 1) ** 2))
+        for start in range(0, len(angles), step):
+            chunk = slice(start, start + step)
+            table[chunk, t, :t + 1] = np.abs(
+                two_mode_block_column(t, fresh, angles[chunk])) ** 2
     return table, row_code
+
+
+def _gate_tables(circuit, theta_rows, top: int):
+    """Outcome tables to total top: a dict of one `gate_outcome_table` per
+    `fresh` count over all rows' angles at its gates, and codes[r, g], row
+    r's angle index at gate g.  No entry depends on the batch or top."""
+    fresh = np.array([circuit.input[gate.i] for gate in circuit.gates])
+    tables, codes = {}, np.empty(theta_rows.shape, dtype=np.int64)
+    for count in sorted(set(fresh.tolist())):
+        gates = fresh == count
+        tables[count], index = gate_outcome_table(
+            count, range(count, max(count, top) + 1),
+            theta_rows[:, gates].ravel())
+        codes[:, gates] = index.reshape(len(theta_rows), gates.sum())
+    return tables, codes
 
 
 def _depth1_thetas(circuit, theta_rows) -> np.ndarray:
@@ -145,7 +163,9 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     batching.  Returns uint16 patterns of shape (R, n_samples, M), a
     transposed view of a gate-major (M, R, n_samples) buffer that each gate
     fills one frozen mode at a time.  Besides it, the call holds the
-    R (M-1) n_samples float uniforms of all gates.
+    R (M-1) n_samples float uniforms of all gates, and per `fresh` count
+    a table and a padded CDF, K (top+1) (top+1+width) floats for K distinct
+    angles, rebuilt at top = min(n, t | 7) when a total t passes top.
     """
     _check_samples(n_samples)
     theta_rows = _depth1_thetas(circuit, theta_rows)
@@ -163,21 +183,26 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     out = np.empty((m, rows, n_samples), dtype=np.uint16)
     # the last mode is the first carry; gate g freezes its mode j
     carry = np.full((rows, n_samples), inp[-1], dtype=np.int64)
+    top = -1
     for g, gate in enumerate(circuit.gates):
         fresh = inp[gate.i]
         totals = carry + fresh
-        table, row_code = gate_outcome_table(
-            fresh, np.flatnonzero(np.bincount(totals.ravel())),
-            theta_rows[:, g])
-        # cdf[k, t, :t+1]: outcome CDF of |fresh, t - fresh> under angle
-        # k, its last entry clamped to >= 1, then +inf up to a power of two
-        span = table.shape[1]
-        width = 1 << (span - 1).bit_length()
-        cdf = np.full((len(table), span, width), np.inf)
-        head = np.cumsum(table, axis=2, out=cdf[:, :, :span])
-        levels = np.arange(span)
-        head[:, levels[:, None] < levels] = np.inf
-        head[:, levels, levels] = np.maximum(head[:, levels, levels], 1.0)
+        if totals.max() > top:
+            # a larger top leaves every entry already read as it was
+            top = min(circuit.num_photons, int(totals.max()) | 7)
+            cdfs, codes = _gate_tables(circuit, theta_rows, top)
+            for key, table in cdfs.items():
+                # cdf[k, t]: total t's outcome CDF under angle k, >= 1 from
+                # u = t on, +inf up to a power-of-two width; drops the table
+                span = table.shape[1]
+                cdf = np.full((len(table), span,
+                               1 << (span - 1).bit_length()), np.inf)
+                np.maximum(np.cumsum(table, axis=2),
+                           np.triu(np.ones((span, span))),
+                           out=cdf[:, :, :span])
+                cdfs[key] = cdf
+        cdf, row_code = cdfs[fresh], codes[:, g]
+        span, width = cdf.shape[1:]
         # each row is non-decreasing, so binary lifting finds the count
         # of its entries <= u, searchsorted(row, u, "right"), in
         # log2(width) probes
@@ -202,10 +227,8 @@ def _depth1_tables(circuit, theta_rows, parity: int):
     bit, with each row's index k into it: for carry c in and u out,
     table[k, b, c, u] is `gate_outcome_table`[k, c + fresh, u] when the
     c + fresh - u photons left in the frozen mode give parity bit b, and
-    0 otherwise.  The gates of one `fresh` count share one call over all
-    their rows' angles; a table row does not depend on the others, so
-    the call's batch leaves it bit-identical.  Refuses meshes beyond
-    M = n = 20.
+    0 otherwise: the `_gate_tables` of totals up to n, split.  Refuses
+    meshes beyond M = n = 20.
     """
     _check_variant(parity)
     theta_rows = _depth1_thetas(circuit, theta_rows)
@@ -215,41 +238,34 @@ def _depth1_tables(circuit, theta_rows, parity: int):
             f"exact depth-1 masses of {m} modes and {n} photons need "
             f"{(n + 1) << m} floats per row, refusing more than "
             f"{_MASS_ENTRIES_CAP}")
-    rows = theta_rows.shape[0]
     levels = np.arange(n + 1)
-    fresh = [circuit.input[gate.i] for gate in circuit.gates]
-    tables = [None] * len(fresh)
-    for count in sorted(set(fresh)):
-        gates = [g for g, f in enumerate(fresh) if f == count]
-        table, codes = gate_outcome_table(count, range(count, n + 1),
-                                          theta_rows[:, gates].ravel())
+    tables, codes = _gate_tables(circuit, theta_rows, n)
+    for count, table in tables.items():
         # a carry above n - fresh never occurs
         frozen = (levels[:n + 1 - count, None] + count - levels) & 1
-        split = table[:, None, count:] * (frozen ^ parity == [[[0]], [[1]]])
-        codes = codes.reshape(rows, len(gates))
-        for col, g in enumerate(gates):
-            tables[g] = split, codes[:, col]
-    return tables
+        tables[count] = table[:, None, count:] * (
+            frozen ^ parity == [[[0]], [[1]]])
+    return [(tables[circuit.input[gate.i]], codes[:, g])
+            for g, gate in enumerate(circuit.gates)]
 
 
-def _forward_masses(circuit, tables, rows: int):
-    """Yield mass[r, prefix code, carry] before each gate, then after the
-    last one: shape (R, 2^g, n+1) ahead of gate g, (R, 2^(M-1), n+1) at
-    the end.  Gate g writes each value b of its frozen bit into the half
-    of a preallocated output whose codes carry that bit, by one batched
-    matmul of each row's own matrices; the bit sits ahead of the prefix,
-    so nothing is transposed or copied."""
+def _forward_masses(circuit, tables):
+    """Yield one row's mass[0, prefix code, carry] before each gate, then
+    after the last one: shape (1, 2^g, n+1) ahead of gate g, (1, 2^(M-1),
+    n+1) at the end.  Gate g writes each value b of its frozen bit into
+    the half of a preallocated output whose codes carry that bit, by one
+    matmul; the bit sits ahead of the prefix, so nothing is transposed."""
     n = circuit.num_photons
-    mass = np.zeros((rows, 1, n + 1))
+    mass = np.zeros((1, 1, n + 1))
     mass[:, 0, circuit.input[-1]] = 1.0
     for g, (table, codes) in enumerate(tables):
         yield mass
         steps = table[codes]
         carries = steps.shape[2]
-        new = np.empty((rows, 2, 1 << g, n + 1))
+        new = np.empty((1, 2, 1 << g, n + 1))
         for b in (0, 1):
             np.matmul(mass[:, :, :carries], steps[:, b], out=new[:, b])
-        mass = new.reshape(rows, 2 << g, n + 1)
+        mass = new.reshape(1, 2 << g, n + 1)
     yield mass
 
 
@@ -272,16 +288,21 @@ def depth1_parity_masses(circuit, theta_rows, parity: int) -> np.ndarray:
     outcome table of its row's angle, split by the parity of the frozen
     count.  The final carry is mode 0, the top bit.
 
-    The last gate holds its input and its output mass,
-    3 2^(M-2) (n+1) floats or 6 (n+1) 2^M bytes per row; with the tables,
-    16 (n+1) 2^M bytes per row bound the pass.  Each matmul multiplies one
-    row's own matrices, of shapes that do not depend on the batch, so a
-    row's masses are bit-identical whatever other rows share the call.
+    The gate tables of all rows are built at once, then each row's pass
+    runs alone on its slice of them.  A pass holds at most its last gate's
+    input and output mass, 3 2^(M-2) (n+1) floats or 6 (n+1) 2^M bytes,
+    and 16 (n+1) 2^M bytes bound it.  Table entries do not depend on their
+    batch, and a pass multiplies one row's own matrices, so a row's masses
+    are bit-identical whatever other rows share the call.
     """
     tables = _depth1_tables(circuit, theta_rows, parity)
-    for mass in _forward_masses(circuit, tables, np.shape(theta_rows)[0]):
-        pass  # keep the mass after the last gate
-    return _read_out(circuit, mass, parity)
+    out = []
+    for r in range(len(tables[0][1])):
+        row = [(table, codes[r:r + 1]) for table, codes in tables]
+        for mass in _forward_masses(circuit, row):
+            pass  # keep the mass after the last gate
+        out.append(_read_out(circuit, mass, parity))
+    return np.array(out).reshape(len(out), 1 << circuit.num_modes)
 
 
 def _read_out(circuit, mass, parity: int) -> np.ndarray:
@@ -317,7 +338,7 @@ def depth1_shift_masses(circuit, thetas, parity: int):
     """
     thetas = np.array(thetas, dtype=float)
     tables = _depth1_tables(circuit, [thetas], parity)
-    sweep = _forward_masses(circuit, tables, 1)
+    sweep = _forward_masses(circuit, tables)
     forward = list(itertools.islice(sweep, len(tables)))
     return (_read_out(circuit, next(sweep), parity),
             _shift_sweep(circuit, thetas, parity, tables, forward))

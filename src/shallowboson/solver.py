@@ -134,8 +134,10 @@ class ParityObjective:
 
     Each mass row goes from its engine to the scorer on its own, so its
     energy does not depend on the rows that share its batch.  Exact depth
-    1 runs one pass per row within 16 (n+1) 2^M bytes, outcome tables
-    included (its last gate holds 6 (n+1) 2^M, 132 MB at M = n = 20), and
+    1 builds the gate tables of all rows at once, 16 (M-1) (n+1)^2 bytes
+    per row, then runs one pass per row within 16 (n+1) 2^M bytes (its
+    last gate holds 6 (n+1) 2^M, 132 MB at M = n = 20), keeping 8 2^M
+    bytes of masses per row, and
     `depth1_parity_masses` refuses meshes beyond M = 20.  Its shift
     stencil stays within the same budget: it holds the base row's forward
     masses, one backward table and one gate's two rows of 2^M masses,
@@ -239,12 +241,11 @@ class ParityObjective:
 
     def _masses(self, rows):
         """Yield (r, (2^M,) parity masses of row r, indexed by code) once
-        per row: depth-1 rows in order, one pass each, dense rows in the
-        order `evolve_batch` finishes them."""
+        per row: depth-1 rows in order, from one `depth1_parity_masses`
+        call, dense rows in the order `evolve_batch` finishes them."""
         if self.depth == 1:
-            for r, row in enumerate(rows):
-                yield r, depth1_parity_masses(self.circuit, [row],
-                                              self.parity)[0]
+            yield from enumerate(depth1_parity_masses(self.circuit, rows,
+                                                      self.parity))
             return
         g = self.num_gates
         phases = rows[:, g:] if self.optimize_phases else None

@@ -18,14 +18,17 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .dyck import catalan_dyck_spec
+from .dyck import _check_int, catalan_dyck_spec
 from .fock import enumerate_basis
 
 Diagram = tuple[int, ...]
 
 
 def _validate_diagram(columns) -> Diagram:
-    cols = tuple(int(v) for v in columns)
+    cols = tuple(columns)
+    for v in cols:
+        _check_int("diagram column", v)
+    cols = tuple(int(v) for v in cols)
     if any(v < 0 for v in cols):
         raise ValueError(f"diagram columns must be non-negative: {cols}")
     if any(a > b for a, b in zip(cols, cols[1:])):
@@ -293,6 +296,7 @@ def count_boolean_sublattices(lattice: YoungLattice, k: int,
     subset sums) holds at most about _CANDIDATES rows; the CSR list holds
     the valid pairs of one block.
     """
+    _check_int("Boolean order", k)
     if k < 1:
         raise ValueError(f"Boolean order must be >= 1, got {k}")
     vertices = lattice.vertices

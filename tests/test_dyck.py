@@ -236,3 +236,22 @@ def test_mesh_spec_validation():
         catalan_dyck_spec(1, 1, 1)
     with pytest.raises(ValueError, match="at least 2 modes, got 0"):
         catalan_dyck_spec(0, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 4.0, True, np.float64(2)])
+def test_mesh_and_path_parameters_must_be_ints(bad):
+    # a depth of 1.5 once passed the range check and gave
+    # DyckSpec(k=7, delta1=2.5, delta2=1.5)
+    for args, name in (((bad, 4, 1), "mode count"),
+                       ((4, bad, 1), "photon number"),
+                       ((4, 4, bad), "depth")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            catalan_dyck_spec(*args)
+    for args, name in (((bad, 0, 0), "k"), ((4, bad, 0), "delta1"),
+                       ((4, 0, bad), "delta2")):
+        with pytest.raises(ValueError,
+                           match=f"^Dyck parameter {name} must be an int"):
+            DyckSpec(*args)
+    # numpy ints are ints
+    spec = catalan_dyck_spec(np.int64(4), np.int64(4), np.int64(1))
+    assert spec == DyckSpec(np.int64(7), 2, 1) == DyckSpec(7, 2, 1)

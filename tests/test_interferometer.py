@@ -282,6 +282,10 @@ def test_mesh_input_validation():
     # reck_input keeps its own refusal of a photon number it cannot build
     with pytest.raises(ValueError, match="supported photon numbers"):
         reck_input(4, 2)
+    with pytest.raises(ValueError, match="^photon number must be an int"):
+        reck_input(4, 4.0)
+    with pytest.raises(ValueError, match="^mode count must be an int"):
+        reck_input(4.0, 4)
 
 
 def test_all_theta_zero_reproduces_input():

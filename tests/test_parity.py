@@ -308,6 +308,9 @@ def test_surjectivity_refuses_non_int_inputs():
     # True as 1, and reported on configurations nobody asked for
     with pytest.raises(ValueError, match="photon number must be an int"):
         verify_surjectivity(4, 1, {4.7}, {0})
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="depth must be an int"):
+            verify_surjectivity(4, bad, {4}, {0})
     for bad in (1.5, True, np.float64(0)):
         with pytest.raises(ValueError,
                            match="parity variant must be an int"):

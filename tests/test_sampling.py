@@ -459,6 +459,20 @@ def test_gate_outcome_table_rows_ignore_the_batch(monkeypatch):
                 assert np.array_equal(chunked, batch)
 
 
+def test_gate_outcome_table_entries_ignore_the_top():
+    # the chain sampler grows its top as carries grow, and an entry must
+    # keep its bits whatever top the call reaches
+    thetas = np.random.default_rng(44).uniform(0, 2 * np.pi, 60)
+    for fresh in (0, 1):
+        for low, high in ((4, 19), (8, 70)):
+            first, _ = gate_outcome_table(fresh, range(fresh, low + 1),
+                                          thetas)
+            for top in range(low, high + 1):
+                table, _ = gate_outcome_table(fresh, range(fresh, top + 1),
+                                              thetas)
+                assert np.array_equal(table[:, :low + 1, :low + 1], first)
+
+
 def test_depth1_parity_masses_rows_ignore_the_batch():
     rng = np.random.default_rng(43)
     for m in range(2, 13):
@@ -508,10 +522,11 @@ def test_sampler_and_exact_pass_share_one_table(monkeypatch):
     monkeypatch.setattr(sampling, "gate_outcome_table", recording)
     circ, thetas = build_reck_slices(5, 1), np.full((3, 4), 0.8)
     chain_sample_depth1_batch(circ, thetas, 20, 0)
-    assert calls == [3] * 4  # one call per gate over the whole batch
+    # both engines: one call per distinct fresh count over every gate's
+    # angles (the sampler's totals never pass its first top here)
+    assert calls == [12]
     depth1_parity_masses(circ, thetas, 0)
-    # one call per distinct fresh count over every gate's angles
-    assert calls == [3] * 4 + [12]
+    assert calls == [12, 12]
 
 
 # depth-1 meshes over both reck inputs, and inputs whose empty mode feeds

@@ -867,11 +867,11 @@ REPLAY_RUNS = {
     "exact-qubo11-seed0": (
         lambda: QuboProblem(benchmark_qubo11()),
         dict(_QUBO11_UNIT, master_seed=0),
-        "fd48a89efe21e77fc7e2baad1cb8ce06500fa20c35598892fe3c31a1a70cb36c"),
+        "f954228de65aa41dba92b784112fee114e4776968753a7a9d5441a810a9e577c"),
     "exact-qubo11-seed1": (
         lambda: QuboProblem(benchmark_qubo11()),
         dict(_QUBO11_UNIT, master_seed=1),
-        "2dd275c3556dc9e96343c71cab629cf789183e7e6a42e372775c45b44f518dc2"),
+        "4575ad342ca4eccf86b636f125c8c7e3c6935697aef5b5f5c4f4086018f9cfc9"),
     "sampled-mobius10-depth1": (
         lambda: MobiusProblem(10, 0.5, -0.2),
         dict(depth=1, samples=150, eta=1.0, max_iterations=3,

@@ -153,6 +153,28 @@ def test_lattice_size_validates_the_bound(mu):
         young_lattice_size(mu)
 
 
+def test_non_int_inputs_are_refused():
+    # int() once read (2, 3.7) as the (2, 3) bound, a Boolean order of 2.5
+    # counted 0 sublattices and True counted the B_1 ones, and a depth of
+    # 1.5 gave the depth-1 patterns
+    for mu in ((2, 3.7), (2.0, 3), (True, 2)):
+        with pytest.raises(ValueError, match="^diagram column must be an int"):
+            young_lattice(mu)
+        with pytest.raises(ValueError, match="^diagram column must be an int"):
+            young_lattice_size(mu)
+    lattice = young_lattice((2, 3, 4))
+    for k in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="^Boolean order must be an int"):
+            count_boolean_sublattices(lattice, k)
+    assert count_boolean_sublattices(lattice, np.int64(1)) == (
+        count_boolean_sublattices(lattice, 1))
+    for call in (catalan_basis, catalan_mu, catalan_lattice):
+        with pytest.raises(ValueError, match="^depth must be an int"):
+            call(4, 4, 1.5)
+        with pytest.raises(ValueError, match="^photon number must be an int"):
+            call(4, 4.0, 1)
+
+
 def test_lattice_cover_edges_differ_by_one_box():
     lattice = young_lattice((2, 3))
     assert lattice.cover_edges.shape == (11, 2)
