@@ -22,10 +22,11 @@ the exact parity-bit distribution of a depth-1 mesh: a forward pass over
 (bit-prefix code, carried photon count), one pair of matmuls per gate and
 row, that never enumerates a Fock sector.
 `depth1_shift_masses`, the one entry point of the shift-rule stencil,
-runs that pass on one angle vector, keeping the mass ahead of each gate,
-and returns its masses with an iterator over the 2(M-1) shifted rows:
-one backward sweep that builds the two shifted rows' tables and yields
-the rows gate by gate, never holding more than one gate's two rows.
+builds the tables of one angle vector and of its raised and lowered
+rows in one call, runs that pass on the vector, keeping the mass ahead
+of each gate, and returns its masses with an iterator over the 2(M-1)
+shifted rows: one backward sweep that builds no table and yields the
+rows gate by gate, never holding more than one gate's two rows.
 
 An explicit distribution is a pattern array with an aligned probability
 vector: a sector `basis.patterns` with `state.probabilities()` in
@@ -39,8 +40,7 @@ import itertools
 
 import numpy as np
 
-from .interferometer import (_angle_rows, build_reck_slices,
-                             two_mode_block_column)
+from .interferometer import _angle_rows, two_mode_block_column
 from .dyck import _check_int
 from .parity import _check_masses, _check_variant
 
@@ -142,10 +142,11 @@ def _gate_tables(circuit, theta_rows, top: int):
 
 def _depth1_thetas(circuit, theta_rows) -> np.ndarray:
     """Checked (R, M-1) theta rows of a circuit laid out as the depth-1
-    mesh of `build_reck_slices`, the gate order both engines rely on."""
+    mesh of `build_reck_slices`, pairs (M-2, M-1) down to (0, 1), the gate
+    order both engines rely on."""
     layout = [(g.i, g.j) for g in circuit.gates]
     if circuit.depth != 1 or layout != [
-            (g.i, g.j) for g in build_reck_slices(circuit.num_modes, 1).gates]:
+            (j, j + 1) for j in range(circuit.num_modes - 2, -1, -1)]:
         raise ValueError(
             f"the depth-1 engines need the gates of build_reck_slices"
             f"({circuit.num_modes}, 1) in order, got a depth-"
@@ -187,9 +188,10 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
     for g, gate in enumerate(circuit.gates):
         fresh = inp[gate.i]
         totals = carry + fresh
-        if totals.max() > top:
+        most = int(totals.max())
+        if most > top:
             # a larger top leaves every entry already read as it was
-            top = min(circuit.num_photons, int(totals.max()) | 7)
+            top = min(circuit.num_photons, most | 7)
             cdfs, codes = _gate_tables(circuit, theta_rows, top)
             for key, table in cdfs.items():
                 # cdf[k, t]: total t's outcome CDF under angle k, >= 1 from
@@ -204,18 +206,19 @@ def chain_sample_depth1_batch(circuit, theta_rows, n_samples: int,
         cdf, row_code = cdfs[fresh], codes[:, g]
         span, width = cdf.shape[1:]
         # each row is non-decreasing, so binary lifting finds the count
-        # of its entries <= u, searchsorted(row, u, "right"), in
-        # log2(width) probes
+        # of its entries <= u, searchsorted(row, u, "right"); a count never
+        # exceeds its total, so the probes start at the largest power of
+        # two <= most, log2(most) + 1 of them
         flat = cdf.ravel()
         u = uniforms[:, g, :]
         start = (row_code[:, None] * span + totals) * width
-        count = np.zeros_like(carry)
-        step = width >> 1
+        pos = start.copy()
+        step = (1 << most.bit_length()) >> 1
         while step:
-            count += (flat[step - 1:].take(start + count) <= u) * step
+            pos += (flat[step - 1:].take(pos) <= u) * step
             step >>= 1
-        np.subtract(totals, count, out=out[gate.j], casting="unsafe")
-        carry = count
+        carry = pos - start
+        np.subtract(totals, carry, out=out[gate.j], casting="unsafe")
     out[0] = carry  # the last gate's mode i
     return out.transpose(1, 2, 0)
 
@@ -327,40 +330,37 @@ def depth1_shift_masses(circuit, thetas, parity: int):
     contract the base row's forward mass ahead of gate g, gate g's
     shifted table split by its frozen bit, and after[s, u], the
     probability that the base row's later gates give the bits above gate
-    g the code s from carry u.  The base row's pass runs at the call and
-    keeps its tables and the mass ahead of every gate; the iterator's
-    backward sweep folds gate g into `after` once its rows are out, and
-    writes every gate's rows into one (2, 2^M) buffer that the next gate
-    overwrites.  The forward masses (4 (n+1) 2^M bytes in all) and `after`
-    hold at most 2^(M-1) (n+1) floats each.  The iterator reads a copy of
-    `thetas` taken at the call.  Refuses the meshes `depth1_parity_masses`
-    refuses, at the call.
+    g the code s from carry u.  The call builds the tables of `thetas`
+    and of its raised and lowered rows in one `_depth1_tables` call (48
+    (M-1) (n+1)^2 bytes; about 0.15 ms at M = 11 for the shifted rows) and
+    runs the base row's pass on row 0, keeping the mass ahead of every
+    gate; the iterator's backward sweep builds no table: it folds gate g
+    into `after` once its rows are out, and writes every gate's rows into
+    one (2, 2^M) buffer that the next gate overwrites.  The forward masses
+    (4 (n+1) 2^M bytes in all) and `after` hold at most 2^(M-1) (n+1)
+    floats each.  Refuses the meshes `depth1_parity_masses` refuses, at
+    the call.
     """
-    thetas = np.array(thetas, dtype=float)
-    tables = _depth1_tables(circuit, [thetas], parity)
-    sweep = _forward_masses(circuit, tables)
+    thetas = _depth1_thetas(circuit, [thetas])[0]  # refused as one row
+    tables = _depth1_tables(circuit, np.stack(
+        [thetas, thetas + np.pi / 2, thetas - np.pi / 2]), parity)
+    sweep = _forward_masses(circuit, [(t, codes[:1]) for t, codes in tables])
     forward = list(itertools.islice(sweep, len(tables)))
     return (_read_out(circuit, next(sweep), parity),
-            _shift_sweep(circuit, thetas, parity, tables, forward))
+            _shift_sweep(circuit, parity, tables, forward))
 
 
-def _shift_sweep(circuit, thetas, parity: int, base, forward):
-    """The backward sweep of `depth1_shift_masses` over the gate tables
-    `base` of the float vector `thetas` and the masses `forward` ahead of
-    each gate, which it consumes.  Builds the two shifted rows' tables at
-    its first step, one `gate_outcome_table` call per fresh count; a table
-    row does not depend on its batch, so each is bit-identical.
-    """
-    shifted = _depth1_tables(
-        circuit, [thetas + np.pi / 2, thetas - np.pi / 2], parity)
+def _shift_sweep(circuit, parity: int, tables, forward):
+    """The backward sweep of `depth1_shift_masses` over the `_depth1_tables`
+    of its base, raised and lowered rows and the base row's masses
+    `forward` ahead of each gate, which it consumes; it builds no table."""
     after = _top_bit(circuit.num_photons, parity)
     out = np.empty(2 << circuit.num_modes)
-    for g in reversed(range(len(base))):
+    for g in reversed(range(len(tables))):
         cols = after.shape[1]
-        table, codes = base[g]
-        step = table[codes, :, :, :cols][0]
-        table, codes = shifted[g]
-        steps = table[codes, :, :, :cols]
+        table, codes = tables[g]
+        rows = table[codes, :, :, :cols]
+        step, steps = rows[0], rows[1:]
         carries = step.shape[1]
         ahead = forward.pop()[0]
         # masses[shift, code above gate g, bit of gate g, prefix code]

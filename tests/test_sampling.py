@@ -343,11 +343,14 @@ def tied_chain_cases(draw):
     return inp, np.array(draw(st.lists(row, min_size=1, max_size=4)))
 
 
-# the explicit example's gates have spans 1, 2, 3-4, 5-8 and 9+, so CDF
-# widths 1, 2, 4, 8 and 16
+# the first explicit example's gates have spans 1, 2, 3-4, 5-8 and 9+, so
+# CDF widths 1, 2, 4, 8 and 16; in the second the gate totals reach 4, 8
+# and 12 and then fall to 10 and 5, so each gate's search must reach its
+# own totals over rows 16 wide
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(tied_chain_cases(), st.integers(0, 2**32 - 1))
 @example(((8, 4, 2, 1, 0, 0), np.full((2, 5), 1.1)), 0)
+@example(((0, 0, 4, 4, 4, 0), np.full((2, 5), 1.1)), 0)
 def test_chain_sampler_matches_oracle_on_tied_cdf_rows(case, seed):
     inp, rows = case
     m = len(inp)
@@ -559,8 +562,7 @@ def test_depth1_shift_masses_match_the_shifted_rows():
             assert gates == list(range(m - 2, -1, -1))
 
 
-def test_depth1_shift_masses_build_the_base_then_the_shifted_tables(
-        monkeypatch):
+def test_depth1_shift_masses_build_every_table_at_the_call(monkeypatch):
     calls = []
     original = sampling.gate_outcome_table
 
@@ -570,14 +572,15 @@ def test_depth1_shift_masses_build_the_base_then_the_shifted_tables(
 
     monkeypatch.setattr(sampling, "gate_outcome_table", recording)
     rows = depth1_shift_masses(build_reck_slices(5, 1), np.full(4, 0.8), 0)[1]
-    assert calls == [(1, 4)]  # the base row's pass, at the call
+    # the base, raised and lowered angles of 4 gates, at the call
+    assert calls == [(1, 12)]
     list(rows)
-    assert calls == [(1, 4), (1, 8)]  # raised and lowered angles of 4 gates
+    assert calls == [(1, 12)]  # the backward sweep builds no table
     calls.clear()
     list(depth1_shift_masses(build_reck_slices(4, 1, (1, 0, 1, 1)),
                              np.full(3, 0.8), 0)[1])
-    # one call per distinct fresh count, for the base row, then the shifts
-    assert calls == [(0, 1), (1, 2), (0, 2), (1, 4)]
+    # one call per distinct fresh count over all three rows
+    assert calls == [(0, 3), (1, 6)]
 
 
 def test_depth1_shift_masses_read_the_angles_of_the_call():

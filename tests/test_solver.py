@@ -458,9 +458,10 @@ def test_exact_depth1_stencil_reuses_the_pass_of_value(monkeypatch, phases):
             monkeypatch.undo()
             assert got[0].tolist() == expected[0].tolist()
             assert got[1:] == expected[1:]
-            # the shifted rows' tables only, and no forward sweep: the
-            # stencil the evaluation holds runs only its backward sweep
-            assert sum(calls["angles"]) == 2 * obj.num_gates
+            # no table and no forward sweep: the stencil the evaluation
+            # holds built every row's tables and runs only its backward
+            # sweep
+            assert sum(calls["angles"]) == 0
             assert calls["forward"] == 0
             with pytest.raises(RuntimeError, match="already run"):
                 evaluation.gradient()  # used once, then dropped
