@@ -58,7 +58,8 @@ class SectorBasis:
         self.num_photons = num_photons
         self.size = size
         # binom table of the ranking formula
-        self._binom = _binom_table(num_photons + num_modes, num_modes)
+        self._binom_by_k = _binom_table(num_photons + num_modes,
+                                        num_modes).T.copy()
         self.patterns = _enumerate_patterns(num_modes, num_photons)
         self.patterns.flags.writeable = False
 
@@ -101,9 +102,9 @@ class SectorBasis:
         for d in range(m - 1):
             k = m - 1 - d  # modes to the right of position d
             remaining -= pats[:, d]
-            top = remaining - 1 + k
-            valid = top >= k  # photons left after column d >= 1
-            ranks += np.where(valid, self._binom[np.clip(top, 0, None), k], 0)
+            # binom(k - 1, k) = 0 stands for "no photons left after d"
+            ranks += self._binom_by_k[k][np.maximum(remaining + (k - 1),
+                                                    k - 1)]
         return ranks
 
 

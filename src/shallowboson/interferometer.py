@@ -30,11 +30,27 @@ built with that sum took 422 us against 47 us at top 11 (2-core x86) and
 moved every depth >= 2 result in its last bits, hence two products.
 `apply_gate` checks the norm only of states it did not make.
 
+One kernel applies a gate, `_gate_kernel`: per photon total of the pair it
+gathers the total's orbits (the patterns that differ only in how the
+total splits over the pair), multiplies them by the total's block and
+scatters the images.  `apply_gate` feeds it every orbit of the sector.
+`evolve_batch` feeds it the circuit's live-orbit plan (`_live_plan`,
+built once per input pattern and gate layout): per gate only the orbits
+that meet the support of the gates before it.  The support starts as the
+input pattern and each gate adds every orbit that meets it.  It does not
+depend on the angles, since an orbit of zeros has a zero image for every
+(theta, psi), so skipping the other orbits is exact; for a depth-d mesh
+the final support is the Catalan basis `young.catalan_basis(M, n, d)`.
+Both plans take their blocks from the stack of the sector's top total,
+and a total that keeps one orbit of several keeps a zero orbit beside it,
+as numpy sends a one-row matmul down BLAS's matrix-vector path, which
+rounds differently; so a live image equals the dense one bit for bit.
+
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
 their (theta, psi) value, the smaller groups branch off first, and the
 largest group continues in place while its parent state is dropped.  Every
-row still goes through exactly the `apply_gate` calls `evolve` would make
+row still goes through exactly the gate applications `evolve` would make
 for it, but a shared prefix is applied once.  On a parameter-shift stencil
 (rows that each differ from a base vector in one gate) the walk holds at
 most three state vectors at a time, the parent, the branch input and the
@@ -271,14 +287,31 @@ def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
     reps = pats.copy()
     reps[:, i] = 0
     reps[:, j] = m
-    rep_rank = basis.rank(reps)
-    order = np.lexsort((u, rep_rank, m))
+    # one unique int64 key per pattern: photon total, orbit, then u
+    order = np.argsort((m * basis.size + basis.rank(reps))
+                       * (num_photons + 1) + u)
     order.flags.writeable = False
-    m_sorted = m[order]
-    m_values, starts, counts = np.unique(m_sorted, return_index=True,
-                                         return_counts=True)
-    return (order, m_values.tolist(), starts.tolist(),
-            (starts + counts).tolist())
+    counts = np.bincount(m, minlength=num_photons + 1)
+    m_values = np.flatnonzero(counts)
+    stops = np.cumsum(counts)[m_values]
+    return (order, m_values.tolist(), (stops - counts[m_values]).tolist(),
+            stops.tolist())
+
+
+def _gate_kernel(vector, out, orbits, top: int, theta: float, psi: float):
+    """Write into `out` the image under one gate of `vector`'s amplitudes
+    on `orbits`, (order, totals, starts, stops) as `_gate_orbits` gives
+    them: per photon total one gather, one matmul by its block, one
+    scatter.  The blocks are slices of the stack of totals 0..top, the
+    sector's photon number, whatever totals `orbits` holds: stack entries
+    depend on its padding."""
+    order, m_values, starts, stops = orbits
+    stack = _block_stack(top, float(theta), float(psi))
+    for m, s, e in zip(m_values, starts, stops):
+        seg = order[s:e]
+        amps = vector[seg].reshape(-1, m + 1)
+        out[seg] = (amps @ stack[m, :m + 1, :m + 1].T).ravel()
+    return out
 
 
 def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
@@ -287,17 +320,59 @@ def apply_gate(state: QuantumState, gate: TwoModeGate) -> QuantumState:
         raise ValueError(f"gate {gate} outside {state.basis.num_modes} modes")
     if not state._unit:
         state.probabilities()  # the one norm check
-    order, m_values, starts, stops = _gate_orbits(*state.sector, gate.i,
-                                                  gate.j)
-    stack = _block_stack(m_values[-1], float(gate.theta), float(gate.psi))
-    new_vec = np.empty_like(state.vector)
-    for m, s, e in zip(m_values, starts, stops):
-        seg = order[s:e]
-        amps = state.vector[seg].reshape(-1, m + 1)
-        new_vec[seg] = (amps @ stack[m, :m + 1, :m + 1].T).ravel()
-    out = QuantumState(state.basis, new_vec)
+    orbits = _gate_orbits(*state.sector, gate.i, gate.j)
+    out = QuantumState(state.basis, _gate_kernel(
+        state.vector, np.empty_like(state.vector), orbits,
+        state.basis.num_photons, gate.theta, gate.psi))
     out._unit = True  # a unitary image of a unit state
     return out
+
+
+@lru_cache(maxsize=8)  # a run reads two, one per sector
+def _live_plan(input_pattern: Pattern, pairs: tuple[tuple[int, int], ...]):
+    """Per gate of a circuit with this input and these (i, j) mode pairs,
+    the orbits of `_gate_orbits` that meet the support of the gates before
+    it, in the same form, read-only.
+
+    The support starts as the input pattern, and each gate adds every
+    orbit that meets it.  An orbit outside it holds only zeros, whatever
+    the angles, and its image is zero, so a gate that skips it is exact.
+    Where a total keeps one orbit of several, one of its zero orbits stays
+    beside it: numpy sends a one-row matmul down BLAS's matrix-vector
+    path, which rounds differently from the rows of a matrix product.
+    The plan holds 8 bytes per live amplitude per gate: 15 MB for the
+    depth-2 mesh at M = n = 11.
+    """
+    num_modes, num_photons = len(input_pattern), sum(input_pattern)
+    basis = enumerate_basis(num_modes, num_photons)
+    alive = np.zeros(basis.size, dtype=bool)
+    alive[basis.index(input_pattern)] = True
+    plan = []
+    for i, j in pairs:
+        order, m_values, starts, stops = _gate_orbits(num_modes, num_photons,
+                                                      i, j)
+        widths = np.add(m_values, 1)
+        counts = np.subtract(stops, starts) // widths  # orbits per total
+        sizes = np.repeat(widths, counts)
+        live = np.logical_or.reduceat(alive[order], np.cumsum(sizes) - sizes)
+        mask = np.repeat(live, sizes)
+        alive[order] = mask  # the support after the gate
+        firsts = np.cumsum(counts) - counts  # each total's first orbit
+        kept = np.add.reduceat(live, firsts, dtype=np.int64)
+        lone = np.flatnonzero((kept == 1) & (counts > 1))
+        if len(lone):
+            # the first orbit, or the second where the first is the live one
+            live[firsts[lone] + live[firsts[lone]]] = True
+            kept[lone] = 2
+            mask = np.repeat(live, sizes)
+        live_order = order[mask]
+        live_order.flags.writeable = False
+        spans = np.cumsum(kept * widths)
+        own = np.flatnonzero(kept)
+        plan.append((live_order, [m_values[t] for t in own],
+                     (spans - kept * widths)[own].tolist(),
+                     spans[own].tolist()))
+    return tuple(plan)
 
 
 def _angle_rows(circuit: CircuitSpec, theta_rows, psi_rows=None):
@@ -344,27 +419,33 @@ def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
     thetas, psis = _angle_rows(circuit, theta_rows, psi_rows)
     angles = np.stack([thetas, psis], axis=-1).tolist()  # [row][gate] pairs
     basis = enumerate_basis(circuit.num_modes, circuit.num_photons)
+    plan = _live_plan(circuit.input,
+                      tuple((gate.i, gate.j) for gate in circuit.gates))
 
-    def walk(state, rows, g):
+    def step(vector, g, theta, psi):
+        return _gate_kernel(vector, np.zeros_like(vector), plan[g],
+                            basis.num_photons, theta, psi)
+
+    def walk(vector, rows, g):
         while g < num_gates:
             groups: dict[tuple, list[int]] = {}
             for r in rows:
                 groups.setdefault(tuple(angles[r][g]), []).append(r)
             ordered = sorted(groups.items(), key=lambda kv: len(kv[1]))
-            gate = circuit.gates[g]
             for (theta, psi), branch in ordered[:-1]:
-                yield from walk(
-                    apply_gate(state, TwoModeGate(gate.i, gate.j, theta, psi)),
-                    branch, g + 1)
+                yield from walk(step(vector, g, theta, psi), branch, g + 1)
             (theta, psi), rows = ordered[-1]
-            state = apply_gate(state, TwoModeGate(gate.i, gate.j, theta, psi))
+            vector = step(vector, g, theta, psi)
             g += 1
+        state = QuantumState(basis, vector)
+        state._unit = True  # a unitary image of a unit state
         for r in rows:
             yield r, state
 
     if len(thetas):
-        yield from walk(QuantumState.from_pattern(basis, circuit.input),
-                        range(len(thetas)), 0)
+        yield from walk(
+            QuantumState.from_pattern(basis, circuit.input).vector,
+            range(len(thetas)), 0)
 
 
 def support(state: QuantumState) -> np.ndarray:

@@ -144,9 +144,10 @@ class ParityObjective:
     masses, one backward table and one gate's two rows of 2^M masses,
     about 8 (n+1) 2^M + 16 2^M bytes.  The `Evaluation` that `evaluate`
     returns holds the unstarted `depth1_shift_masses` stencil of its
-    angles, the tables of all three rows (so `value` builds the shifted
-    rows' too, about 0.15 ms at M = 11) and the base row's forward masses,
-    about 4 (n+1) 2^M bytes, until its `gradient` runs the backward sweep.
+    angles, the tables of all three rows (about 0.15 ms more than the
+    one row's that `value` builds, at M = 11) and the base row's forward
+    masses, about 4 (n+1) 2^M bytes, until its `gradient` runs the
+    backward sweep.
     """
 
     def __init__(self, problem, num_photons: int, parity: int,
@@ -175,9 +176,12 @@ class ParityObjective:
         return Evaluation(float(energies[0]), (best_e, best_b), shifted)
 
     def value(self, angles, stream_seed=None):
-        """Objective value plus the best observed (energy, bit string)."""
-        evaluation = self.evaluate(angles, stream_seed)
-        return evaluation.energy, *evaluation.best
+        """Objective value plus the best observed (energy, bit string): the
+        one row of `value_batch`, bit for bit `evaluate`'s energy and best,
+        without the shift stencil's set-up."""
+        energies, best_e, best_b = self.value_batch(
+            self._parameters(angles)[None], stream_seed)
+        return float(energies[0]), best_e, best_b
 
     def value_batch(self, angle_rows: np.ndarray, stream_seed=None):
         """Per-row objectives plus the best observed (energy, bit string).

@@ -556,12 +556,13 @@ def test_evolve_batch_shares_stencil_prefixes(monkeypatch):
         stencil[2 * k, k] += np.pi / 2
         stencil[2 * k + 1, k] -= np.pi / 2
     calls = []
+    kernel = interferometer._gate_kernel
 
-    def counting(state, gate):
-        calls.append(gate)
-        return apply_gate(state, gate)
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(interferometer, "apply_gate", counting)
+    monkeypatch.setattr(interferometer, "_gate_kernel", counting)
     rows = [r for r, _ in evolve_batch(circ, stencil)]
     assert sorted(rows) == list(range(2 * g))
     assert len(calls) == (g - 1) + g * (g + 1)  # 2g * g row by row
@@ -574,3 +575,93 @@ def test_evolve_batch_rejects_mismatched_rows():
     with pytest.raises(ValueError):
         list(evolve_batch(circ, np.zeros((2, 3)), np.zeros((1, 3))))
     assert list(evolve_batch(circ, np.zeros((0, 3)))) == []
+
+
+def live_plan(circ):
+    return interferometer._live_plan(
+        circ.input, tuple((gate.i, gate.j) for gate in circ.gates))
+
+
+def orbit_rows(orbits, m):
+    """The rows of sector indices of total m's orbits, one orbit a row."""
+    order, m_values, starts, stops = orbits
+    if m not in m_values:
+        return order[:0].reshape(0, m + 1)
+    t = m_values.index(m)
+    return order[starts[t]:stops[t]].reshape(-1, m + 1)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("sector", [0, 1])
+def test_live_plan_follows_the_support_to_the_catalan_basis(m, sector):
+    n = m - sector
+    basis = enumerate_basis(m, n)
+    for depth in range(1, m):
+        circ = build_reck_slices(m, depth, reck_input(m, n))
+        alive = np.zeros(basis.size, dtype=bool)
+        alive[basis.index(circ.input)] = True
+        for gate, orbits in zip(circ.gates, live_plan(circ)):
+            dense = interferometer._gate_orbits(m, n, gate.i, gate.j)
+            assert orbits[0].flags.writeable is False
+            for total in dense[1]:
+                rows = orbit_rows(dense, total)
+                live = alive[rows].any(axis=1)
+                kept = orbit_rows(orbits, total)
+                # every orbit that meets the support, and beside a lone
+                # one of several a zero orbit
+                want = 2 if live.sum() == 1 < len(rows) else live.sum()
+                assert len(kept) == want
+                assert set(map(tuple, rows[live].tolist())) <= set(
+                    map(tuple, kept.tolist()))
+                assert set(map(tuple, kept.tolist())) <= set(
+                    map(tuple, rows.tolist()))
+            for total in dense[1]:
+                rows = orbit_rows(dense, total)
+                alive[rows[alive[rows].any(axis=1)]] = True
+        reached = set(map(tuple, basis.patterns[alive].tolist()))
+        assert reached == set(map(tuple, catalan_basis(m, n, depth).tolist()))
+
+
+@pytest.mark.filterwarnings("ignore:phase angles on a depth-1")
+@pytest.mark.parametrize("m,depth", [
+    (m, depth) for m in range(3, 8) for depth in range(1, min(3, m - 1) + 1)])
+@pytest.mark.parametrize("sector", [0, 1])
+def test_live_plan_states_equal_the_dense_ones_at_zero_and_pi(m, depth,
+                                                              sector):
+    # angles of 0 and pi leave exact zeros inside live orbits and move
+    # whole orbits at once: the plan must hold every amplitude they reach
+    circ = build_reck_slices(m, depth, reck_input(m, m - sector))
+    g = len(circ.gates)
+    rng = np.random.default_rng(10 * m + depth + 100 * sector)
+    thetas = rng.choice([0.0, np.pi], (6, g))
+    thetas[3:] = np.where(rng.random((3, g)) < 0.5, thetas[3:],
+                          rng.uniform(0, 2 * np.pi, (3, g)))
+    psis = rng.uniform(0, 2 * np.pi, (6, g))
+    basis = enumerate_basis(m, m - sector)
+    for r, state in evolve_batch(circ, thetas, psis):
+        dense = QuantumState.from_pattern(basis, circ.input)
+        for gate, theta, psi in zip(circ.gates, thetas[r], psis[r]):
+            dense = apply_gate(dense, TwoModeGate(gate.i, gate.j, theta, psi))
+        assert np.array_equal(state.vector, dense.vector)
+
+
+def test_a_lone_live_orbit_keeps_a_zero_orbit_beside_it():
+    # the depth-1 mesh on (1, 1, 1, 0): after gate (2, 3) the support is
+    # (1, 1, 1, 0) and (1, 1, 0, 1), so gate (1, 2) meets one of the three
+    # orbits of total 1, {(1, 1, 0, 1), (1, 0, 1, 1)}
+    circ = build_reck_slices(4, 1, reck_input(4, 3))
+    basis = enumerate_basis(4, 3)
+    lone = {basis.index((1, 1, 0, 1)), basis.index((1, 0, 1, 1))}
+    dense = orbit_rows(interferometer._gate_orbits(4, 3, 1, 2), 1)
+    kept = orbit_rows(live_plan(circ)[1], 1)
+    assert len(dense) == 3 and len(kept) == 2
+    assert sum(set(row) == lone for row in kept.tolist()) == 1
+    # a one-row matmul would round apart from the dense rows
+    rng = np.random.default_rng(1)
+    thetas, psis = rng.uniform(0, 2 * np.pi, (2, 20, 3))
+    for r, state in evolve_batch(circ, thetas, psis):
+        oracle = QuantumState.from_pattern(basis, circ.input)
+        for gate, theta, psi in zip(circ.gates, thetas[r], psis[r]):
+            oracle = apply_gate(oracle, TwoModeGate(gate.i, gate.j, theta,
+                                                    psi))
+        assert np.array_equal(state.vector, oracle.vector)

@@ -82,6 +82,8 @@ DECLARED_CACHES = {
     "shallowboson.interferometer._spin_table": (7,),
     "shallowboson.interferometer._block_stack": (7, 0.3, 0.2),
     "shallowboson.interferometer._gate_orbits": (4, 3, 0, 1),
+    "shallowboson.interferometer._live_plan": ((1, 1, 1, 0),
+                                               ((2, 3), (1, 2), (0, 1))),
     "shallowboson.young._reach_depth": (4, 4),
     "shallowboson.solver._sector_codes": (4, 4, 0),
     "shallowboson.solver._code_energies": (sb.QuboProblem(np.eye(3)),),

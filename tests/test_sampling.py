@@ -308,10 +308,11 @@ def test_chain_sampler_matches_sort_grouped_oracle():
                     assert np.array_equal(drawn, expected)
 
 
-def _gate_totals(input_pattern, drawn):
-    """Photon total through each gate of every drawn shot, last gate
-    first: the gate freezing mode j sees the photons that end in modes
-    0..j, less the fresh ones its later gates bring."""
+def _gate_carries(input_pattern, drawn):
+    """Photons carried into each gate of every drawn shot, from mode j + 1
+    into the gate (j, j + 1), for j = 0..M-2: those that end in modes
+    0..j + 1, less the fresh ones of modes 0..j.  The gate's photon total
+    is its carry plus its fresh input[j]."""
     ends = np.cumsum(drawn, axis=-1, dtype=np.int64)[..., 1:]
     return ends - np.cumsum(input_pattern)[:-1]
 
@@ -327,8 +328,9 @@ def test_chain_sampler_matches_oracle_on_a_70_mode_shift_stencil(n):
     drawn = chain_sample_depth1_batch(build_reck_slices(70, 1, inp), rows,
                                       150, 0)
     assert np.array_equal(drawn, reference_chain_sample(inp, rows, 150, 0))
-    # some gate sees 8 photons or more: CDF rows of span 9, width 16
-    assert _gate_totals(inp, drawn).max() >= 8
+    # some gate carries 8 photons in, so its total is 8 or more: CDF rows
+    # of span 9 or more, width 16 or more
+    assert _gate_carries(inp, drawn).max() >= 8
 
 
 @st.composite

@@ -205,13 +205,13 @@ def test_exact_batch_matches_rows_alone(depth, phases):
 
 def test_exact_iteration_gate_applications(monkeypatch):
     calls = []
-    original = interferometer.apply_gate
+    kernel = interferometer._gate_kernel
 
-    def counting(state, gate):
-        calls.append(gate)
-        return original(state, gate)
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(interferometer, "apply_gate", counting)
+    monkeypatch.setattr(interferometer, "_gate_kernel", counting)
     config = SolverConfig(depth=2, samples=None, eta=0.1, max_iterations=1,
                           master_seed=3)
     result = run_variational(_toy_problem(4, seed=2), config)
@@ -432,6 +432,24 @@ def _recording_tables(monkeypatch):
     monkeypatch.setattr(sampling, "gate_outcome_table", tables)
     monkeypatch.setattr(sampling, "_forward_masses", sweep)
     return calls
+
+
+@pytest.mark.parametrize("m", [3, 6, 9])
+def test_exact_depth1_value_builds_only_its_rows_tables(monkeypatch, m):
+    # a lone `value` scores its row through `value_batch`: no table of a
+    # shifted row, and the energy and best of `evaluate`, bit for bit
+    rng = np.random.default_rng(m)
+    for n, parity in itertools.product((m, m - 1), (0, 1)):
+        obj = ParityObjective(_toy_problem(m, seed=m), n, parity, 1)
+        angles = rng.uniform(0, 2 * np.pi, obj.num_parameters)
+        calls = _recording_tables(monkeypatch)
+        got = obj.value(angles)
+        monkeypatch.undo()
+        assert sum(calls["angles"]) == obj.num_gates
+        assert calls["forward"] == 1
+        evaluation = obj.evaluate(angles)
+        assert type(got[0]) is float
+        assert got == (evaluation.energy, *evaluation.best)
 
 
 # optimize_phases=True is refused at depth 1 (test_depth1_phases_are_refused)
