@@ -30,10 +30,11 @@ built with that sum took 422 us against 47 us at top 11 (2-core x86) and
 moved every depth >= 2 result in its last bits, hence two products.
 `apply_gate` checks the norm only of states it did not make.
 
-One kernel applies a gate, `_gate_kernel`: per photon total of the pair it
-gathers the total's orbits (the patterns that differ only in how the
-total splits over the pair), multiplies them by the total's block and
-scatters the images.  `apply_gate` feeds it every orbit of the sector.
+One kernel applies a gate, `_gate_kernel`: one gather reads the amplitudes
+of the gate's orbits (the patterns that differ only in how a photon total
+splits over the pair), grouped by total, one matmul per total multiplies
+its span by the total's block, and one scatter writes the images back.
+`apply_gate` feeds it every orbit of the sector.
 `evolve_batch` feeds it the circuit's live-orbit plan (`_live_plan`,
 built once per input pattern and gate layout): per gate only the orbits
 that meet the support of the gates before it.  The support starts as the
@@ -49,13 +50,16 @@ rounds differently; so a live image equals the dense one bit for bit.
 `evolve_batch` evolves many angle rows of one circuit as a depth-first walk
 over their common gate prefixes: at each gate the live rows are grouped by
 their (theta, psi) value, the smaller groups branch off first, and the
-largest group continues in place while its parent state is dropped.  Every
-row still goes through exactly the gate applications `evolve` would make
-for it, but a shared prefix is applied once.  On a parameter-shift stencil
+largest group continues.  A branch starts from a copy of its parent's
+vector; along a line of the walk the kernel steps the vector in place,
+exact since it is zero off the plan of the gate it enters.  Every row
+still goes through exactly the gate applications `evolve` would make for
+it, but a shared prefix is applied once.  On a parameter-shift stencil
 (rows that each differ from a base vector in one gate) the walk holds at
-most three state vectors at a time, the parent, the branch input and the
-branch output, and its 2G rows over G gates cost G - 1 + G(G + 1) gate
-applications instead of 2G * G.
+most two state vectors at a time, the parent and one branch, beside one
+gate's gathered amplitudes and images; its 2G rows over G gates cost
+G - 1 + G(G + 1) gate applications instead of 2G * G, 2G - 1 of them
+into a branch copy and the rest in place.
 """
 
 from __future__ import annotations
@@ -301,16 +305,21 @@ def _gate_orbits(num_modes: int, num_photons: int, i: int, j: int):
 def _gate_kernel(vector, out, orbits, top: int, theta: float, psi: float):
     """Write into `out` the image under one gate of `vector`'s amplitudes
     on `orbits`, (order, totals, starts, stops) as `_gate_orbits` gives
-    them: per photon total one gather, one matmul by its block, one
-    scatter.  The blocks are slices of the stack of totals 0..top, the
+    them: one gather of every orbit, per photon total one matmul by its
+    block from the total's span of the gathered amplitudes into the same
+    span of the images, one scatter.  The gather ends before the scatter
+    starts, so `out` may be `vector`; positions off `orbits` keep what
+    `out` held.  The blocks are slices of the stack of totals 0..top, the
     sector's photon number, whatever totals `orbits` holds: stack entries
     depend on its padding."""
     order, m_values, starts, stops = orbits
     stack = _block_stack(top, float(theta), float(psi))
+    amps = vector[order]
+    images = np.empty_like(amps)
     for m, s, e in zip(m_values, starts, stops):
-        seg = order[s:e]
-        amps = vector[seg].reshape(-1, m + 1)
-        out[seg] = (amps @ stack[m, :m + 1, :m + 1].T).ravel()
+        np.matmul(amps[s:e].reshape(-1, m + 1), stack[m, :m + 1, :m + 1].T,
+                  out=images[s:e].reshape(-1, m + 1))
+    out[order] = images
     return out
 
 
@@ -422,9 +431,10 @@ def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
     plan = _live_plan(circuit.input,
                       tuple((gate.i, gate.j) for gate in circuit.gates))
 
-    def step(vector, g, theta, psi):
-        return _gate_kernel(vector, np.zeros_like(vector), plan[g],
-                            basis.num_photons, theta, psi)
+    def step(vector, out, g, theta, psi):
+        # off the plan of gate g the input is zero, and so is `out`
+        return _gate_kernel(vector, out, plan[g], basis.num_photons, theta,
+                            psi)
 
     def walk(vector, rows, g):
         while g < num_gates:
@@ -433,9 +443,10 @@ def evolve_batch(circuit: CircuitSpec, theta_rows, psi_rows=None):
                 groups.setdefault(tuple(angles[r][g]), []).append(r)
             ordered = sorted(groups.items(), key=lambda kv: len(kv[1]))
             for (theta, psi), branch in ordered[:-1]:
-                yield from walk(step(vector, g, theta, psi), branch, g + 1)
+                yield from walk(step(vector, vector.copy(), g, theta, psi),
+                                branch, g + 1)
             (theta, psi), rows = ordered[-1]
-            vector = step(vector, g, theta, psi)
+            vector = step(vector, vector, g, theta, psi)
             g += 1
         state = QuantumState(basis, vector)
         state._unit = True  # a unitary image of a unit state

@@ -102,11 +102,16 @@ class YoungLattice:
     def join(self, a: Diagram, b: Diagram) -> Diagram:
         return tuple(np.maximum(a, b).tolist())
 
+    def _by_size(self) -> np.ndarray:
+        """Vertex indices in (size, columns) order, whatever the row order."""
+        rows = self.vertices
+        return np.lexsort((*rows.T[::-1], rows.sum(axis=1)))
+
     def top(self) -> Diagram:
-        return tuple(max(self.vertices.tolist(), key=lambda v: (sum(v), v)))
+        return tuple(self.vertices[self._by_size()[-1]].tolist())
 
     def bottom(self) -> Diagram:
-        return tuple(min(self.vertices.tolist(), key=lambda v: (sum(v), v)))
+        return tuple(self.vertices[self._by_size()[0]].tolist())
 
 
 def young_lattice(mu) -> YoungLattice:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from shallowboson.interferometer import _block_stack
 from shallowboson.sampling import as_seed_sequence
 
 
@@ -32,3 +33,17 @@ def finite_difference_gradient(objective, angles, index: int,
         return (objective.value(shifted, seeds[0])[0]
                 - objective.value(back, seeds[1])[0]) / (2 * epsilon)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def per_total_gate_kernel(vector, out, orbits, top: int, theta: float,
+                          psi: float):
+    """The gate kernel as one gather, one matmul and one scatter per photon
+    total, into `out`, from the same stack of blocks: the fused
+    `interferometer._gate_kernel` must equal it bit for bit."""
+    order, m_values, starts, stops = orbits
+    stack = _block_stack(top, float(theta), float(psi))
+    for m, s, e in zip(m_values, starts, stops):
+        seg = order[s:e]
+        amps = vector[seg].reshape(-1, m + 1)
+        out[seg] = (amps @ stack[m, :m + 1, :m + 1].T).ravel()
+    return out

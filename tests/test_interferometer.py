@@ -15,6 +15,8 @@ from shallowboson.interferometer import (
 )
 from shallowboson.young import catalan_basis
 
+from oracles import per_total_gate_kernel
+
 
 def hom_oracle(theta):
     """Direct two-photon amplitudes for |1,1> through one beam splitter.
@@ -547,14 +549,20 @@ def test_evolve_batch_matches_evolve_row_by_row(m, depth, sector):
         assert sorted(seen) == list(range(len(thetas)))
 
 
+def shift_stencil(num_gates, seed):
+    """The 2G rows of a parameter-shift stencil around a random base row."""
+    base = np.random.default_rng(seed).uniform(0, 2 * np.pi, num_gates)
+    stencil = np.repeat(base[None, :], 2 * num_gates, axis=0)
+    for k in range(num_gates):
+        stencil[2 * k, k] += np.pi / 2
+        stencil[2 * k + 1, k] -= np.pi / 2
+    return stencil
+
+
 def test_evolve_batch_shares_stencil_prefixes(monkeypatch):
     circ = build_reck_slices(5, 2, reck_input(5, 4))
     g = len(circ.gates)
-    base = np.random.default_rng(7).uniform(0, 2 * np.pi, g)
-    stencil = np.repeat(base[None, :], 2 * g, axis=0)
-    for k in range(g):
-        stencil[2 * k, k] += np.pi / 2
-        stencil[2 * k + 1, k] -= np.pi / 2
+    stencil = shift_stencil(g, 7)
     calls = []
     kernel = interferometer._gate_kernel
 
@@ -566,6 +574,73 @@ def test_evolve_batch_shares_stencil_prefixes(monkeypatch):
     rows = [r for r, _ in evolve_batch(circ, stencil)]
     assert sorted(rows) == list(range(2 * g))
     assert len(calls) == (g - 1) + g * (g + 1)  # 2g * g row by row
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("sector", [0, 1])
+def test_stencil_walk_steps_its_lines_in_place(monkeypatch, m, depth,
+                                               sector):
+    circ = build_reck_slices(m, depth, reck_input(m, m - sector))
+    g = len(circ.gates)
+    stencil = shift_stencil(g, 10 * m + depth + 100 * sector)
+    copies = []
+    kernel = interferometer._gate_kernel
+
+    def counting(vector, out, *args):
+        copies.append(out is not vector)
+        return kernel(vector, out, *args)
+
+    monkeypatch.setattr(interferometer, "_gate_kernel", counting)
+    states = list(evolve_batch(circ, stencil))
+    # one copy per branch; the base line and each branch step in place
+    assert len(copies) == (g - 1) + g * (g + 1)
+    assert sum(copies) == 2 * g - 1
+    monkeypatch.undo()
+    # no state is stepped on after it was yielded
+    assert sorted(r for r, _ in states) == list(range(2 * g))
+    for r, state in states:
+        assert np.array_equal(state.vector, evolve(circ, stencil[r]).vector)
+
+
+def test_apply_gate_leaves_its_input_alone():
+    basis = enumerate_basis(6, 5)
+    rng = np.random.default_rng(3)
+    vector = [1, 1j] @ rng.normal(size=(2, basis.size))
+    state = QuantumState(basis, vector / np.linalg.norm(vector))
+    before = state.vector.tobytes()
+    moved = apply_gate(state, TwoModeGate(2, 3, 0.7, 1.1))
+    assert state.vector.tobytes() == before
+    assert moved.vector is not state.vector
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("sector", [0, 1])
+def test_fused_kernel_equals_the_per_total_kernel(m, sector):
+    n = m - sector
+    basis = enumerate_basis(m, n)
+    rng = np.random.default_rng(10 * m + sector)
+    dense = [1, 1j] @ rng.normal(size=(2, basis.size))
+    for depth in range(1, m):
+        circ = build_reck_slices(m, depth, reck_input(m, n))
+        for gate, orbits in zip(circ.gates, live_plan(circ)):
+            theta, psi = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
+            args = (n, theta, psi)
+            every = interferometer._gate_orbits(m, n, gate.i, gate.j)
+            oracle = per_total_gate_kernel(dense, np.empty_like(dense),
+                                           every, *args)
+            assert np.array_equal(interferometer._gate_kernel(
+                dense, np.empty_like(dense), every, *args), oracle)
+            # a live input is zero off the plan, and may be stepped in place
+            live = np.zeros_like(dense)
+            live[orbits[0]] = dense[orbits[0]]
+            oracle = per_total_gate_kernel(live, np.zeros_like(live),
+                                           orbits, *args)
+            assert np.array_equal(interferometer._gate_kernel(
+                live, live.copy(), orbits, *args), oracle)
+            assert interferometer._gate_kernel(live, live, orbits,
+                                               *args) is live
+            assert np.array_equal(live, oracle)
 
 
 def test_evolve_batch_rejects_mismatched_rows():
